@@ -16,7 +16,6 @@ verification suites is attributable to the mathematics alone.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .crests import count_crests, decompose
@@ -43,6 +42,7 @@ __all__ = [
     "comb_example",
     "comb_size",
     "comb_resonance",
+    "certified_crests",
     "crest_lower_bound",
     "default_z_grid",
     "grid_csv_lines",
@@ -116,8 +116,8 @@ def _validate_nonzero(f: PiecewiseFunction) -> None:
 
 
 def _q_report(f, z, crest_count: int, star: Rearrangement) -> QReport:
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValidationError("z must be positive and finite")
     magnitude = abs(fourier(f, z))
     tail = star.integral_up_to(1.0 / z)
     scale = PI_SQRT_10 * tail
@@ -240,8 +240,8 @@ def default_z_grid(
     z_min: float = 1e-2, z_max: float = 1e3, count: int = 512, odd_pi_multiples: bool = True
 ) -> list[float]:
     """Log-spaced grid plus the odd multiples of pi (the comb resonances)."""
-    if z_min <= 0.0 or z_max <= z_min:
-        raise ValidationError("need 0 < z_min < z_max")
+    if not 0.0 < z_min < z_max < math.inf:
+        raise ValidationError("need 0 < z_min < z_max < inf")
     if count < 1:
         raise ValidationError("count must be at least 1")
     if count == 1:
@@ -258,34 +258,30 @@ def default_z_grid(
     return sorted(zs)
 
 
+def certified_crests(best_q: float) -> int:
+    """Crests certified by a best Q: floor(best_q - guard) + 1, at least 1."""
+    return max(1, math.floor(best_q - CERTIFICATE_GUARD) + 1)
+
+
 def crest_lower_bound(
-    f: PiecewiseFunction,
-    z_grid: list[float],
-    refine_depth: int = 0,
-    max_workers: int | None = None,
+    f: PiecewiseFunction, z_grid: list[float], refine_depth: int = 0
 ) -> BoundCertificate:
     """Scan Q over the grid and certify lower bounds on crests and roots.
 
     Q is continuous, so ``refine_depth`` rounds of local grid refinement
-    around the running maximum converge toward the true supremum.  Grid
-    evaluation may run on ``max_workers`` threads; results are assembled in
-    ascending z order and ties break to the leftmost z, so the outcome is
-    identical no matter the thread count.
+    around the running maximum converge toward the true supremum.  Reports
+    are kept in ascending z order and ties break to the leftmost z.
     """
     _validate_nonzero(f)
     if not z_grid:
         raise ValidationError("the z grid must not be empty")
-    if any(z <= 0.0 for z in z_grid):
-        raise ValidationError("grid points must be positive")
+    if not all(0.0 < z < math.inf for z in z_grid):
+        raise ValidationError("grid points must be positive and finite")
     crests = count_crests(f)
     star = rearrangement(f)
 
     def evaluate_grid(zs: list[float]) -> list[QReport]:
-        zs = sorted(set(zs))
-        if max_workers is not None and max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(lambda z: _q_report(f, z, crests, star), zs))
-        return [_q_report(f, z, crests, star) for z in zs]
+        return [_q_report(f, z, crests, star) for z in sorted(set(zs))]
 
     reports = evaluate_grid(list(z_grid))
     for _ in range(max(0, refine_depth)):
@@ -301,8 +297,7 @@ def crest_lower_bound(
     for r in reports[1:]:
         if r.q_value > best.q_value:
             best = r
-    strictly_exceeded = math.floor(best.q_value - CERTIFICATE_GUARD)
-    lower = max(1, strictly_exceeded + 1)
+    lower = certified_crests(best.q_value)
     m = lower - 1
     return BoundCertificate(
         best_z=best.z,

@@ -8,16 +8,14 @@ sample and the final sample reuses the previous gap), or inline JSON.
 
 Reports are emitted as JSON, or as CSV rows ``z,abs_fhat,tail_integral,
 bound,q`` with 17 significant digits for plotting pipelines.  Identical
-configuration and seed produce identical output bytes; the environment
-variable CRESTIMATE_THREADS caps grid-evaluation parallelism without
-affecting the output.
+configuration and seed produce identical output bytes.
 
 Exit codes: 0 success, 1 validation error, 2 numerical-convergence failure.
 """
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -84,8 +82,8 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad --grid value: {exc}") from exc
-    if lo <= 0.0 or hi <= lo:
-        raise ValidationError("--grid needs 0 < min < max")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValidationError("--grid needs 0 < min < max < inf")
     if count < 1:
         raise ValidationError("--grid count must be at least 1")
     if parts[3] == "log":
@@ -104,9 +102,12 @@ def _parse_float_list(spec: str, flag: str) -> list[float]:
         if not token:
             continue
         try:
-            out.append(float(token))
+            value = float(token)
         except ValueError as exc:
             raise ValidationError(f"bad {flag} value {token!r}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"bad {flag} value {token!r}: not finite")
+        out.append(value)
     return out
 
 
@@ -115,19 +116,6 @@ def _grid_from_args(args) -> list[float]:
     if args.extra_z:
         grid = sorted(set(grid) | set(_parse_float_list(args.extra_z, "--extra-z")))
     return grid
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("CRESTIMATE_THREADS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CRESTIMATE_THREADS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValidationError("CRESTIMATE_THREADS must be at least 1")
-    return workers
 
 
 def _emit(args, text: str) -> None:
@@ -157,9 +145,7 @@ def _certificate_payload(f, certificate: BoundCertificate) -> dict:
 
 def _cmd_analyze(args) -> int:
     f = _load_function(args.input, args.csv_mode)
-    certificate = crest_lower_bound(
-        f, _grid_from_args(args), refine_depth=args.refine_depth, max_workers=_max_workers()
-    )
+    certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
     if args.format == "csv":
         _emit(args, "\n".join(grid_csv_lines(certificate.grid)))
     else:
@@ -227,9 +213,7 @@ def _cmd_bound_roots(args) -> int:
             "step inputs have no pointwise derivative to count roots of -- "
             "resample with the linear CSV mode or supply a 'linear' JSON function"
         )
-    certificate = crest_lower_bound(
-        f, _grid_from_args(args), refine_depth=args.refine_depth, max_workers=_max_workers()
-    )
+    certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
     if args.format == "csv":
         _emit(args, "\n".join(grid_csv_lines(certificate.grid)))
         return 0

@@ -256,12 +256,17 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
             hi = min(b, t1)
             if hi <= lo:
                 continue
-            slope = (y1 - y0) / (t1 - t0)
-            ylo = y0 + (lo - t0) * slope
-            yhi = y0 + (hi - t0) * slope
-            terms.append((hi - lo) * (ylo + yhi) * 0.5)
+            terms.append(_segment_integral(t0, t1, y0, y1, lo, hi))
         return math.fsum(terms)
     raise ValidationError(f"cannot integrate object of type {type(f).__name__}")
+
+
+def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:
+    """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1)."""
+    slope = (y1 - y0) / (t1 - t0)
+    ylo = y0 + (lo - t0) * slope
+    yhi = y0 + (hi - t0) * slope
+    return (hi - lo) * (ylo + yhi) * 0.5
 
 
 def from_samples(

@@ -64,12 +64,10 @@ def _phi(u: float) -> complex:
 
 
 def _psi(u: float) -> complex:
-    if abs(u) < PHASE_SERIES_CUTOFF:
-        w = complex(0.0, -u)
-        # sum_k w^k / (k! (k+2))
-        return 0.5 + w * (1 / 3 + w * (1 / 8 + w * (1 / 30 + w * (1 / 144 + w / 840))))
-    num = _phi(u) - _phase(u)
-    return complex(num.imag / u, -num.real / u)
+    """psi(u) for |u| < PHASE_SERIES_CUTOFF; _fourier_linear has the closed form."""
+    w = complex(0.0, -u)
+    # sum_k w^k / (k! (k+2))
+    return 0.5 + w * (1 / 3 + w * (1 / 8 + w * (1 / 30 + w * (1 / 144 + w / 840))))
 
 
 def fourier(f: PiecewiseFunction, z: float) -> complex:
@@ -83,14 +81,43 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
             total += (v * w) * _phase(a * z) * _phi(w * z)
         return total
     if isinstance(f, PiecewiseLinearFunction):
-        for t0, t1, y0, y1 in f.segments():
-            if y0 == 0.0 and y1 == 0.0:
-                continue
-            w = t1 - t0
-            u = w * z
-            total += w * _phase(t0 * z) * (y0 * _phi(u) + (y1 - y0) * _psi(u))
-        return total
+        return _fourier_linear(f.nodes, f.node_values, z)
     raise ValidationError(f"cannot transform object of type {type(f).__name__}")
+
+
+def _fourier_linear(nodes, vals, z: float) -> complex:
+    """Sum of w exp(-i t0 z) (y0 phi(u) + (y1 - y0) psi(u)) over the segments.
+
+    The closed forms of phi and psi and the complex products are spelled out
+    on real and imaginary parts, as the same float operations the complex
+    objects perform, less their products with the zero imaginary part of a
+    real factor.  Those can only flip the sign of a zero, so the value
+    compares equal and its magnitude has the same bits.
+    """
+    cutoff = PHASE_SERIES_CUTOFF
+    cos, sin = math.cos, math.sin
+    re = im = 0.0
+    for t0, t1, y0, y1 in zip(nodes, nodes[1:], vals, vals[1:]):
+        if y0 == 0.0 and y1 == 0.0:
+            continue
+        w = t1 - t0
+        u = w * z
+        dy = y1 - y0
+        if -cutoff < u < cutoff:
+            phi, psi = _phi(u), _psi(u)
+            d_re = y0 * phi.real + dy * psi.real
+            d_im = y0 * phi.imag + dy * psi.imag
+        else:
+            cu, su = cos(u), sin(u)
+            phi_re = su / u
+            phi_im = -(1.0 - cu) / u
+            d_re = y0 * phi_re + dy * ((phi_im + su) / u)
+            d_im = y0 * phi_im + dy * (-(phi_re - cu) / u)
+        a_re = w * cos(t0 * z)
+        a_im = w * -sin(t0 * z)
+        re += a_re * d_re - a_im * d_im
+        im += a_re * d_im + a_im * d_re
+    return complex(re, im)
 
 
 # --- real kernels: integral_0^w (..) over one piece in local coordinates ---

@@ -19,10 +19,9 @@ A relative slack of 1e-9 guards the crest-count bound; the window checks use
 an absolute slack of 1e-12.
 """
 
-import math
 from dataclasses import dataclass, field
 
-from .bounds import HALF_PI_SQRT_10, CERTIFICATE_GUARD, PI_SQRT_10
+from .bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
 from .generators import (
     log_uniform,
@@ -121,9 +120,8 @@ def _suite_step(trials: int, seed: int, z_per_function: int) -> SuiteResult:
             bound = n * PI_SQRT_10 * tail
             bound_check.record(magnitude, bound, RELATIVE_SLACK * bound, {**payload, "z": z})
             best_q = max(best_q, magnitude / (PI_SQRT_10 * tail))
-        certified = max(1, math.floor(best_q - CERTIFICATE_GUARD) + 1)
         certificate_check.record(
-            float(certified), float(n), 0.0, {**payload, "best_q": best_q}
+            float(certified_crests(best_q)), float(n), 0.0, {**payload, "best_q": best_q}
         )
     return SuiteResult("step", trials, seed, [bound_check, certificate_check])
 

@@ -21,7 +21,7 @@ from crestimate import (
     fourier_quadrature_oracle,
     make_step,
 )
-from crestimate.bounds import grid_csv_lines
+from crestimate.bounds import CERTIFICATE_GUARD, certified_crests, grid_csv_lines
 from crestimate.generators import rng_for
 
 BOX = make_step([0, 1], [1])
@@ -213,6 +213,24 @@ def test_certificate_validation():
         crest_lower_bound(make_step([0, 1], [0]), [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_z_is_rejected(bad):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        crest_lower_bound(BOX, [1.0, bad])
+    with pytest.raises(ValidationError, match="positive and finite"):
+        bound_report(BOX, bad)
+    with pytest.raises(ValidationError, match="z_max < inf"):
+        default_z_grid(bad, 10.0)
+
+
+def test_certified_crests_guard():
+    assert certified_crests(0.0) == 1
+    assert certified_crests(1.0) == 1
+    assert certified_crests(1.0 + 0.5 * CERTIFICATE_GUARD) == 1
+    assert certified_crests(1.0 + 2.0 * CERTIFICATE_GUARD) == 2
+    assert certified_crests(2.5) == 3
+
+
 def test_certificate_leftmost_tie_break():
     # every odd multiple of pi gives the same Q for the comb
     cert = crest_lower_bound(comb_example(1), [3 * math.pi, math.pi, 5 * math.pi])
@@ -224,13 +242,6 @@ def test_refinement_only_improves():
     refined = crest_lower_bound(TRIANGLE, default_z_grid(count=64), refine_depth=3)
     assert refined.best_q >= base.best_q
     assert len(refined.grid) > len(base.grid)
-
-
-def test_threaded_grid_evaluation_is_deterministic():
-    grid = default_z_grid(count=128)
-    serial = crest_lower_bound(comb_example(1), grid)
-    threaded = crest_lower_bound(comb_example(1), grid, max_workers=4)
-    assert serial == threaded
 
 
 def test_grid_csv_schema():

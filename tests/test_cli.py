@@ -91,22 +91,21 @@ def test_missing_file(capsys):
     assert "no such input file" in err
 
 
-def test_byte_determinism_across_threads(capsys, monkeypatch):
-    args = ("analyze", BOX_JSON, "--grid", "1:100:64:log", "--format", "csv")
-    monkeypatch.setenv("CRESTIMATE_THREADS", "1")
-    _, first, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("CRESTIMATE_THREADS", "4")
-    _, second, _ = run_cli(capsys, *args)
-    monkeypatch.delenv("CRESTIMATE_THREADS")
-    _, third, _ = run_cli(capsys, *args)
-    assert first == second == third
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("CRESTIMATE_THREADS", "many")
-    code, _, err = run_cli(capsys, "analyze", BOX_JSON, "--grid", "1:2:2:lin")
-    assert code == 1
-    assert "CRESTIMATE_THREADS" in err
+def test_repeat_runs_give_identical_bytes(capsys, tmp_path):
+    # a train of sin^2 bumps with zero gaps, sampled every 1/64
+    ys = [math.sin(math.pi * k / 16) ** 2 if k % 32 < 16 else 0.0 for k in range(257)]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{k / 64},{y}\n" for k, y in enumerate(ys)))
+    step = '{"type":"step","breakpoints":[0,1,2,3,5],"values":[1,0,2,0.5]}'
+    scan = ("--grid", "1:100:64:log", "--refine-depth", "2")
+    for args in (
+        ("analyze", step, *scan),
+        ("bound-roots", str(trace), "--csv-mode", "linear", *scan),
+    ):
+        code, first, _ = run_cli(capsys, *args)
+        assert code == 0 and first
+        _, second, _ = run_cli(capsys, *args)
+        assert first == second
 
 
 def test_rearrange_round_trip(capsys, tmp_path):
@@ -233,10 +232,14 @@ def test_bound_roots_rejects_step_input(capsys):
         ("1:10:0:log", "count"),
         ("1:10:5:cubic", "log"),
         ("a:10:5:log", "bad --grid"),
+        ("1:inf:4:lin", "< inf"),
+        ("nan:10:4:log", "< inf"),
+        ("--extra-z inf", "not finite"),
     ],
 )
 def test_grid_spec_validation(capsys, spec, fragment):
-    code, _, err = run_cli(capsys, "analyze", BOX_JSON, "--grid", spec)
+    flags = spec.split() if spec.startswith("--") else ["--grid", spec]
+    code, _, err = run_cli(capsys, "analyze", BOX_JSON, *flags)
     assert code == 1
     assert fragment in err
 
