@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .crests import count_crests, decompose
-from .errors import ValidationError, ZeroFunctionError
+from .errors import ValidationError, ZeroFunctionError, require_positive
 from .piecewise import (
     PiecewiseFunction,
     StepFunction,
@@ -116,8 +116,7 @@ def _validate_nonzero(f: PiecewiseFunction) -> None:
 
 
 def _q_report(f, z, crest_count: int, star: Rearrangement) -> QReport:
-    if not 0.0 < z < math.inf:
-        raise ValidationError("z must be positive and finite")
+    require_positive("z", z)
     magnitude = abs(fourier(f, z))
     tail = star.integral_up_to(1.0 / z)
     scale = PI_SQRT_10 * tail
@@ -143,8 +142,7 @@ def check_decreasing_bound(f: PiecewiseFunction, z: float) -> tuple[float, float
     Requires f nonincreasing on [0, oo); contract: lhs <= rhs.
     """
     require_nonincreasing_on_halfline(f)
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    require_positive("z", z)
     lhs = abs(fourier(f, z))
     rhs = HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z)
     return lhs, rhs
@@ -156,8 +154,7 @@ def check_one_crest_bound(f: PiecewiseFunction, z: float) -> tuple[float, float,
     Requires f to crest exactly once at some b; then
     lhs = |fhat(z)| <= (pi/2) sqrt(10) integral_{b-1/z}^{b+1/z} f = rhs.
     """
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    require_positive("z", z)
     report = decompose(f)
     if report.count != 1:
         raise ValidationError(

@@ -6,11 +6,13 @@ The crest count of a piecewise function is the least number of nonnegative
 summands with almost disjoint supports, each cresting once, that add up to
 it.
 
-For the representations used here the count has a closed form: pad the piece
-value sequence (node value sequence for piecewise-linear input) with zeros at
-both ends, collapse repeated values, and count strict descent-to-ascent
-transitions; the count is one plus the number of those valleys.  Plateaus
-never create or terminate a valley.  The independent
+For the representations used here the count has a closed form: collapse the
+sequence of segment end values into runs of equal values, with zero beyond
+both ends; a valley is a run lower than both its neighbors, and the count is
+one plus the number of valleys.  A step piece, whose two end values agree,
+is one run, and a node shared by two linear segments counts once.  Plateaus
+never create or terminate a valley.  :func:`decompose` cuts once per valley,
+so its summands are exactly as many as the count.  The independent
 :func:`brute_force_crests` oracle minimizes over every contiguous-cell
 partition at piece boundaries; for step functions cells at piece boundaries
 suffice, because a once-cresting summand has an interval of positivity and a
@@ -54,25 +56,11 @@ class CrestReport:
         }
 
 
-def _collapse(seq):
-    out = []
-    for v in seq:
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
-
-
-def _valley_count(values) -> int:
-    s = _collapse([0.0, *values, 0.0])
-    return sum(1 for i in range(1, len(s) - 1) if s[i - 1] > s[i] < s[i + 1])
-
-
-def _profile(f: PiecewiseFunction):
-    if isinstance(f, StepFunction):
-        return f.values
-    if isinstance(f, PiecewiseLinearFunction):
-        return f.node_values
-    raise ValidationError(f"cannot count crests of object of type {type(f).__name__}")
+def _end_points(f: PiecewiseFunction):
+    """Yield (x, y) for both ends of every segment, left to right."""
+    for t0, t1, y0, y1 in f.segments():
+        yield t0, y0
+        yield t1, y1
 
 
 def _reject_zero(f: PiecewiseFunction) -> None:
@@ -83,7 +71,7 @@ def _reject_zero(f: PiecewiseFunction) -> None:
 def count_crests(f: PiecewiseFunction) -> int:
     """Minimal number of once-cresting summands for a nonzero input."""
     _reject_zero(f)
-    return 1 + _valley_count(_profile(f))
+    return 1 + len(_cuts(f))
 
 
 def decompose(f: PiecewiseFunction) -> CrestReport:
@@ -95,55 +83,32 @@ def decompose(f: PiecewiseFunction) -> CrestReport:
     are nonnegative, sum to f, and overlap only at the cuts themselves.
     """
     _reject_zero(f)
-    if isinstance(f, StepFunction):
-        cuts = _step_cuts(f)
-        pieces = _split_step(f, cuts)
-        crest_locations = tuple(_step_leftmost_max(p) for p in pieces)
-    else:
-        cuts = _linear_cuts(f)
-        pieces = _split_linear(f, cuts)
-        crest_locations = tuple(_linear_leftmost_max(p) for p in pieces)
+    cuts = _cuts(f)
+    split = _split_step if isinstance(f, StepFunction) else _split_linear
+    pieces = split(f, cuts)
     return CrestReport(
         count=len(pieces),
         cut_points=cuts,
-        crest_locations=crest_locations,
+        crest_locations=tuple(_leftmost_max(p) for p in pieces),
         pieces=pieces,
     )
 
 
-def _step_cuts(f: StepFunction) -> tuple[float, ...]:
-    vals = f.values
-    bp = f.breakpoints
-    n = len(vals)
-    cuts = []
-    for j in range(n):
-        left = vals[j - 1] if j > 0 else 0.0
-        right = vals[j + 1] if j < n - 1 else 0.0
-        if left > vals[j] < right:
-            if vals[j] == 0.0:
-                cuts.append(0.5 * (bp[j] + bp[j + 1]))
-            else:
-                cuts.append(bp[j])
-    return tuple(cuts)
-
-
-def _linear_cuts(f: PiecewiseLinearFunction) -> tuple[float, ...]:
-    # collapse plateau runs of node values, remembering node index ranges
-    runs: list[tuple[int, int, float]] = []
-    for i, v in enumerate(f.node_values):
-        if runs and runs[-1][2] == v:
-            runs[-1] = (runs[-1][0], i, v)
+def _cuts(f: PiecewiseFunction) -> tuple[float, ...]:
+    """One cut per valley: a run of equal end values below both neighbors."""
+    # collapse runs of equal segment end values, remembering where each starts and ends
+    runs: list[tuple[float, float, float]] = []
+    for x, y in _end_points(f):
+        if runs and runs[-1][2] == y:
+            runs[-1] = (runs[-1][0], x, y)
         else:
-            runs.append((i, i, v))
+            runs.append((x, x, y))
     cuts = []
-    for k, (i0, i1, v) in enumerate(runs):
+    for k, (x0, x1, v) in enumerate(runs):
         left = runs[k - 1][2] if k > 0 else 0.0
         right = runs[k + 1][2] if k < len(runs) - 1 else 0.0
         if left > v < right:
-            if v == 0.0:
-                cuts.append(0.5 * (f.nodes[i0] + f.nodes[i1]))
-            else:
-                cuts.append(f.nodes[i0])
+            cuts.append(0.5 * (x0 + x1) if v == 0.0 else x0)
     return tuple(cuts)
 
 
@@ -179,20 +144,10 @@ def _split_linear(f: PiecewiseLinearFunction, cuts) -> tuple[PiecewiseLinearFunc
     return tuple(out)
 
 
-def _step_leftmost_max(p: StepFunction) -> float:
-    best = max(p.values)
-    for a, _, v in p.pieces():
-        if v == best:
-            return a
-    raise AssertionError("unreachable")
-
-
-def _linear_leftmost_max(p: PiecewiseLinearFunction) -> float:
-    best = max(p.node_values)
-    for t, v in zip(p.nodes, p.node_values):
-        if v == best:
-            return t
-    raise AssertionError("unreachable")
+def _leftmost_max(p: PiecewiseFunction) -> float:
+    points = list(_end_points(p))
+    best = max(y for _, y in points)
+    return next(x for x, y in points if y == best)
 
 
 def _is_unimodal(values) -> bool:

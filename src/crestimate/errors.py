@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the positivity check, shared across the package."""
+
+import math
 
 
 class CrestimateError(Exception):
@@ -15,3 +17,12 @@ class ZeroFunctionError(ValidationError):
 
 class ConvergenceError(CrestimateError, RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget."""
+
+
+def require_positive(name: str, x: float, inf_ok: bool = False) -> None:
+    """Reject x unless 0 < x < inf, or x = inf when ``inf_ok``; nan never passes."""
+    if inf_ok:
+        if not 0.0 < x <= math.inf:
+            raise ValidationError(f"{name} must be positive")
+    elif not 0.0 < x < math.inf:
+        raise ValidationError(f"{name} must be positive and finite")

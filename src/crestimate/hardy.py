@@ -22,7 +22,7 @@ numbers).
 import math
 from dataclasses import dataclass
 
-from .errors import CrestimateError, ValidationError, ZeroFunctionError
+from .errors import CrestimateError, ValidationError, ZeroFunctionError, require_positive
 from .piecewise import (
     PiecewiseFunction,
     StepFunction,
@@ -49,9 +49,8 @@ _ORIGIN_MARGIN = 1e-6
 
 
 def hardy_operator(f: PiecewiseFunction, z: float) -> float:
-    """The running integral int_0^z f, exact, for z > 0."""
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    """The running integral int_0^z f, exact, for z > 0 (z = inf gives the mass)."""
+    require_positive("z", z, inf_ok=True)
     if f.support_min < 0.0:
         raise ValidationError(
             f"input must be supported on [0, oo); support starts at {f.support_min}"
@@ -86,12 +85,11 @@ def _split_points(lo: float, hi: float, candidates) -> list[float]:
 def _hardy_lhs_with_error(
     f: PiecewiseFunction, u: StepFunction, q: float, form: str
 ) -> tuple[float, float]:
-    if q <= 0.0:
-        raise ValidationError("q must be positive")
+    require_positive("q", q)
     _require_decreasing_nonzero(f)
     _require_weight(u, q)
     total_mass = integrate(f, 0.0, math.inf)
-    kinks = [x for x in _breakpoints(f) if x > 0.0]
+    kinks = [x for x in f.edges if x > 0.0]
     acc = 0.0
     err = 0.0
     if form == "substituted":
@@ -134,10 +132,6 @@ def _hardy_lhs_with_error(
     return acc ** (1.0 / q), err
 
 
-def _breakpoints(f: PiecewiseFunction):
-    return f.breakpoints if isinstance(f, StepFunction) else f.nodes
-
-
 def _panels(lo: float, hi: float, candidates) -> list[tuple[float, float]]:
     pts = _split_points(lo, hi, candidates)
     return [(p0, p1) for p0, p1 in zip(pts, pts[1:]) if p1 > p0]
@@ -160,8 +154,7 @@ def hardy_lhs(
 def _fourier_weighted_norm_with_error(
     f: PiecewiseFunction, u: StepFunction, q: float
 ) -> tuple[float, float]:
-    if q <= 0.0:
-        raise ValidationError("q must be positive")
+    require_positive("q", q)
     _require_weight(u, q)
     if f.is_zero:
         return 0.0, 0.0
@@ -239,8 +232,7 @@ def hardy_chain_report(
     f: PiecewiseFunction, u: StepFunction, v: StepFunction, p: float, q: float
 ) -> HardyReport:
     """Evaluate the full chain for a nonincreasing f and weights u, v."""
-    if p <= 0.0:
-        raise ValidationError("p must be positive")
+    require_positive("p", p)
     _require_decreasing_nonzero(f)
     chain_constant = 0.5 * math.pi * math.sqrt(10.0)
     fn, ferr = _fourier_weighted_norm_with_error(f, u, q)

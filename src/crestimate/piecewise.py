@@ -1,6 +1,11 @@
 """Exact piecewise-constant and piecewise-linear functions on the line.
 
-The two representations share conventions:
+Both representations are lists of segments ``(t0, t1, y0, y1)``: the
+function runs linearly from ``y0`` at ``t0`` to ``y1`` at ``t1``, and a step
+piece is a segment with ``y0 == y1``.  Each class exposes its breakpoints or
+nodes as ``edges`` and its segments through ``segments()`` and
+``segment(i)``; every kernel that only reads segments is written once
+against that protocol.  The two representations share conventions:
 
 * Half-open evaluation.  A step function takes ``values[i]`` on
   ``[breakpoints[i], breakpoints[i+1])`` and is zero outside
@@ -60,8 +65,39 @@ def _check_nonnegative(name: str, ys: Sequence[float]) -> None:
         raise ValidationError(f"{name} must be nonnegative")
 
 
+class _Segments:
+    """What both representations share, read off ``edges`` and ``segments()``.
+
+    A subclass provides ``edges`` (its breakpoints or nodes), ``segments()``
+    yielding ``(t0, t1, y0, y1)`` left to right, and ``segment(i)``.
+    """
+
+    def __call__(self, x: float) -> float:
+        return evaluate(self, x)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(y0 == 0.0 and y1 == 0.0 for _, _, y0, y1 in self.segments())
+
+    @property
+    def support_min(self) -> float:
+        return self.edges[0]
+
+    @property
+    def support_max(self) -> float:
+        return self.edges[-1]
+
+    @property
+    def total_integral(self) -> float:
+        # the midpoint form, not _segment_integral: its slope form rounds
+        # some linear totals differently
+        return math.fsum(
+            (t1 - t0) * (y0 + y1) * 0.5 for t0, t1, y0, y1 in self.segments()
+        )
+
+
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Segments):
     """Nonnegative step function, canonical and zero outside its breakpoints."""
 
     breakpoints: tuple[float, ...]
@@ -85,31 +121,23 @@ class StepFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
+    @property
+    def edges(self) -> tuple[float, ...]:
+        return self.breakpoints
 
     def pieces(self) -> Iterator[tuple[float, float, float]]:
         """Yield (left, right, value) for each piece."""
-        for i, v in enumerate(self.values):
-            yield self.breakpoints[i], self.breakpoints[i + 1], v
+        bp = self.breakpoints
+        return zip(bp, bp[1:], self.values)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
+    def segments(self) -> Iterator[tuple[float, float, float, float]]:
+        """Yield (left, right, value, value) for each piece."""
+        bp, vals = self.breakpoints, self.values
+        return zip(bp, bp[1:], vals, vals)
 
-    @property
-    def support_min(self) -> float:
-        return self.breakpoints[0]
-
-    @property
-    def support_max(self) -> float:
-        return self.breakpoints[-1]
-
-    @property
-    def total_integral(self) -> float:
-        return math.fsum(
-            v * (b - a) for a, b, v in self.pieces()
-        )
+    def segment(self, i: int) -> tuple[float, float, float, float]:
+        v = self.values[i]
+        return self.breakpoints[i], self.breakpoints[i + 1], v, v
 
 
 def _canonical_step(bp, vals):
@@ -133,7 +161,7 @@ def _canonical_step(bp, vals):
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearFunction:
+class PiecewiseLinearFunction(_Segments):
     """Nonnegative piecewise-linear function, zero outside its node range.
 
     Node values at the boundary are usually zero, which makes the function
@@ -161,18 +189,18 @@ class PiecewiseLinearFunction:
         object.__setattr__(self, "nodes", nd)
         object.__setattr__(self, "node_values", vals)
 
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
+    @property
+    def edges(self) -> tuple[float, ...]:
+        return self.nodes
 
     def segments(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield (left, right, left_value, right_value) for each segment."""
-        for i in range(len(self.nodes) - 1):
-            yield (
-                self.nodes[i],
-                self.nodes[i + 1],
-                self.node_values[i],
-                self.node_values[i + 1],
-            )
+        nd, vals = self.nodes, self.node_values
+        return zip(nd, nd[1:], vals, vals[1:])
+
+    def segment(self, i: int) -> tuple[float, float, float, float]:
+        nd, vals = self.nodes, self.node_values
+        return nd[i], nd[i + 1], vals[i], vals[i + 1]
 
     def value_on_line(self, x: float) -> float:
         """Interpolated value treating the node range as closed.
@@ -185,28 +213,7 @@ class PiecewiseLinearFunction:
             return self.node_values[0]
         if x >= nd[-1]:
             return self.node_values[-1]
-        i = bisect_right(nd, x) - 1
-        t0, t1 = nd[i], nd[i + 1]
-        y0, y1 = self.node_values[i], self.node_values[i + 1]
-        return y0 + (x - t0) * (y1 - y0) / (t1 - t0)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.node_values)
-
-    @property
-    def support_min(self) -> float:
-        return self.nodes[0]
-
-    @property
-    def support_max(self) -> float:
-        return self.nodes[-1]
-
-    @property
-    def total_integral(self) -> float:
-        return math.fsum(
-            (t1 - t0) * (y0 + y1) * 0.5 for t0, t1, y0, y1 in self.segments()
-        )
+        return evaluate(self, x)
 
 
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction
@@ -219,17 +226,11 @@ def make_step(breakpoints: Sequence[float], values: Sequence[float]) -> StepFunc
 
 def evaluate(f: PiecewiseFunction, x: float) -> float:
     """f(x) under the half-open convention; zero outside the support."""
-    if isinstance(f, StepFunction):
-        bp = f.breakpoints
-        if x < bp[0] or x >= bp[-1]:
-            return 0.0
-        return f.values[bisect_right(bp, x) - 1]
-    if isinstance(f, PiecewiseLinearFunction):
-        nd = f.nodes
-        if x < nd[0] or x >= nd[-1]:
-            return 0.0
-        return f.value_on_line(x)
-    raise ValidationError(f"cannot evaluate object of type {type(f).__name__}")
+    edges = f.edges
+    if x < edges[0] or x >= edges[-1]:
+        return 0.0
+    t0, t1, y0, y1 = f.segment(bisect_right(edges, x) - 1)
+    return y0 + (x - t0) * (y1 - y0) / (t1 - t0)
 
 
 def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
@@ -240,29 +241,21 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
     """
     if a > b:
         return -integrate(f, b, a)
-    if isinstance(f, StepFunction):
-        terms = []
-        for lo, hi, v in f.pieces():
-            if v == 0.0:
-                continue
-            width = min(b, hi) - max(a, lo)
-            if width > 0.0:
-                terms.append(v * width)
-        return math.fsum(terms)
-    if isinstance(f, PiecewiseLinearFunction):
-        terms = []
-        for t0, t1, y0, y1 in f.segments():
-            lo = max(a, t0)
-            hi = min(b, t1)
-            if hi <= lo:
-                continue
+    terms = []
+    for t0, t1, y0, y1 in f.segments():
+        lo = max(a, t0)
+        hi = min(b, t1)
+        if hi > lo:
             terms.append(_segment_integral(t0, t1, y0, y1, lo, hi))
-        return math.fsum(terms)
-    raise ValidationError(f"cannot integrate object of type {type(f).__name__}")
+    return math.fsum(terms)
 
 
 def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:
-    """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1)."""
+    """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1).
+
+    On a step piece (``y0 == y1``) the slope is zero and the result is
+    ``(hi - lo) * y0`` exactly: doubling and halving do not round.
+    """
     slope = (y1 - y0) / (t1 - t0)
     ylo = y0 + (lo - t0) * slope
     yhi = y0 + (hi - t0) * slope
@@ -320,11 +313,12 @@ def is_nonincreasing_on_halfline(f: PiecewiseFunction) -> bool:
         return False
     if f.support_min != 0.0:
         return False
-    if isinstance(f, StepFunction):
-        vals = f.values
-    else:
-        vals = f.node_values
-    return all(a >= b for a, b in zip(vals, vals[1:]))
+    prev = math.inf
+    for _, _, y0, y1 in f.segments():
+        if not prev >= y0 >= y1:
+            return False
+        prev = y1
+    return True
 
 
 def require_nonincreasing_on_halfline(f: PiecewiseFunction) -> None:
@@ -349,13 +343,11 @@ def function_to_json_dict(f: PiecewiseFunction) -> dict:
             "breakpoints": list(f.breakpoints),
             "values": list(f.values),
         }
-    if isinstance(f, PiecewiseLinearFunction):
-        return {
-            "type": "linear",
-            "nodes": list(f.nodes),
-            "node_values": list(f.node_values),
-        }
-    raise ValidationError(f"cannot serialize object of type {type(f).__name__}")
+    return {
+        "type": "linear",
+        "nodes": list(f.nodes),
+        "node_values": list(f.node_values),
+    }
 
 
 def function_from_json_dict(obj: object) -> PiecewiseFunction:

@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 from .piecewise import (
     PiecewiseFunction,
     PiecewiseLinearFunction,
@@ -51,22 +51,13 @@ _LORENTZ_REL_TOL = 1e-9
 def distribution(f: PiecewiseFunction, alpha: float) -> float:
     """Lebesgue measure of the super-level set {x : f(x) > alpha}, alpha > 0.
 
-    Exact closed form per piece; sums are correctly rounded (fsum), so the
-    result is independent of piece order.
+    Exact closed form per segment; sums are correctly rounded (fsum), so the
+    result is independent of segment order.  alpha = inf gives 0.
     """
-    if alpha <= 0.0:
-        raise ValidationError("alpha must be positive")
-    return _distribution_any(f, alpha)
-
-
-def _distribution_any(f: PiecewiseFunction, alpha: float) -> float:
-    if isinstance(f, StepFunction):
-        return math.fsum(b - a for a, b, v in f.pieces() if v > alpha)
-    if isinstance(f, PiecewiseLinearFunction):
-        return math.fsum(
-            _segment_superlevel(t0, t1, y0, y1, alpha) for t0, t1, y0, y1 in f.segments()
-        )
-    raise ValidationError(f"cannot measure object of type {type(f).__name__}")
+    require_positive("alpha", alpha, inf_ok=True)
+    return math.fsum(
+        _segment_superlevel(t0, t1, y0, y1, alpha) for t0, t1, y0, y1 in f.segments()
+    )
 
 
 def _segment_superlevel(t0, t1, y0, y1, alpha) -> float:
@@ -89,29 +80,20 @@ class Rearrangement:
     _terms: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        star = self.star
-        if isinstance(star, StepFunction):
-            terms = [v * (b - a) for a, b, v in star.pieces()]
-        else:
-            terms = [
-                _segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in star.segments()
-            ]
+        terms = [
+            _segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in self.star.segments()
+        ]
         object.__setattr__(self, "_terms", terms)
 
     def integral_up_to(self, t: float) -> float:
         """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t)."""
-        star = self.star
-        edges = star.breakpoints if isinstance(star, StepFunction) else star.nodes
+        edges = self.star.edges
         k = bisect_right(edges, t) - 1  # pieces 0..k-1 end at or before t
         if k < 0:
             return 0.0
         if k == len(self._terms) or edges[k] == t:
             return math.fsum(self._terms[:k])
-        if isinstance(star, StepFunction):
-            partial = star.values[k] * (t - edges[k])
-        else:
-            ys = star.node_values
-            partial = _segment_integral(edges[k], edges[k + 1], ys[k], ys[k + 1], edges[k], t)
+        partial = _segment_integral(*self.star.segment(k), edges[k], t)
         return math.fsum(self._terms[:k] + [partial])
 
     def measure_above(self, alpha: float) -> float:
@@ -122,9 +104,7 @@ def rearrangement(f: PiecewiseFunction) -> Rearrangement:
     """Compute f*, equimeasurable with f and nonincreasing from the origin."""
     if isinstance(f, StepFunction):
         return Rearrangement(_step_star(f))
-    if isinstance(f, PiecewiseLinearFunction):
-        return Rearrangement(_linear_star(f))
-    raise ValidationError(f"cannot rearrange object of type {type(f).__name__}")
+    return Rearrangement(_linear_star(f))
 
 
 def _step_star(f: StepFunction) -> StepFunction:
@@ -220,9 +200,8 @@ def _exact_add(partials: list[float], x: float) -> None:
 
 
 def rearrangement_integral(f: PiecewiseFunction, t: float) -> float:
-    """Exact integral of f* over [0, t] for t > 0."""
-    if t <= 0.0:
-        raise ValidationError("t must be positive")
+    """Exact integral of f* over [0, t] for t > 0 (t = inf gives the mass)."""
+    require_positive("t", t, inf_ok=True)
     return rearrangement(f).integral_up_to(t)
 
 
@@ -233,8 +212,7 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
     (relative tolerance 1e-9) on each weight piece when f* is piecewise
     linear, split at the f* nodes so every panel is smooth.
     """
-    if p <= 0.0:
-        raise ValidationError("p must be positive")
+    require_positive("p", p)
     if not isinstance(v, StepFunction):
         raise ValidationError("the weight must be a step function")
     star = rearrangement(f).star

@@ -1,8 +1,11 @@
 """Closed-form Fourier, sine, and cosine transforms of piecewise functions.
 
-The transform convention is ``fhat(z) = integral f(x) exp(-i x z) dx``.  A
-constant piece c on [a, b) contributes ``c * w * exp(-i a z) * phi(w z)`` and
-a linear piece adds the first-moment kernel, where
+The transform convention is ``fhat(z) = integral f(x) exp(-i x z) dx``.
+Every kernel here reads the segments ``(t0, t1, y0, y1)`` of
+:mod:`crestimate.piecewise`, so each formula is written once.  A segment of
+width ``w = t1 - t0`` contributes
+``w * exp(-i t0 z) * (y0 * phi(w z) + (y1 - y0) * psi(w z))``; a step piece
+is the case ``y1 - y0 = 0``, where only the ``phi`` term is left.  Here
 
     phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
     psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
@@ -21,14 +24,8 @@ closed-form paths calls it.
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .piecewise import (
-    PiecewiseFunction,
-    PiecewiseLinearFunction,
-    StepFunction,
-    evaluate,
-    integrate,
-)
+from .errors import ValidationError, require_positive
+from .piecewise import PiecewiseFunction, evaluate, integrate
 from .quadrature import gauss_kronrod_adaptive
 
 __all__ = [
@@ -64,40 +61,27 @@ def _phi(u: float) -> complex:
 
 
 def _psi(u: float) -> complex:
-    """psi(u) for |u| < PHASE_SERIES_CUTOFF; _fourier_linear has the closed form."""
+    """psi(u) for |u| < PHASE_SERIES_CUTOFF; :func:`fourier` has the closed form."""
     w = complex(0.0, -u)
     # sum_k w^k / (k! (k+2))
     return 0.5 + w * (1 / 3 + w * (1 / 8 + w * (1 / 30 + w * (1 / 144 + w / 840))))
 
 
 def fourier(f: PiecewiseFunction, z: float) -> complex:
-    """Exact transform value fhat(z); z = 0 returns the total integral."""
-    total = 0.0 + 0.0j
-    if isinstance(f, StepFunction):
-        for a, b, v in f.pieces():
-            if v == 0.0:
-                continue
-            w = b - a
-            total += (v * w) * _phase(a * z) * _phi(w * z)
-        return total
-    if isinstance(f, PiecewiseLinearFunction):
-        return _fourier_linear(f.nodes, f.node_values, z)
-    raise ValidationError(f"cannot transform object of type {type(f).__name__}")
+    """Exact transform value fhat(z) for finite z; z = 0 gives the total integral.
 
-
-def _fourier_linear(nodes, vals, z: float) -> complex:
-    """Sum of w exp(-i t0 z) (y0 phi(u) + (y1 - y0) psi(u)) over the segments.
-
-    The closed forms of phi and psi and the complex products are spelled out
-    on real and imaginary parts, as the same float operations the complex
-    objects perform, less their products with the zero imaginary part of a
-    real factor.  Those can only flip the sign of a zero, so the value
-    compares equal and its magnitude has the same bits.
+    The sum of w exp(-i t0 z) (y0 phi(u) + (y1 - y0) psi(u)) over the
+    segments, u = w z.  The closed forms of phi and psi and the complex
+    products are spelled out on real and imaginary parts, as the same float
+    operations the complex objects perform, less their products with the
+    zero imaginary part of a real factor.  Those can only flip the sign of a
+    zero, so the value compares equal and its magnitude has the same bits.
     """
+    _require_finite(z)
     cutoff = PHASE_SERIES_CUTOFF
     cos, sin = math.cos, math.sin
     re = im = 0.0
-    for t0, t1, y0, y1 in zip(nodes, nodes[1:], vals, vals[1:]):
+    for t0, t1, y0, y1 in f.segments():
         if y0 == 0.0 and y1 == 0.0:
             continue
         w = t1 - t0
@@ -118,6 +102,11 @@ def _fourier_linear(nodes, vals, z: float) -> complex:
         re += a_re * d_re - a_im * d_im
         im += a_re * d_im + a_im * d_re
     return complex(re, im)
+
+
+def _require_finite(z: float) -> None:
+    if not math.isfinite(z):
+        raise ValidationError("z must be finite")
 
 
 # --- real kernels: integral_0^w (..) over one piece in local coordinates ---
@@ -159,24 +148,16 @@ def _require_halfline(f: PiecewiseFunction) -> None:
 
 
 def _trig_pieces(f: PiecewiseFunction):
-    """Yield (start, width, left value, value increment) per piece."""
-    if isinstance(f, StepFunction):
-        for a, b, v in f.pieces():
-            if v != 0.0:
-                yield a, b - a, v, 0.0
-    elif isinstance(f, PiecewiseLinearFunction):
-        for t0, t1, y0, y1 in f.segments():
-            if y0 != 0.0 or y1 != 0.0:
-                yield t0, t1 - t0, y0, y1 - y0
-    else:
-        raise ValidationError(f"cannot transform object of type {type(f).__name__}")
+    """Yield (start, width, left value, value increment) per nonzero segment."""
+    for t0, t1, y0, y1 in f.segments():
+        if y0 != 0.0 or y1 != 0.0:
+            yield t0, t1 - t0, y0, y1 - y0
 
 
 def sine_transform(f: PiecewiseFunction, z: float) -> float:
     """Sf(z) = integral_0^oo f(x) sin(xz) dx for f supported on [0, oo)."""
     _require_halfline(f)
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    require_positive("z", z)
     terms = []
     for a, w, y0, dy in _trig_pieces(f):
         u = w * z
@@ -190,8 +171,7 @@ def sine_transform(f: PiecewiseFunction, z: float) -> float:
 def cosine_transform(f: PiecewiseFunction, z: float) -> float:
     """Cf(z) = integral_0^oo f(x) cos(xz) dx for f supported on [0, oo)."""
     _require_halfline(f)
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    require_positive("z", z)
     terms = []
     for a, w, y0, dy in _trig_pieces(f):
         u = w * z
@@ -213,8 +193,8 @@ def fourier_quadrature_oracle(
     panels are then bisected until the estimated absolute error is below
     ``tol`` or the budget of ``max_panels`` panels is exhausted.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    require_positive("tol", tol)
+    _require_finite(z)
     cap = math.pi / (4.0 * abs(z)) if z != 0.0 else math.inf
     panels: list[tuple[float, float]] = []
     for a, w, _, _ in _trig_pieces(f):
@@ -253,9 +233,8 @@ class WindowBoundReport:
 
 
 def window_bounds(f: PiecewiseFunction, z: float) -> WindowBoundReport:
-    """Evaluate Sf, Cf and their comparison windows at z > 0."""
-    if z <= 0.0:
-        raise ValidationError("z must be positive")
+    """Evaluate Sf, Cf and their comparison windows at finite z > 0."""
+    require_positive("z", z)
     _require_halfline(f)
     half_pi = math.pi / (2.0 * z)
     return WindowBoundReport(

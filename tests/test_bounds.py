@@ -14,12 +14,18 @@ from crestimate import (
     comb_example,
     comb_resonance,
     comb_size,
+    cosine_transform,
     count_crests,
     crest_lower_bound,
     default_z_grid,
+    distribution,
     fourier,
     fourier_quadrature_oracle,
+    hardy_operator,
     make_step,
+    rearrangement_integral,
+    sine_transform,
+    window_bounds,
 )
 from crestimate.bounds import CERTIFICATE_GUARD, certified_crests, grid_csv_lines
 from crestimate.generators import rng_for
@@ -221,6 +227,35 @@ def test_non_finite_z_is_rejected(bad):
         bound_report(BOX, bad)
     with pytest.raises(ValidationError, match="z_max < inf"):
         default_z_grid(bad, 10.0)
+
+
+def quadrature_oracle(f, z):
+    return fourier_quadrature_oracle(f, z, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        window_bounds,
+        sine_transform,
+        cosine_transform,
+        check_decreasing_bound,
+        check_one_crest_bound,
+        fourier,
+        quadrature_oracle,
+        hardy_operator,
+        distribution,
+        rearrangement_integral,
+    ],
+)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_public_entry_points_reject_non_finite_arguments(call, bad):
+    if bad == math.inf and call in (hardy_operator, distribution, rearrangement_integral):
+        # inf has a meaning there: the total mass, or an empty super-level set
+        assert call(BOX, bad) == (0.0 if call is distribution else 1.0)
+        return
+    with pytest.raises(ValidationError, match="positive|finite"):
+        call(BOX, bad)
 
 
 def test_certified_crests_guard():

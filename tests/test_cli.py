@@ -187,9 +187,10 @@ def test_hardy_rejects_nondecreasing_input(capsys):
 
 
 def test_hardy_rejects_bad_exponent(capsys):
-    code, _, err = run_cli(capsys, "hardy", BOX_JSON, BOX_JSON, BOX_JSON, "--p", "0", "--q", "2")
-    assert code == 1
-    assert "p must be positive" in err
+    for bad_p in ("0", "nan"):
+        code, _, err = run_cli(capsys, "hardy", BOX_JSON, BOX_JSON, BOX_JSON, "--p", bad_p, "--q", "2")
+        assert code == 1
+        assert "p must be positive" in err
 
 
 def test_bound_roots_bump_train(tmp_path, capsys):

@@ -1,23 +1,40 @@
-"""Differential tests: the linear-input fast paths against the code they replaced.
+"""Differential tests: the single segment kernels against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim apart from
 names: the per-level rearrangement (one fsum over every segment per distinct
-level, O(n^2)) and the complex-object transform kernel.  The library must
-agree with them exactly, with no tolerance.
+level, O(n^2)), the complex-object transform kernel for linear and for step
+input, the step-only evaluation, integral, distribution, tail table, crest
+cuts and crest locations that the segment model replaced, and the crest
+count over the collapsed value profile.  The library must agree with them
+exactly, with no tolerance, except for the step transform, which now
+multiplies in a different order (see its test).
 """
 
 import math
+from bisect import bisect_right
 
 import pytest
 
 from crestimate import (
     PiecewiseLinearFunction,
+    StepFunction,
+    count_crests,
+    decompose,
+    distribution,
+    evaluate,
     fourier,
     from_samples,
     integrate,
+    make_step,
     rearrangement,
 )
-from crestimate.generators import log_uniform, random_step_function, rng_for
+from crestimate.generators import (
+    log_uniform,
+    random_decreasing_step,
+    random_one_crest_step,
+    random_step_function,
+    rng_for,
+)
 from crestimate.transform import PHASE_SERIES_CUTOFF
 
 # --- oracle: the per-level linear rearrangement --------------------------
@@ -100,6 +117,103 @@ def _oracle_fourier_linear(f, z):
         w = t1 - t0
         u = w * z
         total += w * _oracle_phase(t0 * z) * (y0 * _oracle_phi(u) + (y1 - y0) * _oracle_psi(u))
+    return total
+
+
+# --- oracles: the step-only kernels ---------------------------------------
+
+
+def _oracle_pieces(f):
+    for i, v in enumerate(f.values):
+        yield f.breakpoints[i], f.breakpoints[i + 1], v
+
+
+def _oracle_step_evaluate(f, x):
+    bp = f.breakpoints
+    if x < bp[0] or x >= bp[-1]:
+        return 0.0
+    return f.values[bisect_right(bp, x) - 1]
+
+
+def _oracle_step_integrate(f, a, b):
+    if a > b:
+        return -_oracle_step_integrate(f, b, a)
+    terms = []
+    for lo, hi, v in _oracle_pieces(f):
+        if v == 0.0:
+            continue
+        width = min(b, hi) - max(a, lo)
+        if width > 0.0:
+            terms.append(v * width)
+    return math.fsum(terms)
+
+
+def _oracle_step_distribution(f, alpha):
+    return math.fsum(b - a for a, b, v in _oracle_pieces(f) if v > alpha)
+
+
+def _oracle_step_integral_up_to(star, t):
+    terms = [v * (b - a) for a, b, v in _oracle_pieces(star)]
+    edges = star.breakpoints
+    k = bisect_right(edges, t) - 1
+    if k < 0:
+        return 0.0
+    if k == len(terms) or edges[k] == t:
+        return math.fsum(terms[:k])
+    partial = star.values[k] * (t - edges[k])
+    return math.fsum(terms[:k] + [partial])
+
+
+def _oracle_step_cuts(f):
+    vals = f.values
+    bp = f.breakpoints
+    n = len(vals)
+    cuts = []
+    for j in range(n):
+        left = vals[j - 1] if j > 0 else 0.0
+        right = vals[j + 1] if j < n - 1 else 0.0
+        if left > vals[j] < right:
+            if vals[j] == 0.0:
+                cuts.append(0.5 * (bp[j] + bp[j + 1]))
+            else:
+                cuts.append(bp[j])
+    return tuple(cuts)
+
+
+def _oracle_step_leftmost_max(p):
+    best = max(p.values)
+    for a, _, v in _oracle_pieces(p):
+        if v == best:
+            return a
+    raise AssertionError("unreachable")
+
+
+def _oracle_collapse(seq):
+    out = []
+    for v in seq:
+        if not out or out[-1] != v:
+            out.append(v)
+    return out
+
+
+def _oracle_valley_count(values):
+    s = _oracle_collapse([0.0, *values, 0.0])
+    return sum(1 for i in range(1, len(s) - 1) if s[i - 1] > s[i] < s[i + 1])
+
+
+def _oracle_profile(f):
+    if isinstance(f, StepFunction):
+        return f.values
+    return f.node_values
+
+
+def _oracle_fourier_step(f, z):
+    total = 0.0 + 0.0j
+    for a, b, v in _oracle_pieces(f):
+        if v == 0.0:
+            continue
+        w = b - a
+        total += (v * w) * _oracle_phase(a * z) * _oracle_phi(w * z)
     return total
 
 
@@ -220,3 +334,111 @@ def test_integral_up_to_equals_integrate(kind):
         ts += [rng.uniform(0.0, edges[-1]) for _ in range(5)]
         for t in ts:
             assert r.integral_up_to(t) == integrate(r.star, 0.0, t)
+
+
+# --- seeded random step functions -----------------------------------------
+
+
+def _random_step(rng):
+    """Dyadic draws from the library's generators, or arbitrary floats."""
+    roll = rng.random()
+    if roll < 0.3:
+        return random_step_function(rng, max_pieces=40)
+    if roll < 0.4:
+        return random_decreasing_step(rng)
+    if roll < 0.5:
+        return random_one_crest_step(rng)
+    n = rng.randint(1, 40)
+    x = rng.uniform(-5.0, 5.0)
+    breakpoints = [x]
+    for _ in range(n):
+        x += rng.uniform(1e-3, 2.0)
+        breakpoints.append(x)
+    pool = [rng.uniform(0.0, 3.0) for _ in range(4)]
+    values = [
+        0.0 if r < 0.2 else rng.choice(pool) if r < 0.5 else rng.uniform(0.0, 5.0)
+        for r in (rng.random() for _ in range(n))
+    ]
+    if not any(values):
+        values[0] = 1.0
+    return make_step(breakpoints, values)
+
+
+_step_rng = rng_for(46, "differential/step")
+STEP_FAMILY = [_random_step(_step_rng) for _ in range(1500)]
+
+
+def test_step_evaluate_integrate_distribution_equal_step_kernels():
+    rng = rng_for(47, "differential/step/points")
+    for f in STEP_FAMILY:
+        bp = f.breakpoints
+        lo, hi = bp[0], bp[-1]
+        xs = [lo - 1.0, *bp, hi + 1.0, *(0.5 * (a + b) for a, b in zip(bp, bp[1:]))]
+        xs += [rng.uniform(lo, hi) for _ in range(5)]
+        for x in xs:
+            assert evaluate(f, x) == _oracle_step_evaluate(f, x)
+        bounds = [(-math.inf, math.inf), (hi, lo), *zip(bp, bp[2:])]
+        bounds += [(rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(lo - 1.0, hi + 1.0)) for _ in range(5)]
+        for a, b in bounds:
+            assert integrate(f, a, b) == _oracle_step_integrate(f, a, b)
+        for alpha in [*set(f.values) - {0.0}, rng.uniform(1e-3, 5.0), math.inf]:
+            assert distribution(f, alpha) == _oracle_step_distribution(f, alpha)
+
+
+def test_step_tail_table_equals_step_kernel():
+    rng = rng_for(48, "differential/step/tail")
+    for f in STEP_FAMILY:
+        r = rearrangement(f)
+        edges = r.star.breakpoints
+        ts = [0.0, *edges, edges[-1] + 1.0, math.inf]
+        ts += [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+        ts += [rng.uniform(0.0, edges[-1]) for _ in range(5)]
+        for t in ts:
+            assert r.integral_up_to(t) == _oracle_step_integral_up_to(r.star, t)
+
+
+def test_step_decompose_equals_step_cuts():
+    for f in STEP_FAMILY:
+        report = decompose(f)
+        assert report.cut_points == _oracle_step_cuts(f)
+        assert report.crest_locations == tuple(
+            _oracle_step_leftmost_max(p) for p in report.pieces
+        )
+
+
+def test_count_crests_equals_collapsed_profile_count():
+    for f in STEP_FAMILY + LINEAR_FAMILY:
+        if not f.is_zero:
+            assert count_crests(f) == 1 + _oracle_valley_count(_oracle_profile(f))
+
+
+def test_step_fourier_within_rounding_of_complex_kernel():
+    """The step transform multiplies w e^(-i t0 z) by (v phi), not (v w) e^(-i t0 z) by phi.
+
+    Phase and phi have the same bits on both sides, so the difference is
+    rounding alone.  Per piece, the old product is off by at most about
+    (1 + 2 sqrt 5) u |v w| and the new one by (2 + sqrt 5) u |v w|, with
+    u = 2^-53 and the sqrt 5 u bound of a complex product (Brent, Percival
+    and Zimmermann, 2007); summing n terms adds at most (n - 1) u sum |v w|
+    on each side.  So |difference| <= (2 n + 8) u sum |v w|.
+    """
+    rng = rng_for(49, "differential/step/z")
+    family = STEP_FAMILY + [
+        random_step_function(rng, min_pieces=1024, max_pieces=1024) for _ in range(4)
+    ]
+    series_hits = 0
+    for f in family:
+        widths = [b - a for a, b in zip(f.breakpoints, f.breakpoints[1:])]
+        mass = math.fsum(v * w for v, w in zip(f.values, widths))
+        bound = (2 * len(widths) + 8) * 2.0**-53 * mass
+        zs = [
+            log_uniform(rng, 1e-3, 1e3),
+            -log_uniform(rng, 1e-3, 1e3),
+            0.5 * PHASE_SERIES_CUTOFF / max(widths),
+            2.0 * PHASE_SERIES_CUTOFF / min(widths),
+            0.0,
+        ]
+        for z in zs:
+            series_hits += any(abs(w * z) < PHASE_SERIES_CUTOFF for w in widths)
+            assert abs(fourier(f, z) - _oracle_fourier_step(f, z)) <= bound
+    assert series_hits > 0

@@ -66,8 +66,9 @@ def test_hardy_lhs_substitution_identity_random():
 
 
 def test_hardy_lhs_validation():
-    with pytest.raises(ValidationError, match="q must be positive"):
-        hardy_lhs(BOX, make_step([0, 1], [1]), 0.0)
+    for bad_q in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="q must be positive"):
+            hardy_lhs(BOX, make_step([0, 1], [1]), bad_q)
     with pytest.raises(ZeroFunctionError):
         hardy_lhs(make_step([0, 1], [0]), make_step([0, 1], [1]), 1.0)
     with pytest.raises(ValidationError, match="nonincreasing"):

@@ -162,8 +162,9 @@ def test_lorentz_norm_comb():
 
 def test_lorentz_norm_validation():
     box = make_step([0, 1], [1])
-    with pytest.raises(ValidationError, match="p must be positive"):
-        lorentz_lambda_norm(box, make_step([0, 1], [1]), 0.0)
+    for bad_p in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="p must be positive"):
+            lorentz_lambda_norm(box, make_step([0, 1], [1]), bad_p)
     with pytest.raises(ValidationError, match="step function"):
         lorentz_lambda_norm(box, TRIANGLE, 1.0)
 
