@@ -20,7 +20,7 @@ cell edge inside a constant piece can always be slid to the piece boundary
 without breaking unimodality of either neighbor.
 """
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import ValidationError, ZeroFunctionError
@@ -84,8 +84,7 @@ def decompose(f: PiecewiseFunction) -> CrestReport:
     """
     _reject_zero(f)
     cuts = _cuts(f)
-    split = _split_step if isinstance(f, StepFunction) else _split_linear
-    pieces = split(f, cuts)
+    pieces = _split(f, cuts)
     return CrestReport(
         count=len(pieces),
         cut_points=cuts,
@@ -112,35 +111,23 @@ def _cuts(f: PiecewiseFunction) -> tuple[float, ...]:
     return tuple(cuts)
 
 
-def _split_step(f: StepFunction, cuts) -> tuple[StepFunction, ...]:
-    edges = [-math.inf, *cuts, math.inf]
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        breakpoints = []
-        values = []
-        for a, b, v in f.pieces():
-            s, e = max(a, lo), min(b, hi)
-            if e <= s:
-                continue
-            if not breakpoints:
-                breakpoints.append(s)
-            values.append(v)
-            breakpoints.append(e)
-        out.append(make_step(breakpoints, values))
-    return tuple(out)
+def _split(f: PiecewiseFunction, cuts) -> tuple[PiecewiseFunction, ...]:
+    """Restrict f to the cells between consecutive cuts.
 
-
-def _split_linear(f: PiecewiseLinearFunction, cuts) -> tuple[PiecewiseLinearFunction, ...]:
-    edges = [f.nodes[0], *cuts, f.nodes[-1]]
+    Each cut is bisected into ``f.edges``, so a cell reads only its own
+    pieces: O(pieces + cuts log pieces).  A cut is an edge or lies inside a
+    zero run, so a linear cell's end values are node values too.
+    """
+    edges = f.edges
+    bounds = [edges[0], *cuts, edges[-1]]
     out = []
-    for lo, hi in zip(edges, edges[1:]):
-        xs = [lo]
-        for t in f.nodes:
-            if lo < t < hi:
-                xs.append(t)
-        xs.append(hi)
-        ys = [f.value_on_line(x) for x in xs]
-        out.append(PiecewiseLinearFunction(tuple(xs), tuple(ys)))
+    for lo, hi in zip(bounds, bounds[1:]):
+        i, j = bisect_right(edges, lo), bisect_left(edges, hi)
+        xs = (lo, *edges[i:j], hi)
+        if isinstance(f, StepFunction):
+            out.append(make_step(xs, f.values[i - 1 : j]))
+        else:
+            out.append(PiecewiseLinearFunction(xs, f.node_values[i - 1 : j + 1]))
     return tuple(out)
 
 

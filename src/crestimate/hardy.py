@@ -77,9 +77,30 @@ def _require_decreasing_nonzero(f: PiecewiseFunction) -> None:
     require_nonincreasing_on_halfline(f)
 
 
-def _split_points(lo: float, hi: float, candidates) -> list[float]:
-    cuts = sorted({x for x in candidates if lo < x < hi})
-    return [lo, *cuts, hi]
+def _panels(lo: float, hi: float, cuts) -> list[tuple[float, float, int]]:
+    """[lo, hi] split at the cuts inside it, one initial Simpson panel each."""
+    pts = [lo, *sorted({x for x in cuts if lo < x < hi}), hi]
+    return [(p0, p1, 1) for p0, p1 in zip(pts, pts[1:]) if p1 > p0]
+
+
+def _weighted_integral(u: StepFunction, integrand, panels_of) -> tuple[float, float]:
+    """Weighted sum of adaptive Simpson integrals, as (integral, error estimate).
+
+    Each positive piece [a, b) of u contributes its value times the integral
+    of ``integrand`` over the panels ``(lo, hi, initial_splits)`` that
+    ``panels_of(a, b)`` lists.
+    """
+    acc = err = 0.0
+    for a, b, uv in u.pieces():
+        if uv == 0.0:
+            continue
+        for lo, hi, splits in panels_of(a, b):
+            part, perr = simpson_adaptive(
+                integrand, lo, hi, QUADRATURE_REL_TOL, _MAX_PANELS, initial_splits=splits
+            )
+            acc += uv * part
+            err += uv * perr
+    return acc, err
 
 
 def _hardy_lhs_with_error(
@@ -90,24 +111,16 @@ def _hardy_lhs_with_error(
     _require_weight(u, q)
     total_mass = integrate(f, 0.0, math.inf)
     kinks = [x for x in f.edges if x > 0.0]
-    acc = 0.0
-    err = 0.0
     if form == "substituted":
         # int ( int_0^{1/z} f )^q u(z) dz ; the inner integral saturates to
         # the total mass as z -> 0, so the integrand extends continuously.
-        def inner(z: float) -> float:
+        def integrand(z: float) -> float:
             saturated = total_mass if z == 0.0 else integrate(f, 0.0, 1.0 / z)
             return saturated**q
 
-        for a, b, uv in u.pieces():
-            if uv == 0.0:
-                continue
-            for lo, hi in _panels(a, b, [1.0 / x for x in kinks]):
-                part, perr = simpson_adaptive(
-                    inner, lo, hi, rel_tol=QUADRATURE_REL_TOL, max_panels=_MAX_PANELS
-                )
-                acc += uv * part
-                err += uv * perr
+        def panels_of(a, b):
+            return _panels(a, b, [1.0 / x for x in kinks])
+
     elif form == "printed":
         # int ( int_0^z f )^q u(1/z)/z^2 dz over z in [1/b, 1/a] per piece
         if u.support_min <= 0.0:
@@ -115,26 +128,16 @@ def _hardy_lhs_with_error(
                 "the 1/z^2 form needs the weight support to stay away from 0"
             )
 
-        def outer(z: float) -> float:
+        def integrand(z: float) -> float:
             return integrate(f, 0.0, z) ** q / (z * z)
 
-        for a, b, uv in u.pieces():
-            if uv == 0.0:
-                continue
-            for lo, hi in _panels(1.0 / b, 1.0 / a, kinks):
-                part, perr = simpson_adaptive(
-                    outer, lo, hi, rel_tol=QUADRATURE_REL_TOL, max_panels=_MAX_PANELS
-                )
-                acc += uv * part
-                err += uv * perr
+        def panels_of(a, b):
+            return _panels(1.0 / b, 1.0 / a, kinks)
+
     else:
         raise ValidationError(f"unknown form {form!r} (use 'substituted' or 'printed')")
+    acc, err = _weighted_integral(u, integrand, panels_of)
     return acc ** (1.0 / q), err
-
-
-def _panels(lo: float, hi: float, candidates) -> list[tuple[float, float]]:
-    pts = _split_points(lo, hi, candidates)
-    return [(p0, p1) for p0, p1 in zip(pts, pts[1:]) if p1 > p0]
 
 
 def hardy_lhs(
@@ -164,22 +167,11 @@ def _fourier_weighted_norm_with_error(
     def integrand(z: float) -> float:
         return abs(fourier(f, z)) ** q
 
-    acc = 0.0
-    err = 0.0
-    for a, b, uv in u.pieces():
-        if uv == 0.0:
-            continue
+    def panels_of(a, b):
         splits = max(1, math.ceil((b - a) * x_extent / (0.5 * math.pi)))
-        part, perr = simpson_adaptive(
-            integrand,
-            a,
-            b,
-            rel_tol=QUADRATURE_REL_TOL,
-            max_panels=_MAX_PANELS,
-            initial_splits=min(splits, 4096),
-        )
-        acc += uv * part
-        err += uv * perr
+        return [(a, b, min(splits, 4096))]
+
+    acc, err = _weighted_integral(u, integrand, panels_of)
     return acc ** (1.0 / q), err
 
 

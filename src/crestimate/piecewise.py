@@ -202,19 +202,6 @@ class PiecewiseLinearFunction(_Segments):
         nd, vals = self.nodes, self.node_values
         return nd[i], nd[i + 1], vals[i], vals[i + 1]
 
-    def value_on_line(self, x: float) -> float:
-        """Interpolated value treating the node range as closed.
-
-        Unlike :func:`evaluate` this returns the boundary node values at the
-        endpoints, which is what piece restrictions need.
-        """
-        nd = self.nodes
-        if x <= nd[0]:
-            return self.node_values[0]
-        if x >= nd[-1]:
-            return self.node_values[-1]
-        return evaluate(self, x)
-
 
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction
 

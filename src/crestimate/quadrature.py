@@ -1,15 +1,17 @@
-"""Adaptive numerical integration engines.
+"""Adaptive quadrature, used only where no closed form exists: the
+Gauss-Kronrod transform oracle and the two weighted integrals of
+:mod:`crestimate.hardy`.
 
-Two small engines with explicit budgets:
+One refinement loop, :func:`_refine`, runs QUADPACK's global adaptive strategy
+(Piessens et al., 1983): bisect the panel with the worst error estimate
+first, and raise :class:`ConvergenceError` on budget exhaustion instead of
+ever returning a silently inaccurate value.  Two panel rules plug into it:
 
 * Gauss-Kronrod 7/15 with a caller-supplied initial panel list.  Used by the
   transform oracle, where the panels are pre-split below the oscillation
   scale so the embedded error estimate is trustworthy.
-* Adaptive Simpson with a Richardson error estimate, for the weighted-norm
-  integrals.
-
-Both refine the worst panel first and raise :class:`ConvergenceError` instead
-of ever returning a silently inaccurate value.
+* Simpson with a Richardson error estimate, for the weighted-norm
+  integrals; a panel hands its samples down to its halves.
 """
 
 import heapq
@@ -37,6 +39,42 @@ _GK15 = (
 )
 
 
+def _refine(panel_rule, fn, panels, abs_tol: float, rel_tol: float, max_panels: int):
+    """Bisect the worst panel first; return (integral, error_estimate).
+
+    ``panel_rule(fn, *panel)`` gives ``(value, error, halves)``, ``halves``
+    being the two panels that replace it.  Stops once the summed error is at
+    most ``abs_tol + rel_tol * |integral|``; raises if that takes more than
+    ``max_panels`` panels, or if ``panels`` alone exceed the budget.
+    """
+    heap = []
+    counter = 0  # ties on the error go to the older panel
+    total = total_err = 0.0
+
+    def push(panel):
+        nonlocal counter, total, total_err
+        val, err, halves = panel_rule(fn, *panel)
+        heapq.heappush(heap, (-err, counter, val, err, halves))
+        counter += 1
+        total += val
+        total_err += err
+
+    for panel in panels:
+        push(panel)
+    while len(heap) > max_panels or total_err > abs_tol + rel_tol * abs(total):
+        if len(heap) >= max_panels:
+            raise ConvergenceError(
+                f"quadrature exceeded its budget of {max_panels} panels before reaching "
+                f"tolerance {abs_tol:g} + {rel_tol:g} * |integral| (error estimate {total_err:g})"
+            )
+        _, _, val, err, halves = heapq.heappop(heap)
+        total -= val
+        total_err -= err
+        for half in halves:
+            push(half)
+    return total, total_err
+
+
 def _gk_panel(fn, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -49,7 +87,7 @@ def _gk_panel(fn, a: float, b: float):
         acc_k += wk * fx
     value = acc_k * half
     err = abs((acc_k - acc_g) * half)
-    return value, err
+    return value, err, ((a, mid), (mid, b))
 
 
 def gauss_kronrod_adaptive(
@@ -63,37 +101,7 @@ def gauss_kronrod_adaptive(
     Returns (integral, error_estimate).  The worst panel is bisected until
     the summed estimate drops below abs_tol or the panel budget is exhausted.
     """
-    if len(panels) > max_panels:
-        raise ConvergenceError(
-            f"initial panel count {len(panels)} exceeds the budget of {max_panels}"
-        )
-    heap = []
-    counter = 0
-    total = 0.0j
-    total_err = 0.0
-    for a, b in panels:
-        val, err = _gk_panel(fn, a, b)
-        heapq.heappush(heap, (-err, counter, a, b, val, err))
-        counter += 1
-        total += val
-        total_err += err
-    while total_err > abs_tol:
-        if len(heap) >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not reach tolerance {abs_tol:g} within "
-                f"{max_panels} panels (error estimate {total_err:g})"
-            )
-        neg_err, _, a, b, val, err = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            v, e = _gk_panel(fn, lo, hi)
-            heapq.heappush(heap, (-e, counter, lo, hi, v, e))
-            counter += 1
-            total += v
-            total_err += e
-    return total, total_err
+    return _refine(_gk_panel, fn, panels, abs_tol, 0.0, max_panels)
 
 
 def _simpson_panel(fn, a: float, b: float, fa: float, fm: float, fb: float):
@@ -108,7 +116,7 @@ def _simpson_panel(fn, a: float, b: float, fa: float, fm: float, fb: float):
     fine = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
     err = abs(fine - coarse) / 15.0
     value = fine + (fine - coarse) / 15.0
-    return value, err, flm, frm
+    return value, err, ((a, mid, fa, flm, fm), (mid, b, fm, frm, fb))
 
 
 def simpson_adaptive(
@@ -116,49 +124,24 @@ def simpson_adaptive(
     a: float,
     b: float,
     rel_tol: float,
-    abs_tol: float = 0.0,
     max_panels: int = 2**20,
     initial_splits: int = 1,
 ) -> tuple[float, float]:
     """Adaptive Simpson integral of fn over [a, b].
 
-    Stops when the summed Richardson estimate is below
-    ``abs_tol + rel_tol * |integral|``; raises on budget exhaustion.
+    Starts from ``initial_splits`` equal panels and stops when the summed
+    Richardson estimate is below ``rel_tol * |integral|``; raises on budget
+    exhaustion.
     """
     if b <= a:
         return 0.0, 0.0
     initial_splits = max(1, initial_splits)
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-
-    def push(lo, hi, flo, fmid, fhi):
-        nonlocal counter, total, total_err
-        val, err, flm, frm = _simpson_panel(fn, lo, hi, flo, fmid, fhi)
-        heapq.heappush(heap, (-err, counter, lo, hi, flo, fmid, fhi, flm, frm, val, err))
-        counter += 1
-        total += val
-        total_err += err
-
     edges = [a + (b - a) * i / initial_splits for i in range(initial_splits + 1)]
     edges[-1] = b
     edge_vals = [fn(x) for x in edges]
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if hi <= lo:
-            continue
-        push(lo, hi, edge_vals[i], fn(0.5 * (lo + hi)), edge_vals[i + 1])
-    while total_err > abs_tol + rel_tol * abs(total):
-        if len(heap) >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not reach relative tolerance {rel_tol:g} within "
-                f"{max_panels} panels (error estimate {total_err:g})"
-            )
-        _, _, lo, hi, flo, fmid, fhi, flm, frm, val, err = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (lo + hi)
-        push(lo, mid, flo, flm, fmid)
-        push(mid, hi, fmid, frm, fhi)
-    return total, total_err
+    panels = [
+        (lo, hi, flo, fn(0.5 * (lo + hi)), fhi)
+        for lo, hi, flo, fhi in zip(edges, edges[1:], edge_vals, edge_vals[1:])
+        if hi > lo
+    ]
+    return _refine(_simpson_panel, fn, panels, 0.0, rel_tol, max_panels)

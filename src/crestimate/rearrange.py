@@ -21,6 +21,11 @@ returns.
 :meth:`Rearrangement.integral_up_to` reads the integral of f* over [0, t]
 off a table of whole-piece terms built with the rearrangement: one bisect,
 one partial piece and one correctly rounded sum.
+
+:func:`lorentz_lambda_norm` is exact for both representations too: f* is
+linear on each overlap of its segments with the step weight's pieces, and
+the integral of a linear function's p-th power has a closed form.  Nothing
+in this module calls quadrature.
 """
 
 import math
@@ -35,7 +40,6 @@ from .piecewise import (
     _segment_integral,
     make_step,
 )
-from .quadrature import simpson_adaptive
 
 __all__ = [
     "Rearrangement",
@@ -44,8 +48,6 @@ __all__ = [
     "rearrangement_integral",
     "lorentz_lambda_norm",
 ]
-
-_LORENTZ_REL_TOL = 1e-9
 
 
 def distribution(f: PiecewiseFunction, alpha: float) -> float:
@@ -86,7 +88,12 @@ class Rearrangement:
         object.__setattr__(self, "_terms", terms)
 
     def integral_up_to(self, t: float) -> float:
-        """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t)."""
+        """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t).
+
+        t = inf gives the total mass; nan and negative t are rejected.
+        """
+        if not t >= 0.0:  # inline: this runs once per z in the scan
+            raise ValidationError("t must be nonnegative")
         edges = self.star.edges
         k = bisect_right(edges, t) - 1  # pieces 0..k-1 end at or before t
         if k < 0:
@@ -95,9 +102,6 @@ class Rearrangement:
             return math.fsum(self._terms[:k])
         partial = _segment_integral(*self.star.segment(k), edges[k], t)
         return math.fsum(self._terms[:k] + [partial])
-
-    def measure_above(self, alpha: float) -> float:
-        return distribution(self.star, alpha)
 
 
 def rearrangement(f: PiecewiseFunction) -> Rearrangement:
@@ -206,38 +210,43 @@ def rearrangement_integral(f: PiecewiseFunction, t: float) -> float:
 
 
 def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> float:
-    """Weighted norm ( integral (f*)^p v )^(1/p) against a step weight v.
+    """Weighted norm ( integral (f*)^p v )^(1/p) against a step weight v, exact.
 
-    Exact piecewise products when f* is a step function; adaptive quadrature
-    (relative tolerance 1e-9) on each weight piece when f* is piecewise
-    linear, split at the f* nodes so every panel is smooth.
+    f* is linear on each overlap of its segments with the weight's pieces, so
+    each term is a closed form (:func:`_mean_power`); one fsum adds them.
     """
     require_positive("p", p)
     if not isinstance(v, StepFunction):
         raise ValidationError("the weight must be a step function")
-    star = rearrangement(f).star
-    if isinstance(star, StepFunction):
-        total = math.fsum(
-            (sv**p) * wv * (min(b, d) - max(a, c))
-            for a, b, sv in star.pieces()
-            if sv > 0.0
-            for c, d, wv in v.pieces()
-            if wv > 0.0 and min(b, d) > max(a, c)
-        )
-        return total ** (1.0 / p)
-    total = 0.0
-    cut_candidates = list(star.nodes)
-    for c, d, wv in v.pieces():
-        if wv == 0.0:
+    terms = []
+    for t0, t1, y0, y1 in rearrangement(f).star.segments():
+        if y0 == 0.0 and y1 == 0.0:
             continue
-        lo = max(c, 0.0)
-        hi = min(d, star.support_max)
-        if hi <= lo:
-            continue
-        cuts = [lo] + [x for x in cut_candidates if lo < x < hi] + [hi]
-        for s0, s1 in zip(cuts, cuts[1:]):
-            part, _ = simpson_adaptive(
-                lambda x: star.value_on_line(x) ** p, s0, s1, rel_tol=_LORENTZ_REL_TOL
-            )
-            total += wv * part
-    return total ** (1.0 / p)
+        slope = (y1 - y0) / (t1 - t0)
+        for c, d, wv in v.pieces():
+            lo, hi = max(t0, c), min(t1, d)
+            if wv > 0.0 and hi > lo:
+                # exact node values at the segment's ends; in between, a
+                # rounded interpolant must not dip below 0 before ** p
+                a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
+                b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
+                terms.append(_mean_power(a, b, p) * wv * (hi - lo))
+    return math.fsum(terms) ** (1.0 / p)
+
+
+def _mean_power(a: float, b: float, p: float) -> float:
+    """Mean of y**p as y runs linearly from a to b (both >= 0).
+
+    That is ``(hi**(p+1) - lo**(p+1)) / ((p+1) (hi - lo))``, written as
+    ``hi**p * (1 - r**(p+1)) / ((p+1) d)`` with ``r = lo/hi = 1 - d`` so that
+    neither the difference of powers nor a small d cancels: ``log1p(-d)``
+    carries log r while d < 1/2, ``log(lo/hi)`` beyond.
+    """
+    if a == b:
+        return a**p
+    lo, hi = min(a, b), max(a, b)
+    if lo == 0.0:
+        return hi**p / (p + 1.0)
+    d = (hi - lo) / hi
+    log_r = math.log1p(-d) if d < 0.5 else math.log(lo / hi)
+    return hi**p * -math.expm1((p + 1.0) * log_r) / ((p + 1.0) * d)

@@ -102,7 +102,7 @@ class SuiteResult:
         }
 
 
-def _suite_step(trials: int, seed: int, z_per_function: int) -> SuiteResult:
+def _suite_step(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "step/functions")
     z_rng = rng_for(seed, "step/z")
     bound_check = CheckResult("crest-count-bound")
@@ -113,7 +113,7 @@ def _suite_step(trials: int, seed: int, z_per_function: int) -> SuiteResult:
         star = rearrangement(f)
         payload = {"function": function_to_json_dict(f), "crest_count": n}
         best_q = 0.0
-        for _ in range(z_per_function):
+        for _ in range(Z_PER_FUNCTION):
             z = log_uniform(z_rng, *Z_RANGE)
             magnitude = abs(fourier(f, z))
             tail = star.integral_up_to(1.0 / z)
@@ -126,7 +126,7 @@ def _suite_step(trials: int, seed: int, z_per_function: int) -> SuiteResult:
     return SuiteResult("step", trials, seed, [bound_check, certificate_check])
 
 
-def _suite_decreasing(trials: int, seed: int, z_per_function: int) -> SuiteResult:
+def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "decreasing/functions")
     z_rng = rng_for(seed, "decreasing/z")
     halfline = CheckResult("monotone-halfline-bound")
@@ -137,7 +137,7 @@ def _suite_decreasing(trials: int, seed: int, z_per_function: int) -> SuiteResul
     for _ in range(trials):
         f = random_decreasing_step(f_rng)
         payload = {"function": function_to_json_dict(f)}
-        for _ in range(z_per_function):
+        for _ in range(Z_PER_FUNCTION):
             z = log_uniform(z_rng, *Z_RANGE)
             zp = {**payload, "z": z}
             lhs = abs(fourier(f, z))
@@ -156,7 +156,7 @@ def _suite_decreasing(trials: int, seed: int, z_per_function: int) -> SuiteResul
     )
 
 
-def _suite_one_crest(trials: int, seed: int, z_per_function: int) -> SuiteResult:
+def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "one-crest/functions")
     z_rng = rng_for(seed, "one-crest/z")
     window = CheckResult("single-crest-window-bound")
@@ -164,7 +164,7 @@ def _suite_one_crest(trials: int, seed: int, z_per_function: int) -> SuiteResult
         f = random_one_crest_step(f_rng)
         b = decompose(f).crest_locations[0]
         payload = {"function": function_to_json_dict(f), "crest_location": b}
-        for _ in range(z_per_function):
+        for _ in range(Z_PER_FUNCTION):
             z = log_uniform(z_rng, *Z_RANGE)
             lhs = abs(fourier(f, z))
             rhs = HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z)
@@ -179,9 +179,7 @@ FAMILIES = {
 }
 
 
-def run_suite(
-    family: str, trials: int, seed: int, z_per_function: int = Z_PER_FUNCTION
-) -> SuiteResult:
+def run_suite(family: str, trials: int, seed: int) -> SuiteResult:
     """Run one randomized family; deterministic for a given (family, seed)."""
     if family not in FAMILIES:
         raise ValidationError(
@@ -189,4 +187,4 @@ def run_suite(
         )
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    return FAMILIES[family](trials, seed, z_per_function)
+    return FAMILIES[family](trials, seed)

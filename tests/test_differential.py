@@ -4,20 +4,31 @@ The oracles below are the earlier implementations, kept verbatim apart from
 names: the per-level rearrangement (one fsum over every segment per distinct
 level, O(n^2)), the complex-object transform kernel for linear and for step
 input, the step-only evaluation, integral, distribution, tail table, crest
-cuts and crest locations that the segment model replaced, and the crest
-count over the collapsed value profile.  The library must agree with them
+cuts and crest locations that the segment model replaced, the crest count
+over the collapsed value profile, the decomposition that rescanned every
+piece per cell, the separate sine and cosine loops, the two adaptive
+quadrature engines with their Hardy loops, and the Lorentz norm that ran
+adaptive Simpson on linear input.  The library must agree with them
 exactly, with no tolerance, except for the step transform, which now
-multiplies in a different order (see its test).
+multiplies in a different order, and the linear Lorentz norm, which is now
+exact (see their tests).
 """
 
+import cmath
+import heapq
 import math
 from bisect import bisect_right
 
+import mpmath
 import pytest
 
 from crestimate import (
+    ConvergenceError,
     PiecewiseLinearFunction,
     StepFunction,
+    ValidationError,
+    comb_example,
+    cosine_transform,
     count_crests,
     decompose,
     distribution,
@@ -25,17 +36,27 @@ from crestimate import (
     fourier,
     from_samples,
     integrate,
+    lorentz_lambda_norm,
     make_step,
     rearrangement,
+    sine_transform,
+    window_bounds,
 )
 from crestimate.generators import (
     log_uniform,
     random_decreasing_step,
     random_one_crest_step,
     random_step_function,
+    random_weight,
     rng_for,
 )
-from crestimate.transform import PHASE_SERIES_CUTOFF
+from crestimate.hardy import (
+    QUADRATURE_REL_TOL,
+    _fourier_weighted_norm_with_error,
+    _hardy_lhs_with_error,
+)
+from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
+from crestimate.transform import PHASE_SERIES_CUTOFF, _c0, _c1, _s0, _s1
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -334,6 +355,11 @@ def test_integral_up_to_equals_integrate(kind):
         ts += [rng.uniform(0.0, edges[-1]) for _ in range(5)]
         for t in ts:
             assert r.integral_up_to(t) == integrate(r.star, 0.0, t)
+        assert r.integral_up_to(0.0) == 0.0
+        assert r.integral_up_to(math.inf) == integrate(r.star, -math.inf, math.inf)
+        for t in (math.nan, -1.0, -5e-324, -math.inf):
+            with pytest.raises(ValidationError, match="t must be nonnegative"):
+                r.integral_up_to(t)
 
 
 # --- seeded random step functions -----------------------------------------
@@ -442,3 +468,431 @@ def test_step_fourier_within_rounding_of_complex_kernel():
             series_hits += any(abs(w * z) < PHASE_SERIES_CUTOFF for w in widths)
             assert abs(fourier(f, z) - _oracle_fourier_step(f, z)) <= bound
     assert series_hits > 0
+
+
+# --- oracle: the decomposition that rescanned every piece per cell --------
+
+
+def _oracle_split_step(f, cuts):
+    edges = [-math.inf, *cuts, math.inf]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        breakpoints = []
+        values = []
+        for a, b, v in f.pieces():
+            s, e = max(a, lo), min(b, hi)
+            if e <= s:
+                continue
+            if not breakpoints:
+                breakpoints.append(s)
+            values.append(v)
+            breakpoints.append(e)
+        out.append(make_step(breakpoints, values))
+    return tuple(out)
+
+
+def _oracle_value_on_line(f, x):
+    nd = f.nodes
+    if x <= nd[0]:
+        return f.node_values[0]
+    if x >= nd[-1]:
+        return f.node_values[-1]
+    return evaluate(f, x)
+
+
+def _oracle_split_linear(f, cuts):
+    edges = [f.nodes[0], *cuts, f.nodes[-1]]
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        xs = [lo]
+        for t in f.nodes:
+            if lo < t < hi:
+                xs.append(t)
+        xs.append(hi)
+        ys = [_oracle_value_on_line(f, x) for x in xs]
+        out.append(PiecewiseLinearFunction(tuple(xs), tuple(ys)))
+    return tuple(out)
+
+
+def test_decompose_pieces_equal_rescanning_split():
+    family = STEP_FAMILY + LINEAR_FAMILY + [_bump_trace(), comb_example(40)]
+    many_cells = 0
+    for f in family:
+        if f.is_zero:
+            continue
+        report = decompose(f)
+        split = _oracle_split_step if isinstance(f, StepFunction) else _oracle_split_linear
+        assert report.pieces == split(f, report.cut_points)
+        many_cells += len(report.pieces) > 2
+    assert many_cells > 100
+
+
+# --- oracle: the separate sine and cosine loops ---------------------------
+
+
+def _oracle_trig_terms(f, z):
+    for t0, t1, y0, y1 in f.segments():
+        if y0 == 0.0 and y1 == 0.0:
+            continue
+        w, dy = t1 - t0, y1 - y0
+        u = w * z
+        ic = w * (y0 * _c0(u) + dy * _c1(u))
+        is_ = w * (y0 * _s0(u) + dy * _s1(u))
+        yield t0 * z, ic, is_
+
+
+def _oracle_sine(f, z):
+    return math.fsum(math.sin(az) * ic + math.cos(az) * is_ for az, ic, is_ in _oracle_trig_terms(f, z))
+
+
+def _oracle_cosine(f, z):
+    return math.fsum(math.cos(az) * ic - math.sin(az) * is_ for az, ic, is_ in _oracle_trig_terms(f, z))
+
+
+def test_sine_cosine_equal_separate_loops():
+    rng = rng_for(53, "differential/trig")
+    checked = 0
+    for f in STEP_FAMILY + LINEAR_FAMILY:
+        if f.support_min < 0.0:
+            continue
+        for z in (log_uniform(rng, 1e-3, 1e3), 0.5e-2 / (f.support_max - f.support_min)):
+            sf, cf = _oracle_sine(f, z), _oracle_cosine(f, z)
+            assert sine_transform(f, z) == sf
+            assert cosine_transform(f, z) == cf
+            wb = window_bounds(f, z)
+            assert (wb.sine_value, wb.cosine_value) == (sf, cf)
+            checked += 1
+    assert checked > 1000
+
+
+# --- oracles: the two adaptive engines and the Hardy loops ----------------
+
+
+def _oracle_gk_panel(fn, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    acc_g = 0.0j
+    acc_k = 0.0j
+    for xi, wg, wk in _GK15:
+        fx = fn(mid + half * xi)
+        if wg != 0.0:
+            acc_g += wg * fx
+        acc_k += wk * fx
+    value = acc_k * half
+    err = abs((acc_k - acc_g) * half)
+    return value, err
+
+
+def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536):
+    if len(panels) > max_panels:
+        raise ConvergenceError("initial panel count exceeds the budget")
+    heap = []
+    counter = 0
+    total = 0.0j
+    total_err = 0.0
+    for a, b in panels:
+        val, err = _oracle_gk_panel(fn, a, b)
+        heapq.heappush(heap, (-err, counter, a, b, val, err))
+        counter += 1
+        total += val
+        total_err += err
+    while total_err > abs_tol:
+        if len(heap) >= max_panels:
+            raise ConvergenceError("panel budget exhausted")
+        neg_err, _, a, b, val, err = heapq.heappop(heap)
+        total -= val
+        total_err -= err
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            v, e = _oracle_gk_panel(fn, lo, hi)
+            heapq.heappush(heap, (-e, counter, lo, hi, v, e))
+            counter += 1
+            total += v
+            total_err += e
+    return total, total_err
+
+
+def _oracle_simpson_panel(fn, a, b, fa, fm, fb):
+    mid = 0.5 * (a + b)
+    lm = 0.5 * (a + mid)
+    rm = 0.5 * (mid + b)
+    flm = fn(lm)
+    frm = fn(rm)
+    h = b - a
+    coarse = h / 6.0 * (fa + 4.0 * fm + fb)
+    fine = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
+    err = abs(fine - coarse) / 15.0
+    value = fine + (fine - coarse) / 15.0
+    return value, err, flm, frm
+
+
+def _oracle_simpson(fn, a, b, rel_tol, abs_tol=0.0, max_panels=2**20, initial_splits=1):
+    if b <= a:
+        return 0.0, 0.0
+    initial_splits = max(1, initial_splits)
+    heap = []
+    counter = 0
+    total = 0.0
+    total_err = 0.0
+
+    def push(lo, hi, flo, fmid, fhi):
+        nonlocal counter, total, total_err
+        val, err, flm, frm = _oracle_simpson_panel(fn, lo, hi, flo, fmid, fhi)
+        heapq.heappush(heap, (-err, counter, lo, hi, flo, fmid, fhi, flm, frm, val, err))
+        counter += 1
+        total += val
+        total_err += err
+
+    edges = [a + (b - a) * i / initial_splits for i in range(initial_splits + 1)]
+    edges[-1] = b
+    edge_vals = [fn(x) for x in edges]
+    for i in range(len(edges) - 1):
+        lo, hi = edges[i], edges[i + 1]
+        if hi <= lo:
+            continue
+        push(lo, hi, edge_vals[i], fn(0.5 * (lo + hi)), edge_vals[i + 1])
+    while total_err > abs_tol + rel_tol * abs(total):
+        if len(heap) >= max_panels:
+            raise ConvergenceError("panel budget exhausted")
+        _, _, lo, hi, flo, fmid, fhi, flm, frm, val, err = heapq.heappop(heap)
+        total -= val
+        total_err -= err
+        mid = 0.5 * (lo + hi)
+        push(lo, mid, flo, flm, fmid)
+        push(mid, hi, fmid, frm, fhi)
+    return total, total_err
+
+
+def _oracle_panels(lo, hi, candidates):
+    pts = [lo, *sorted({x for x in candidates if lo < x < hi}), hi]
+    return [(p0, p1) for p0, p1 in zip(pts, pts[1:]) if p1 > p0]
+
+
+def _oracle_hardy_lhs(f, u, q, form):
+    total_mass = integrate(f, 0.0, math.inf)
+    kinks = [x for x in f.edges if x > 0.0]
+    acc = 0.0
+    err = 0.0
+    if form == "substituted":
+
+        def inner(z):
+            saturated = total_mass if z == 0.0 else integrate(f, 0.0, 1.0 / z)
+            return saturated**q
+
+        for a, b, uv in u.pieces():
+            if uv == 0.0:
+                continue
+            for lo, hi in _oracle_panels(a, b, [1.0 / x for x in kinks]):
+                part, perr = _oracle_simpson(inner, lo, hi, rel_tol=QUADRATURE_REL_TOL)
+                acc += uv * part
+                err += uv * perr
+    else:
+
+        def outer(z):
+            return integrate(f, 0.0, z) ** q / (z * z)
+
+        for a, b, uv in u.pieces():
+            if uv == 0.0:
+                continue
+            for lo, hi in _oracle_panels(1.0 / b, 1.0 / a, kinks):
+                part, perr = _oracle_simpson(outer, lo, hi, rel_tol=QUADRATURE_REL_TOL)
+                acc += uv * part
+                err += uv * perr
+    return acc ** (1.0 / q), err
+
+
+def _oracle_fourier_weighted_norm(f, u, q):
+    x_extent = max(abs(f.support_min), abs(f.support_max), 1e-9)
+    acc = 0.0
+    err = 0.0
+    for a, b, uv in u.pieces():
+        if uv == 0.0:
+            continue
+        splits = max(1, math.ceil((b - a) * x_extent / (0.5 * math.pi)))
+        part, perr = _oracle_simpson(
+            lambda z: abs(fourier(f, z)) ** q,
+            a,
+            b,
+            rel_tol=QUADRATURE_REL_TOL,
+            initial_splits=min(splits, 4096),
+        )
+        acc += uv * part
+        err += uv * perr
+    return acc ** (1.0 / q), err
+
+
+def _oscillatory(x):
+    return (1.0 + x * x) * cmath.exp(-37.0j * x)
+
+
+def _kinked(x):
+    return math.sqrt(abs(x - 1.0 / 3.0)) + abs(math.sin(5.0 * x))
+
+
+def test_refinement_loop_equals_old_engines():
+    panels = [(k / 8, (k + 1) / 8) for k in range(-8, 24)]
+    for tol in (1e-6, 1e-10):
+        assert gauss_kronrod_adaptive(_oscillatory, panels, tol) == _oracle_gauss_kronrod(
+            _oscillatory, panels, tol
+        )
+        assert gauss_kronrod_adaptive(_kinked, [(0.0, 2.0)], tol) == _oracle_gauss_kronrod(
+            _kinked, [(0.0, 2.0)], tol
+        )
+
+    def oscillatory_real(x):
+        return _oscillatory(x).real
+
+    for rel_tol in (1e-6, 1e-10):
+        for splits in (1, 3, 16):
+            for fn, a, b in ((_kinked, 0.0, 2.0), (oscillatory_real, -1.0, 3.0)):
+                assert simpson_adaptive(
+                    fn, a, b, rel_tol, initial_splits=splits
+                ) == _oracle_simpson(fn, a, b, rel_tol, initial_splits=splits)
+
+
+def _hardy_instances():
+    rng = rng_for(50, "differential/hardy")
+    for i in range(24):
+        if i % 3 == 2:  # a decreasing linear input: the rearrangement of a linear one
+            g = _random_linear(rng)
+            f = rearrangement(g).star if not g.is_zero else make_step([0, 1], [1])
+        else:
+            f = random_decreasing_step(rng, max_pieces=6, max_width_units=32)
+        yield f, random_weight(rng, max_pieces=4), (0.5, 1.0, 2.0, 3.5)[i % 4]
+
+
+def test_hardy_integrals_equal_old_loops():
+    for f, u, q in _hardy_instances():
+        for form in ("substituted", "printed"):
+            assert _hardy_lhs_with_error(f, u, q, form) == _oracle_hardy_lhs(f, u, q, form)
+        assert _fourier_weighted_norm_with_error(f, u, q) == _oracle_fourier_weighted_norm(
+            f, u, q
+        )
+
+
+def test_both_engines_raise_on_budget():
+    with pytest.raises(ConvergenceError, match="panel"):
+        simpson_adaptive(_kinked, 0.0, 2.0, 1e-14, max_panels=16)
+    with pytest.raises(ConvergenceError, match="panel"):
+        gauss_kronrod_adaptive(_oscillatory, [(0.0, 8.0)], 1e-14, max_panels=16)
+    # more initial panels than the budget raises, however good their estimate
+    unit_panels = [(float(k), k + 1.0) for k in range(9)]
+    with pytest.raises(ConvergenceError, match="panel"):
+        gauss_kronrod_adaptive(lambda x: 1.0, unit_panels, 1.0, max_panels=8)
+    with pytest.raises(ConvergenceError, match="panel"):
+        simpson_adaptive(lambda x: 1.0, 0.0, 9.0, 1.0, max_panels=8, initial_splits=9)
+    # a zero integrand stops at once; a converged start exactly at the budget is fine
+    assert simpson_adaptive(lambda x: 0.0, 0.0, 1.0, 1e-8, max_panels=1) == (0.0, 0.0)
+    assert gauss_kronrod_adaptive(lambda x: 0.0, [(0.0, 1.0)], 0.0, max_panels=1) == (0.0, 0.0)
+    value, _ = gauss_kronrod_adaptive(lambda x: 1.0, unit_panels[:8], 1.0, max_panels=8)
+    assert abs(value - 8.0) < 1e-12
+    assert simpson_adaptive(lambda x: 1.0, 0.0, 8.0, 1.0, max_panels=8, initial_splits=8) == (
+        8.0,
+        0.0,
+    )
+
+
+# --- oracle: the Lorentz norm with adaptive Simpson on linear input -------
+
+
+def _oracle_lorentz(f, v, p):
+    star = rearrangement(f).star
+    if isinstance(star, StepFunction):
+        total = math.fsum(
+            (sv**p) * wv * (min(b, d) - max(a, c))
+            for a, b, sv in star.pieces()
+            if sv > 0.0
+            for c, d, wv in v.pieces()
+            if wv > 0.0 and min(b, d) > max(a, c)
+        )
+        return total ** (1.0 / p)
+    total = 0.0
+    cut_candidates = list(star.nodes)
+    for c, d, wv in v.pieces():
+        if wv == 0.0:
+            continue
+        lo = max(c, 0.0)
+        hi = min(d, star.support_max)
+        if hi <= lo:
+            continue
+        cuts = [lo] + [x for x in cut_candidates if lo < x < hi] + [hi]
+        for s0, s1 in zip(cuts, cuts[1:]):
+            part, _ = _oracle_simpson(
+                lambda x: _oracle_value_on_line(star, x) ** p, s0, s1, rel_tol=1e-9
+            )
+            total += wv * part
+    return total ** (1.0 / p)
+
+
+def _mpmath_lorentz(f, v, p):
+    """40-digit quadrature of (f*)^p v over each overlap, f* exact between its nodes."""
+    with mpmath.workdps(40):
+        mp_p = mpmath.mpf(p)
+        total = mpmath.mpf(0)
+        for t0, t1, y0, y1 in rearrangement(f).star.segments():
+            width = mpmath.mpf(t1) - t0
+            for c, d, wv in v.pieces():
+                lo, hi = max(t0, c), min(t1, d)
+                if wv > 0.0 and hi > lo:
+                    # a convex combination, so no rounding turns it negative
+                    part = mpmath.quad(
+                        lambda x: ((y0 * (t1 - x) + y1 * (x - t0)) / width) ** mp_p,
+                        [mpmath.mpf(lo), mpmath.mpf(hi)],
+                    )
+                    total += wv * part
+        return total ** (1 / mp_p)
+
+
+LORENTZ_P = (0.3, 1.0, 2.0, 2.5, 7.0)
+
+
+def _linear_lorentz_cases():
+    triangle = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+    plateau = PiecewiseLinearFunction((0.0, 1.0, 2.0, 3.0, 5.0), (0.0, 2.0, 2.0, 0.5, 0.0))
+    almost_flat = PiecewiseLinearFunction((0.0, 1.0, 3.0, 4.0), (0.0, 1.0 + 2.0**-30, 1.0, 0.0))
+    # f* here is f; one ulp before 3.535 its interpolant rounds to -8.9e-16
+    to_zero = PiecewiseLinearFunction((0.0, 0.53, 3.535), (7.814, 6.814, 0.0))
+    cases = [
+        (triangle, make_step([0, 10], [1])),  # f* jumps to 1 at 0 and ends at 0
+        (triangle, make_step([0, 0.25, 1.5, 3], [2, 1, 3])),
+        (plateau, make_step([0.5, 1.5, 2.5], [1, 3])),  # cuts the top plateau of f*
+        (plateau, make_step([1.9, 2.1], [1])),  # straddles the node leaving the plateau
+        (almost_flat, make_step([0, 5], [1])),  # a segment whose ends differ by 2^-30
+        (to_zero, make_step([1.0, math.nextafter(3.535, 0.0)], [1])),
+    ]
+    rng = rng_for(52, "differential/lorentz")
+    while len(cases) < 30:
+        f = _random_linear(rng)
+        v = random_weight(rng, min_start_units=0, max_pieces=5)
+        if not f.is_zero and any(
+            wv > 0.0 and c < rearrangement(f).star.support_max for c, _, wv in v.pieces()
+        ):
+            cases.append((f, v))
+    return cases
+
+
+LINEAR_LORENTZ_CASES = _linear_lorentz_cases()
+
+
+def test_linear_lorentz_matches_40_digit_quadrature():
+    for f, v in LINEAR_LORENTZ_CASES:
+        for p in LORENTZ_P:
+            value = lorentz_lambda_norm(f, v, p)
+            reference = _mpmath_lorentz(f, v, p)
+            assert reference > 0.0
+            assert abs(value - reference) <= 1e-13 * reference
+
+
+def test_linear_lorentz_within_simpson_tolerance_of_old_branch():
+    for f, v in LINEAR_LORENTZ_CASES:
+        for p in LORENTZ_P:
+            old = _oracle_lorentz(f, v, p)
+            assert abs(lorentz_lambda_norm(f, v, p) - old) <= 1.1e-9 * max(1.0, 1.0 / p) * old
+
+
+def test_step_lorentz_equals_product_kernel():
+    rng = rng_for(54, "differential/lorentz/step")
+    for i, f in enumerate(STEP_FAMILY[:500]):
+        v = random_weight(rng, min_start_units=0, max_pieces=5)
+        p = LORENTZ_P[i % len(LORENTZ_P)]
+        assert lorentz_lambda_norm(f, v, p) == _oracle_lorentz(f, v, p)
