@@ -6,9 +6,10 @@ are function files in the JSON interchange format ({"type": "step", ...} or
 from_samples; for CSV the box width of a sample is the gap to the next
 sample and the final sample reuses the previous gap), or inline JSON.
 
-Reports are emitted as JSON, or as CSV rows ``z,abs_fhat,tail_integral,
-bound,q`` with 17 significant digits for plotting pipelines.  Identical
-configuration and seed produce identical output bytes.
+Reports are emitted as compact JSON (``python -m json.tool`` indents it),
+or as CSV rows ``z,abs_fhat,tail_integral,bound,q`` with 17 significant
+digits for plotting pipelines.  Identical configuration and seed produce
+identical output bytes.
 
 Exit codes: 0 success, 1 validation error, 2 numerical-convergence failure.
 """
@@ -128,7 +129,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+    # compact: json's C encoder only runs without indent
+    _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
 def _certificate_payload(f, certificate: BoundCertificate) -> dict:

@@ -30,6 +30,7 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -94,6 +95,42 @@ class _Segments:
         return math.fsum(
             (t1 - t0) * (y0 + y1) * 0.5 for t0, t1, y0, y1 in self.segments()
         )
+
+    @cached_property
+    def edge_table(self) -> tuple[float, tuple[tuple[float, ...], ...]]:
+        """``(c, rows)``: the edges of the nonzero segments, centred at an edge c.
+
+        ``c`` is the middle entry of ``edges``.  There is one row per edge x
+        of a nonzero segment, left to right:
+        ``(x - c, jump, kink, width, wl, yl, sl, wr, yr, dyr, sr)``.
+        ``jump`` is the rise of f across x and ``kink`` the slope just left
+        of x minus the slope just right; ``width`` is the narrower of the
+        nonzero segments meeting at x.  ``wl, yl, sl`` are the width, end
+        value and slope of the nonzero segment ending at x, and
+        ``wr, yr, dyr, sr`` the width, start value, rise and slope of the
+        one starting there; an absent side is all zeros.  The table does
+        not depend on z, so it is built once per function.
+        """
+        edges = self.edges
+        centre = edges[len(edges) // 2]
+        rows = []
+        x = None  # right edge of the last nonzero segment
+        left = _NO_END
+        for t0, t1, y0, y1 in self.segments():
+            if y0 == 0.0 and y1 == 0.0:
+                continue
+            if t0 != x:
+                if x is not None:
+                    rows.append(_edge_row(x - centre, left, _NO_START))
+                left = _NO_END
+            w = t1 - t0
+            dy = y1 - y0
+            s = dy / w
+            rows.append(_edge_row(t0 - centre, left, (w, y0, dy, s)))
+            x, left = t1, (w, y1, s)
+        if x is not None:
+            rows.append(_edge_row(x - centre, left, _NO_START))
+        return centre, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -201,6 +238,17 @@ class PiecewiseLinearFunction(_Segments):
     def segment(self, i: int) -> tuple[float, float, float, float]:
         nd, vals = self.nodes, self.node_values
         return nd[i], nd[i + 1], vals[i], vals[i + 1]
+
+
+_NO_END = (0.0, 0.0, 0.0)  # no nonzero segment ends at the edge
+_NO_START = (0.0, 0.0, 0.0, 0.0)  # none starts there
+
+
+def _edge_row(d, left, right):
+    wl, yl, sl = left
+    wr, yr, _, sr = right
+    width = min(wl, wr) if wl and wr else wl or wr
+    return (d, yr - yl, sl - sr, width, *left, *right)
 
 
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction

@@ -144,7 +144,12 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     by_high = sorted(range(len(segments)), key=highs.__getitem__, reverse=True)
     by_low = sorted(range(len(segments)), key=lows.__getitem__, reverse=True)
     entered = left = 0
-    crossing: dict[int, tuple[float, float, float, float]] = {}
+    # the segments crossing the level, by the direction they run in: the
+    # part above it is t1 - x on a rising one and x - t0 on a falling one,
+    # x = t0 + (level - y0) * (t1 - t0) / (y1 - y0) as in _segment_superlevel
+    # (a flat segment enters and leaves at the same level, before any term)
+    rising: dict[int, tuple[float, float, float, float, float]] = {}
+    falling: dict[int, tuple[float, float, float, float]] = {}
     above_whole: list[float] = []  # exact sum of the widths wholly above the level
 
     levels = sorted({0.0, *f.node_values})
@@ -166,15 +171,22 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
         append(top_plateau, top)
     for level in reversed(levels[:-1]):
         while entered < len(by_high) and highs[by_high[entered]] > level:
-            crossing[by_high[entered]] = segments[by_high[entered]]
+            i = by_high[entered]
+            t0, t1, y0, y1 = segments[i]
+            if y1 > y0:
+                rising[i] = (t0, t1, y0, t1 - t0, y1 - y0)
+            else:
+                falling[i] = (t0, y0, t1 - t0, y1 - y0)
             entered += 1
         while left < len(by_low) and lows[by_low[left]] > level:
-            t0, t1, _, _ = crossing.pop(by_low[left])
+            i = by_low[left]
+            t0, t1, _, _ = segments[i]
+            (rising if i in rising else falling).pop(i)
             _exact_add(above_whole, t1 - t0)
             left += 1
-        above = math.fsum(
-            above_whole + [_segment_superlevel(*seg, level) for seg in crossing.values()]
-        )
+        terms = [t1 - (t0 + (level - y0) * w / dy) for t0, t1, y0, w, dy in rising.values()]
+        terms += [(t0 + (level - y0) * w / dy) - t0 for t0, y0, w, dy in falling.values()]
+        above = math.fsum(above_whole + terms)
         append(above, level)
         if level > 0.0:
             plateau = math.fsum(plateaus.get(level, ()))

@@ -2,17 +2,40 @@
 
 The transform convention is ``fhat(z) = integral f(x) exp(-i x z) dx``.
 Every kernel here reads the segments ``(t0, t1, y0, y1)`` of
-:mod:`crestimate.piecewise`, so each formula is written once.  A segment of
-width ``w = t1 - t0`` contributes
-``w * exp(-i t0 z) * (y0 * phi(w z) + (y1 - y0) * psi(w z))``; a step piece
-is the case ``y1 - y0 = 0``, where only the ``phi`` term is left.  Here
+:mod:`crestimate.piecewise`, so each formula is written once; a step piece
+is a segment with ``y1 = y0``.
 
-    phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
-    psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
+:func:`fourier` works on edges.  It takes the phases relative to an edge c
+of the input (the middle entry of ``edges``), ``E_k = exp(-i (x_k - c) z)``,
+one cos and one sin per edge, and returns ``exp(-icz)`` times the centred
+sum.  A segment of width ``w``, slope ``s = (y1 - y0) / w`` and edge
+phases ``E0``, ``E1`` contributes
 
-Both kernels switch to their power series when ``|u| = |z| * width`` drops
-below 1e-4; the closed forms lose accuracy to cancellation there, the series
-keeps the relative error of each piece contribution at or below about 1e-10.
+* if it is wide, ``|z| w >= 1``, by parts:
+  ``(y0 E0 - y1 E1) / (iz) + s (E1 - E0) / z^2``.  Summed over segments
+  this is ``sum_k E_k (J_k / (iz) + K_k / z^2)``, with ``J_k`` the jump of
+  f and ``K_k`` the kink (slope on the left minus slope on the right) at
+  edge k, so it folds into per-edge jumps; a step piece has ``s = 0``.
+* if it is narrow, ``|z| w < 1``, its piece form
+  ``w E0 (y0 phi(u) + (y1 - y0) psi(u))``, ``u = w z``, where
+
+      phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
+      psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
+
+  Both switch to their power series when ``|u|`` drops below 1e-4; the
+  closed forms lose accuracy to cancellation there, the series keeps the
+  relative error of each piece contribution at or below about 1e-10.
+
+The edge form takes the difference of two phases each rounded on its own,
+so on one segment its rounding error is about ``1 / (|z| w)`` times that of
+the piece form, which computes ``exp(-iu)`` from ``u`` itself; the rule
+``|z| w >= 1`` keeps that factor at most 1.  A phase argument rounds by
+``2^-53 |x - c| |z|``; centring bounds ``|x - c|`` by the support width
+(about half of it when the edges are spread evenly) instead of ``max |x|``,
+and makes the arguments independent of where the input sits: translating
+it by an offset that keeps every ``x - c`` exact leaves the centred sum the
+same bits, so ``|fhat|`` moves only by the rounding of the final product.
+
 The sine and cosine transforms are computed together, in one pass, from
 separate real closed forms (so the identity ``fhat = Cf - i Sf`` is a
 genuine cross-check of :func:`fourier`, not a tautology).
@@ -51,14 +74,10 @@ def _phase(theta: float) -> complex:
 
 
 def _phi(u: float) -> complex:
-    if abs(u) < PHASE_SERIES_CUTOFF:
-        w = complex(0.0, -u)
-        # sum_k w^k / (k+1)!
-        return 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
-    re = 1.0 - math.cos(u)
-    im = math.sin(u)
-    # (re + i*im) / (i*u) done by hand: multiply by -i/u
-    return complex(im / u, -re / u)
+    """phi(u) for |u| < PHASE_SERIES_CUTOFF; :func:`fourier` has the closed form."""
+    w = complex(0.0, -u)
+    # sum_k w^k / (k+1)!
+    return 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
 
 
 def _psi(u: float) -> complex:
@@ -71,38 +90,69 @@ def _psi(u: float) -> complex:
 def fourier(f: PiecewiseFunction, z: float) -> complex:
     """Exact transform value fhat(z) for finite z; z = 0 gives the total integral.
 
-    The sum of w exp(-i t0 z) (y0 phi(u) + (y1 - y0) psi(u)) over the
-    segments, u = w z.  The closed forms of phi and psi and the complex
-    products are spelled out on real and imaginary parts, as the same float
-    operations the complex objects perform, less their products with the
-    zero imaginary part of a real factor.  Those can only flip the sign of a
-    zero, so the value compares equal and its magnitude has the same bits.
+    One pass over the rows of ``f.edge_table``; each edge's centred phase
+    ``E = cos t - i sin t``, ``t = (x - c) z``, costs one cos and one sin.
+    Wide segments enter through the jumps and kinks at their edges, narrow
+    ones through their piece form at their left edge (see the module
+    docstring).  Every sum is kept on real and imaginary parts, and each
+    imaginary part is odd in z and built from the same operations for z and
+    -z, so ``fourier(f, -z) == fourier(f, z).conjugate()`` holds exactly.
     """
     _require_finite(z)
+    centre, rows = f.edge_table
+    wide = 1.0 / abs(z) if z else math.inf  # segments at least this wide are wide
     cutoff = PHASE_SERIES_CUTOFF
     cos, sin = math.cos, math.sin
+    # z * (a - i b) + (kc - i ks) collects the jump, kink and closed-form
+    # piece terms, which all carry 1/z^2; re, im the series pieces, which do not
+    a = b = kc = ks = 0.0
     re = im = 0.0
-    for t0, t1, y0, y1 in f.segments():
-        if y0 == 0.0 and y1 == 0.0:
+    for d, jump, kink, width, wl, yl, sl, w, y0, dy, s in rows:
+        t = d * z
+        co = cos(t)
+        si = sin(t)
+        if width >= wide:
+            a -= jump * si
+            b += jump * co
+            if kink:  # never on step input
+                kc += kink * co
+                ks += kink * si
             continue
-        w = t1 - t0
-        u = w * z
-        dy = y1 - y0
-        if -cutoff < u < cutoff:
-            phi, psi = _phi(u), _psi(u)
-            d_re = y0 * phi.real + dy * psi.real
-            d_im = y0 * phi.imag + dy * psi.imag
-        else:
-            cu, su = cos(u), sin(u)
-            phi_re = su / u
-            phi_im = -(1.0 - cu) / u
-            d_re = y0 * phi_re + dy * ((phi_im + su) / u)
-            d_im = y0 * phi_im + dy * (-(phi_re - cu) / u)
-        a_re = w * cos(t0 * z)
-        a_im = w * -sin(t0 * z)
-        re += a_re * d_re - a_im * d_im
-        im += a_re * d_im + a_im * d_re
-    return complex(re, im)
+        if wl >= wide:
+            a += yl * si
+            b -= yl * co
+            kc += sl * co
+            ks += sl * si
+        if w >= wide:
+            a -= y0 * si
+            b += y0 * co
+            kc -= s * co
+            ks -= s * si
+        elif w:
+            u = w * z
+            if -cutoff < u < cutoff:
+                phi, psi = _phi(u), _psi(u)
+                d_re = y0 * phi.real + dy * psi.real
+                d_im = y0 * phi.imag + dy * psi.imag
+                re += w * (co * d_re + si * d_im)
+                im += w * (co * d_im - si * d_re)
+                continue
+            cu = cos(u)
+            su = sin(u)
+            om = 1.0 - cu
+            # z w (y0 phi + dy psi) = p - i q
+            p = y0 * su
+            q = y0 * om
+            if dy:
+                p += dy * (su - om / u)
+                q += dy * (su / u - cu)
+            a += co * p - si * q
+            b += co * q + si * p
+    if z:
+        re += (a + kc / z) / z
+        im -= (b + ks / z) / z
+    pc, ps = cos(centre * z), sin(centre * z)
+    return complex(re * pc + im * ps, im * pc - re * ps)
 
 
 def _require_finite(z: float) -> None:

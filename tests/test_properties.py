@@ -3,7 +3,13 @@
 Dilation by a power of two: if g(x) = f(lam x) with lam = 2^k then
 ``Q_g(z) = Q_f(z / lam)``.  Scaling by a power of two is exact in binary
 floating point, and both representations run through the same segment
-kernels, so the two values must be the same float, not merely close.
+kernels, so the two values must be the same float, not merely close.  The
+same holds for scaling the values by 2^k.
+
+Translation: the transform sums phases centred at an edge c of the input,
+and for a dyadic offset every centred edge x - c has the same bits, so only
+the final factor e^(-icz) differs (see the bound below).  The crest count
+does not see a piece split in two.
 """
 
 import math
@@ -11,7 +17,18 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crestimate import PiecewiseLinearFunction, StepFunction, bound_report, make_step
+from crestimate import (
+    PiecewiseLinearFunction,
+    StepFunction,
+    bound_report,
+    comb_example,
+    count_crests,
+    fourier,
+    make_step,
+)
+
+_settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_z = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 # dyadic grids: breakpoints on 1/32, values on 1/1024
 _widths = st.lists(st.integers(1, 128), min_size=1, max_size=24)
@@ -41,13 +58,103 @@ def _dilate(f, lam):
     return PiecewiseLinearFunction(tuple(t / lam for t in f.nodes), f.node_values)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    f=dyadic_functions(),
-    k=st.integers(-12, 12),
-    z=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
-)
+@_settings
+@given(f=dyadic_functions(), k=st.integers(-12, 12), z=_z)
 def test_q_is_covariant_under_dyadic_dilation(f, k, z):
     lam = math.ldexp(1.0, k)
     g = _dilate(f, lam)
     assert bound_report(g, z).q_value == bound_report(f, z / lam).q_value
+
+
+def _map_values(f, fn):
+    if isinstance(f, StepFunction):
+        return make_step(f.breakpoints, [fn(v) for v in f.values])
+    return PiecewiseLinearFunction(f.nodes, tuple(fn(v) for v in f.node_values))
+
+
+@_settings
+@given(f=dyadic_functions(), k=st.integers(-40, 40), z=_z)
+def test_q_is_invariant_under_dyadic_amplitude(f, k, z):
+    g = _map_values(f, lambda v: math.ldexp(v, k))
+    assert bound_report(g, z).q_value == bound_report(f, z).q_value
+
+
+def _translate(f, offset):
+    if isinstance(f, StepFunction):
+        return make_step([t + offset for t in f.breakpoints], f.values)
+    return PiecewiseLinearFunction(tuple(t + offset for t in f.nodes), f.node_values)
+
+
+# With u = 2^-53: the centred sums S of f and its translate are the same
+# float.  Each |fhat| is |S P| for a computed P = (cos cz, -sin cz); cos and
+# sin within an ulp put |P| within sqrt(2) u of 1, the complex product adds
+# at most sqrt(5) u relative, and abs (hypot) one ulp, 2 u.  So each
+# |fhat| is within (sqrt 2 + sqrt 5 + 2) u < 5.7 u of |S|, and the two
+# differ by less than 12 u relative; Q divides both by the same tail, one
+# more rounding on each side.
+_FHAT_TRANSLATE_ULPS = 12
+_Q_TRANSLATE_ULPS = 14
+
+
+@_settings
+@given(f=dyadic_functions(), n=st.integers(-64, 64), e=st.integers(-5, 40), z=_z)
+def test_fourier_magnitude_is_invariant_under_dyadic_translation(f, n, e, z):
+    """Edges on 1/32 and |offset| <= 2^46 keep every x + offset and x - c exact."""
+    g = _translate(f, math.ldexp(n, e))
+    m_f, m_g = abs(fourier(f, z)), abs(fourier(g, z))
+    assert abs(m_g - m_f) <= _FHAT_TRANSLATE_ULPS * 2.0**-53 * m_f
+
+
+@_settings
+@given(f=dyadic_functions(), n=st.integers(-64, 64), e=st.integers(-5, 40), z=_z)
+def test_q_is_invariant_under_dyadic_translation_of_steps(f, n, e, z):
+    """Q of step inputs: the step rearrangement reads widths only, so the tails agree.
+
+    The linear rearrangement places level crossings at ``t0 + delta``,
+    which rounds at the scale of |t0|, so its tail is not translation
+    invariant to the last bits; linear inputs are covered through |fhat|
+    above.
+    """
+    if not isinstance(f, StepFunction):
+        f = make_step(f.nodes, f.node_values[:-1])
+    g = _translate(f, math.ldexp(n, e))
+    q_f, q_g = bound_report(f, z).q_value, bound_report(g, z).q_value
+    assert abs(q_g - q_f) <= _Q_TRANSLATE_ULPS * 2.0**-53 * q_f
+
+
+def test_comb_q_is_invariant_under_a_2_to_40_translation():
+    f = comb_example(2)
+    g = _translate(f, 2.0**40)
+    z = 3.0 * math.pi
+    q_f, q_g = bound_report(f, z).q_value, bound_report(g, z).q_value
+    assert abs(q_g - q_f) <= _Q_TRANSLATE_ULPS * 2.0**-53 * q_f
+    assert math.isclose(q_f, 2.013168484, rel_tol=1e-9)
+
+
+@st.composite
+def splits(draw):
+    """A function and (segment index, 1..7 eighths) of an interior split point."""
+    f = draw(dyadic_functions())
+    return f, draw(st.integers(0, len(f.edges) - 2)), draw(st.integers(1, 7))
+
+
+@_settings
+@given(case=splits())
+def test_crest_count_is_invariant_under_splitting_a_piece(case):
+    """Split a piece at t0 + (t1 - t0) k/8 into two pieces of the same values.
+
+    Step functions are given as raw breakpoints, which the constructor
+    merges back; linear ones keep the extra node, whose interpolated value
+    is exact on these dyadic data.
+    """
+    f, i, k = case
+    t0, t1, y0, y1 = f.segment(i)
+    x = t0 + (t1 - t0) * k / 8
+    edges = (*f.edges[: i + 1], x, *f.edges[i + 1 :])
+    if isinstance(f, StepFunction):
+        g = make_step(edges, (*f.values[: i + 1], y0, *f.values[i + 1 :]))
+    else:
+        y = y0 + (y1 - y0) * k / 8
+        g = PiecewiseLinearFunction(edges, (*f.node_values[: i + 1], y, *f.node_values[i + 1 :]))
+        assert g(x) == f(x) == y
+    assert count_crests(g) == count_crests(f)
