@@ -280,9 +280,13 @@ def crest_lower_bound(
     def evaluate_grid(zs: list[float]) -> list[QReport]:
         return [_q_report(f, z, crests, star) for z in sorted(set(zs))]
 
+    def best_index(reports: list[QReport]) -> int:
+        # max keeps the first of equal keys, so ties go to the leftmost z
+        return max(range(len(reports)), key=lambda k: reports[k].q_value)
+
     reports = evaluate_grid(list(z_grid))
     for _ in range(max(0, refine_depth)):
-        i = max(range(len(reports)), key=lambda k: (reports[k].q_value, -k))
+        i = best_index(reports)
         lo = reports[i - 1].z if i > 0 else reports[i].z * 0.5
         hi = reports[i + 1].z if i + 1 < len(reports) else reports[i].z * 2.0
         fresh = [lo + (hi - lo) * j / 17.0 for j in range(1, 17)]
@@ -290,10 +294,7 @@ def crest_lower_bound(
         extra = evaluate_grid([z for z in fresh if z not in known])
         reports = sorted(reports + extra, key=lambda r: r.z)
 
-    best = reports[0]
-    for r in reports[1:]:
-        if r.q_value > best.q_value:
-            best = r
+    best = reports[best_index(reports)]
     lower = certified_crests(best.q_value)
     m = lower - 1
     return BoundCertificate(

@@ -145,12 +145,19 @@ def _certificate_payload(f, certificate: BoundCertificate) -> dict:
     return payload
 
 
-def _cmd_analyze(args) -> int:
-    f = _load_function(args.input, args.csv_mode)
+def _scan(args, f) -> BoundCertificate | None:
+    """Q of f over the requested grid; in CSV format, emit its rows and return None."""
     certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
     if args.format == "csv":
         _emit(args, "\n".join(grid_csv_lines(certificate.grid)))
-    else:
+        return None
+    return certificate
+
+
+def _cmd_analyze(args) -> int:
+    f = _load_function(args.input, args.csv_mode)
+    certificate = _scan(args, f)
+    if certificate is not None:
         _emit_json(args, _certificate_payload(f, certificate))
     return 0
 
@@ -215,9 +222,8 @@ def _cmd_bound_roots(args) -> int:
             "step inputs have no pointwise derivative to count roots of -- "
             "resample with the linear CSV mode or supply a 'linear' JSON function"
         )
-    certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
-    if args.format == "csv":
-        _emit(args, "\n".join(grid_csv_lines(certificate.grid)))
+    certificate = _scan(args, f)
+    if certificate is None:
         return 0
     payload = {
         "input": function_to_json_dict(f),

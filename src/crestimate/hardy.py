@@ -22,6 +22,7 @@ numbers).
 import math
 from dataclasses import dataclass
 
+from .bounds import HALF_PI_SQRT_10
 from .errors import CrestimateError, ValidationError, ZeroFunctionError, require_positive
 from .piecewise import (
     PiecewiseFunction,
@@ -226,24 +227,23 @@ def hardy_chain_report(
     """Evaluate the full chain for a nonincreasing f and weights u, v."""
     require_positive("p", p)
     _require_decreasing_nonzero(f)
-    chain_constant = 0.5 * math.pi * math.sqrt(10.0)
     fn, ferr = _fourier_weighted_norm_with_error(f, u, q)
     middle, herr = _hardy_lhs_with_error(f, u, q, "substituted")
     lam = lorentz_lambda_norm(f, v, p)
-    if fn > chain_constant * middle * (1.0 + _CHAIN_TOLERANCE):
+    if fn > HALF_PI_SQRT_10 * middle * (1.0 + _CHAIN_TOLERANCE):
         raise CrestimateError(
             "internal inconsistency: the weighted transform norm exceeded "
-            f"{chain_constant:.6f} times the running-integral norm "
-            f"({fn:.12g} > {chain_constant * middle:.12g})"
+            f"{HALF_PI_SQRT_10:.6f} times the running-integral norm "
+            f"({fn:.12g} > {HALF_PI_SQRT_10 * middle:.12g})"
         )
     return HardyReport(
         fourier_weighted_norm=fn,
         hardy_middle=middle,
         lambda_rhs=lam,
-        chain_constant=chain_constant,
+        chain_constant=HALF_PI_SQRT_10,
         p=p,
         q=q,
-        chain_ratio=fn / (chain_constant * middle) if middle > 0.0 else math.nan,
+        chain_ratio=fn / (HALF_PI_SQRT_10 * middle) if middle > 0.0 else math.nan,
         hardy_to_lambda_ratio=middle / lam if lam > 0.0 else math.nan,
         fourier_quadrature_error=ferr,
         hardy_quadrature_error=herr,

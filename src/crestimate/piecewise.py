@@ -90,11 +90,7 @@ class _Segments:
 
     @property
     def total_integral(self) -> float:
-        # the midpoint form, not _segment_integral: its slope form rounds
-        # some linear totals differently
-        return math.fsum(
-            (t1 - t0) * (y0 + y1) * 0.5 for t0, t1, y0, y1 in self.segments()
-        )
+        return integrate(self, -math.inf, math.inf)
 
     @cached_property
     def edge_table(self) -> tuple[float, tuple[tuple[float, ...], ...]]:
@@ -288,12 +284,14 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
 def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:
     """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1).
 
-    On a step piece (``y0 == y1``) the slope is zero and the result is
-    ``(hi - lo) * y0`` exactly: doubling and halving do not round.
+    An end at t0 or t1 takes the stored value, so a whole segment is
+    ``(t1 - t0) * (y0 + y1) * 0.5``.  On a step piece (``y0 == y1``) the
+    slope is zero and the result is ``(hi - lo) * y0`` exactly: doubling and
+    halving do not round.
     """
     slope = (y1 - y0) / (t1 - t0)
-    ylo = y0 + (lo - t0) * slope
-    yhi = y0 + (hi - t0) * slope
+    ylo = y0 if lo == t0 else y0 + (lo - t0) * slope
+    yhi = y1 if hi == t1 else y0 + (hi - t0) * slope
     return (hi - lo) * (ylo + yhi) * 0.5
 
 

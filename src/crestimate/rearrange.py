@@ -16,7 +16,11 @@ the level drops below its larger end value and lies wholly above once the
 level drops below its smaller one, when its width joins an exact running
 sum.  Each |{f > lam}| is the correctly rounded sum of that running sum and
 the crossing segments' parts, which is the same number :func:`distribution`
-returns.
+returns.  A segment of width w with larger and smaller end values hi and lo
+has ``(hi - lam) * (w / (hi - lo))`` above lam, the one crossing term both
+use.  No term reads where a segment sits, only its width and end values, so
+an input translated by an offset that keeps every width the same float has
+the same f*, the same tail integrals and the same Q denominator.
 
 :meth:`Rearrangement.integral_up_to` reads the integral of f* over [0, t]
 off a table of whole-piece terms built with the rearrangement: one bisect,
@@ -63,14 +67,12 @@ def distribution(f: PiecewiseFunction, alpha: float) -> float:
 
 
 def _segment_superlevel(t0, t1, y0, y1, alpha) -> float:
-    above0 = y0 > alpha
-    above1 = y1 > alpha
-    if above0 and above1:
+    lo, hi = min(y0, y1), max(y0, y1)
+    if lo > alpha:
         return t1 - t0
-    if not above0 and not above1:
+    if hi <= alpha:
         return 0.0
-    crossing = t0 + (alpha - y0) * (t1 - t0) / (y1 - y0)
-    return t1 - crossing if above1 else crossing - t0
+    return (hi - alpha) * ((t1 - t0) / (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,10 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     Cost is O(n log n) for the sorts plus, per level, one term for each
     segment crossing it.  On a sampled profile that is two per bump
     reaching above the level, so levels x bumps in all; a zigzag whose
-    every segment spans every level stays quadratic.
+    every segment spans every level stays quadratic.  Each term is the
+    crossing term of :func:`distribution`, ``(hi - level) * r`` with
+    ``r = w / (hi - lo)`` stored when the segment starts to cross; no term
+    reads t0 or t1, so an exact translate has the same f*.
     """
     if f.is_zero:
         return PiecewiseLinearFunction((0.0, 1.0), (0.0, 0.0))
@@ -139,17 +144,16 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     for t0, t1, y0, y1 in segments:
         if y0 == y1:
             plateaus.setdefault(y0, []).append(t1 - t0)
+    widths = [t1 - t0 for t0, t1, _, _ in segments]
     highs = [max(y0, y1) for _, _, y0, y1 in segments]
     lows = [min(y0, y1) for _, _, y0, y1 in segments]
-    by_high = sorted(range(len(segments)), key=highs.__getitem__, reverse=True)
+    sloped = [i for i in range(len(segments)) if highs[i] > lows[i]]
+    by_high = sorted(sloped, key=highs.__getitem__, reverse=True)
     by_low = sorted(range(len(segments)), key=lows.__getitem__, reverse=True)
     entered = left = 0
-    # the segments crossing the level, by the direction they run in: the
-    # part above it is t1 - x on a rising one and x - t0 on a falling one,
-    # x = t0 + (level - y0) * (t1 - t0) / (y1 - y0) as in _segment_superlevel
-    # (a flat segment enters and leaves at the same level, before any term)
-    rising: dict[int, tuple[float, float, float, float, float]] = {}
-    falling: dict[int, tuple[float, float, float, float]] = {}
+    # (hi, w / (hi - lo)) of each sloped segment crossing the level; flat
+    # segments never enter, so leaving pops with a default
+    crossing: dict[int, tuple[float, float]] = {}
     above_whole: list[float] = []  # exact sum of the widths wholly above the level
 
     levels = sorted({0.0, *f.node_values})
@@ -172,20 +176,14 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     for level in reversed(levels[:-1]):
         while entered < len(by_high) and highs[by_high[entered]] > level:
             i = by_high[entered]
-            t0, t1, y0, y1 = segments[i]
-            if y1 > y0:
-                rising[i] = (t0, t1, y0, t1 - t0, y1 - y0)
-            else:
-                falling[i] = (t0, y0, t1 - t0, y1 - y0)
+            crossing[i] = (highs[i], widths[i] / (highs[i] - lows[i]))
             entered += 1
         while left < len(by_low) and lows[by_low[left]] > level:
             i = by_low[left]
-            t0, t1, _, _ = segments[i]
-            (rising if i in rising else falling).pop(i)
-            _exact_add(above_whole, t1 - t0)
+            crossing.pop(i, None)
+            _exact_add(above_whole, widths[i])
             left += 1
-        terms = [t1 - (t0 + (level - y0) * w / dy) for t0, t1, y0, w, dy in rising.values()]
-        terms += [(t0 + (level - y0) * w / dy) - t0 for t0, y0, w, dy in falling.values()]
+        terms = [(hi - level) * r for hi, r in crossing.values()]
         above = math.fsum(above_whole + terms)
         append(above, level)
         if level > 0.0:

@@ -22,9 +22,12 @@ phases ``E0``, ``E1`` contributes
       phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
       psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
 
-  Both switch to their power series when ``|u|`` drops below 1e-4; the
-  closed forms lose accuracy to cancellation there, the series keeps the
-  relative error of each piece contribution at or below about 1e-10.
+  Below ``|u| = 1e-4`` the closed forms lose accuracy to cancellation, and
+  phi and psi are read off the real kernels of the sine and cosine
+  transforms instead, ``phi = c0 - i s0`` and ``psi = c1 - i s1``, whose
+  power series to order u^5 keep the relative error of each piece
+  contribution at or below about 1e-10.  The c's are even in u and the
+  s's odd, bit for bit.
 
 The edge form takes the difference of two phases each rounded on its own,
 so on one segment its rounding error is about ``1 / (|z| w)`` times that of
@@ -61,8 +64,8 @@ __all__ = [
     "WindowBoundReport",
 ]
 
-# |z| * width below this uses the series branch of phi/psi (keeps the
-# cancellation error of each complex kernel below ~1e-10 relative).
+# |z| * width below this reads phi/psi off the real kernels' series (keeps
+# the cancellation error of each piece term below ~1e-10 relative).
 PHASE_SERIES_CUTOFF = 1e-4
 # the real trig kernels cancel at order u^2, so they switch earlier
 _TRIG_SERIES_CUTOFF = 1e-2
@@ -71,20 +74,6 @@ _TRIG_SERIES_CUTOFF = 1e-2
 def _phase(theta: float) -> complex:
     """exp(-i theta), built from cos/sin so conjugate symmetry is bit-exact."""
     return complex(math.cos(theta), -math.sin(theta))
-
-
-def _phi(u: float) -> complex:
-    """phi(u) for |u| < PHASE_SERIES_CUTOFF; :func:`fourier` has the closed form."""
-    w = complex(0.0, -u)
-    # sum_k w^k / (k+1)!
-    return 1.0 + w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * (1 / 120 + w / 720))))
-
-
-def _psi(u: float) -> complex:
-    """psi(u) for |u| < PHASE_SERIES_CUTOFF; :func:`fourier` has the closed form."""
-    w = complex(0.0, -u)
-    # sum_k w^k / (k! (k+2))
-    return 0.5 + w * (1 / 3 + w * (1 / 8 + w * (1 / 30 + w * (1 / 144 + w / 840))))
 
 
 def fourier(f: PiecewiseFunction, z: float) -> complex:
@@ -131,11 +120,11 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
         elif w:
             u = w * z
             if -cutoff < u < cutoff:
-                phi, psi = _phi(u), _psi(u)
-                d_re = y0 * phi.real + dy * psi.real
-                d_im = y0 * phi.imag + dy * psi.imag
-                re += w * (co * d_re + si * d_im)
-                im += w * (co * d_im - si * d_re)
+                # y0 phi + dy psi = p - i q, phi = c0 - i s0, psi = c1 - i s1
+                p = y0 * _c0(u) + dy * _c1(u)
+                q = y0 * _s0(u) + dy * _s1(u)
+                re += w * (co * p - si * q)
+                im -= w * (co * q + si * p)
                 continue
             cu = cos(u)
             su = sin(u)

@@ -2,7 +2,8 @@
 
 The oracles below are the earlier implementations, kept verbatim apart from
 names: the per-level rearrangement (one fsum over every segment per distinct
-level, O(n^2)), the per-segment transform kernel (four trig calls per
+level, O(n^2); its crossing term is the library's, whose exactness
+``tests/test_rearrange.py`` checks against rationals), the per-segment transform kernel (four trig calls per
 segment, phases uncentred), the step-only evaluation, integral,
 distribution, tail table, crest cuts and crest locations that the segment
 model replaced, the crest count over the collapsed value profile, the
@@ -69,8 +70,9 @@ def _oracle_superlevel(t0, t1, y0, y1, alpha):
         return t1 - t0
     if not above0 and not above1:
         return 0.0
-    crossing = t0 + (alpha - y0) * (t1 - t0) / (y1 - y0)
-    return t1 - crossing if above1 else crossing - t0
+    # the library's crossing term, so that the sweep is checked, not the term
+    hi, lo = max(y0, y1), min(y0, y1)
+    return (hi - alpha) * ((t1 - t0) / (hi - lo))
 
 
 def _oracle_plateau_measure(f, level):
@@ -331,8 +333,14 @@ def _fourier_rounding_bound(f, z):
       at most (1.5 + 16) n u sum T.
 
     A narrow piece (|w z| < 1) goes through the same floats cos(w z),
-    sin(w z) and phi, psi or their numerators in both kernels, so their
+    sin(w z) and the numerators of phi, psi in both kernels, so their
     cancellation error near |w z| = 1e-4 is common to both and drops out.
+    Below 1e-4 both evaluate the same truncated series, the old kernel in
+    complex Horner form and the new one through the real kernels c0, s0,
+    c1, s1.  Each rounds phi and psi within a few u of that series (the
+    two differ by at most 1u over 2 x 10^5 draws of u), so the piece terms
+    differ by at most about 8u T_j, no more than the share of the 96 u a
+    wide piece's closed forms take.
     At z = 0 both kernels add w (y0 + dy/2) in the same order.
     """
     segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -32,6 +33,62 @@ def test_distribution_triangle_with_grid_oracle():
     h = 1e-5
     count = sum(1 for i in range(int(2.0 / h)) if evaluate(TRIANGLE, (i + 0.5) * h) > 0.5)
     assert abs(exact - count * h) < 1e-3
+
+
+def _random_linear(rng, offset):
+    """Nodes and values off every dyadic grid, the nodes shifted by up to offset.
+
+    A fifth of the values are zero and about a seventh repeat the one before,
+    so zero gaps and plateaus occur.
+    """
+    x = rng.uniform(-offset, offset)
+    nodes, vals = [], []
+    for _ in range(rng.randint(2, 30)):
+        nodes.append(x)
+        x += rng.uniform(1e-3, 2.0)
+        roll = rng.random()
+        if roll < 0.2:
+            vals.append(0.0)
+        elif roll < 0.35 and vals:
+            vals.append(vals[-1])
+        else:
+            vals.append(rng.uniform(0.0, 5.0))
+    return PiecewiseLinearFunction(tuple(nodes), tuple(vals))
+
+
+def _exact_measure_above(f, level):
+    """|{f > level}| in rationals, the floats of f and level taken as exact."""
+    level = Fraction(level)
+    total = Fraction(0)
+    for segment in f.segments():
+        t0, t1, y0, y1 = map(Fraction, segment)
+        lo, hi = min(y0, y1), max(y0, y1)
+        if lo > level:
+            total += t1 - t0
+        elif hi > level:
+            total += (hi - level) * (t1 - t0) / (hi - lo)
+    return total
+
+
+def test_linear_distribution_within_six_roundings_of_the_exact_measure():
+    """distribution(f, lam) is within 6u relative of the exact measure, u = 2^-53.
+
+    A crossing segment adds ``(hi - lam) * (w / (hi - lo))``: the width
+    ``w = t1 - t0``, ``hi - lo``, ``hi - lam``, the quotient and the product
+    each round once, so the term is within (1 + u)^5 - 1 relative of its
+    exact value.  A segment wholly above adds w, rounded once.  Every term
+    is positive, so their exact sum carries the same relative error, and
+    fsum rounds it once more: (1 + u)^6 - 1 = 6u + O(u^2) in all, which is
+    the bound applied.  None of it scales with |t0|, so offsets up to 2^30
+    do not loosen it.
+    """
+    rng = rng_for(26, "distribution/exact")
+    bound = (1 + Fraction(1, 2**53)) ** 6 - 1
+    for _ in range(300):
+        f = _random_linear(rng, 2.0**30)
+        for level in sorted(set(f.node_values) - {0.0}):
+            exact = _exact_measure_above(f, level)
+            assert abs(Fraction(distribution(f, level)) - exact) <= bound * exact
 
 
 def test_distribution_rejects_nonpositive_alpha():
@@ -91,6 +148,10 @@ def test_rearrangement_integral_saturates_to_total():
         f = random_step_function(rng)
         support = f.support_max - f.support_min
         assert rearrangement_integral(f, support + 1.0) == f.total_integral
+    for _ in range(300):
+        f = _random_linear(rng, 2.0**30)
+        assert integrate(f, -math.inf, math.inf) == f.total_integral
+        assert rearrangement_integral(f, math.inf) == rearrangement(f).star.total_integral
 
 
 def test_rearrangement_integral_triangle():
