@@ -68,14 +68,8 @@ class QReport:
     crest_count: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "transform_magnitude": self.transform_magnitude,
-            "tail_integral": self.tail_integral,
-            "bound": self.bound,
-            "q_value": self.q_value,
-            "crest_count": self.crest_count,
-        }
+        # the instance dict holds the fields in declaration order (no __slots__)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -100,14 +94,7 @@ class BoundCertificate:
     grid: tuple[QReport, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "best_z": self.best_z,
-            "best_q": self.best_q,
-            "crest_lower_bound": self.crest_lower_bound,
-            "root_lower_bound": self.root_lower_bound,
-            "derived_root_bound": self.derived_root_bound,
-            "grid": [r.to_json_dict() for r in self.grid],
-        }
+        return {**vars(self), "grid": [r.to_json_dict() for r in self.grid]}
 
 
 def _validate_nonzero(f: PiecewiseFunction) -> None:
@@ -210,13 +197,7 @@ class CombResonance:
     )
 
     def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "odd": self.odd.to_json_dict(),
-            "even": self.even.to_json_dict(),
-            "peak_ratio_expected": self.peak_ratio_expected,
-            "note": self.note,
-        }
+        return {**vars(self), "odd": self.odd.to_json_dict(), "even": self.even.to_json_dict()}
 
 
 def comb_resonance(n: int, l: int = 50) -> CombResonance:

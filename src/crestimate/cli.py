@@ -25,7 +25,6 @@ from .bounds import (
     comb_example,
     comb_resonance,
     comb_size,
-    count_crests,
     crest_lower_bound,
     default_z_grid,
     grid_csv_lines,
@@ -136,7 +135,7 @@ def _emit_json(args, payload: dict) -> None:
 def _certificate_payload(f, certificate: BoundCertificate) -> dict:
     payload = {
         "input": function_to_json_dict(f),
-        "crest_count": count_crests(f),
+        "crest_count": certificate.grid[0].crest_count,
         "certificate": certificate.to_json_dict(),
     }
     n = comb_size(f)
@@ -171,7 +170,7 @@ def _cmd_comb(args) -> int:
         requested.append({"z": z, "magnitude": magnitude})
     payload = {
         "input": function_to_json_dict(f),
-        "crest_count": count_crests(f),
+        "crest_count": resonance.odd.crest_count,
         "requested_points": requested,
         "resonance": resonance.to_json_dict(),
     }
@@ -225,14 +224,8 @@ def _cmd_bound_roots(args) -> int:
     certificate = _scan(args, f)
     if certificate is None:
         return 0
-    payload = {
-        "input": function_to_json_dict(f),
-        "best_z": certificate.best_z,
-        "best_q": certificate.best_q,
-        "crest_lower_bound": certificate.crest_lower_bound,
-        "root_lower_bound": certificate.root_lower_bound,
-        "derived_root_bound": certificate.derived_root_bound,
-    }
+    payload = {"input": function_to_json_dict(f), **certificate.to_json_dict()}
+    del payload["grid"]
     if certificate.root_lower_bound == 0:
         payload["note"] = "no nontrivial certificate (best Q never exceeded 1)"
     _emit_json(args, payload)

@@ -204,18 +204,7 @@ class HardyReport:
     hardy_quadrature_error: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "fourier_weighted_norm": self.fourier_weighted_norm,
-            "hardy_middle": self.hardy_middle,
-            "lambda_rhs": self.lambda_rhs,
-            "chain_constant": self.chain_constant,
-            "p": self.p,
-            "q": self.q,
-            "chain_ratio": self.chain_ratio,
-            "hardy_to_lambda_ratio": self.hardy_to_lambda_ratio,
-            "fourier_quadrature_error": self.fourier_quadrature_error,
-            "hardy_quadrature_error": self.hardy_quadrature_error,
-        }
+        return dict(vars(self))
 
 
 _CHAIN_TOLERANCE = 1e-6

@@ -157,9 +157,8 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     above_whole: list[float] = []  # exact sum of the widths wholly above the level
 
     levels = sorted({0.0, *f.node_values})
-    top = levels[-1]
     xs = [0.0]
-    ys = [top]
+    ys = [levels[-1]]
 
     def append(x: float, y: float) -> None:
         # the measures are nondecreasing along descending levels; a band whose
@@ -170,10 +169,8 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
         xs.append(x)
         ys.append(y)
 
-    top_plateau = math.fsum(plateaus.get(top, ()))
-    if top_plateau > 0.0:
-        append(top_plateau, top)
-    for level in reversed(levels[:-1]):
+    # at the top level nothing crosses, so its first node merges into (0, top)
+    for level in reversed(levels):
         while entered < len(by_high) and highs[by_high[entered]] > level:
             i = by_high[entered]
             crossing[i] = (highs[i], widths[i] / (highs[i] - lows[i]))

@@ -22,12 +22,21 @@ phases ``E0``, ``E1`` contributes
       phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
       psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
 
-  Below ``|u| = 1e-4`` the closed forms lose accuracy to cancellation, and
-  phi and psi are read off the real kernels of the sine and cosine
-  transforms instead, ``phi = c0 - i s0`` and ``psi = c1 - i s1``, whose
-  power series to order u^5 keep the relative error of each piece
-  contribution at or below about 1e-10.  The c's are even in u and the
-  s's odd, bit for bit.
+  The closed form takes ``1 - cos u`` as ``sin^2 u / (1 + cos u)``; on
+  this branch ``|u| < 1``, so the denominator exceeds 1.54 and nothing
+  cancels.  Written as ``1.0 - cos(u)`` it carried the rounding of cos u,
+  divided by u, into the ramp term, about ``2^-53 / u^2`` relative: on 300
+  single linear segments with |u| log-uniform in [1e-4, 0.9] the worst
+  relative error of ``|fhat|`` against 40 digits was 7.5e-9, and is 5.6e-16
+  with the quotient.  What is left is ``sin(u) / u - cos(u)``, of size
+  u^2 / 3 from terms of size 1, about ``2^-53 / u`` relative to the piece
+  term but at right angles to it, so it barely moves ``|fhat|``.
+  Below ``|u| = 1e-4`` phi and psi are read off the real kernels of the
+  sine and cosine transforms instead, ``phi = c0 - i s0`` and
+  ``psi = c1 - i s1`` (``_piece``, one cos and one sin per piece, or
+  power series to order u^5 below ``|u| = 1e-2``), which keeps the
+  relative error of each piece contribution at or below about 1e-10.
+  The c's are even in u and the s's odd, bit for bit.
 
 The edge form takes the difference of two phases each rounded on its own,
 so on one segment its rounding error is about ``1 / (|z| w)`` times that of
@@ -121,14 +130,15 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
             u = w * z
             if -cutoff < u < cutoff:
                 # y0 phi + dy psi = p - i q, phi = c0 - i s0, psi = c1 - i s1
-                p = y0 * _c0(u) + dy * _c1(u)
-                q = y0 * _s0(u) + dy * _s1(u)
+                c0, s0, c1, s1 = _piece(u)
+                p = y0 * c0 + dy * c1
+                q = y0 * s0 + dy * s1
                 re += w * (co * p - si * q)
                 im -= w * (co * q + si * p)
                 continue
             cu = cos(u)
             su = sin(u)
-            om = 1.0 - cu
+            om = su * su / (1.0 + cu)  # 1 - cos u without cancellation; |u| < 1
             # z w (y0 phi + dy psi) = p - i q
             p = y0 * su
             q = y0 * om
@@ -152,32 +162,28 @@ def _require_finite(z: float) -> None:
 # --- real kernels: integral_0^w (..) over one piece in local coordinates ---
 # c0 = int cos(tz)/w, s0 = int sin(tz)/w, c1 = int (t/w) cos(tz)/w, s1 likewise.
 
-def _c0(u: float) -> float:
+def _piece(u: float) -> tuple[float, float, float, float]:
+    """(c0, s0, c1, s1) at u = w z: one cos and one sin, or their series.
+
+    Below ``|u| = 1e-2`` (``_TRIG_SERIES_CUTOFF``) each kernel is its power
+    series to order u^5; the first dropped term is at most ``u^6 / 5040``,
+    below 2e-16 there.  Above it the closed forms round cos u and sin u to
+    half an ulp each; ``c1``'s numerator ``cos u + u sin u - 1`` cancels from
+    terms of size 1 down to ``u^2 / 2``, so its absolute error is about
+    ``2 * 2^-53 / u^2`` (2e-12 just above the cutoff), and every closed form
+    stays within ``4 * 2^-53 * max(1, 1 / u^2)``.
+    """
     if abs(u) < _TRIG_SERIES_CUTOFF:
         u2 = u * u
-        return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
-    return math.sin(u) / u
-
-
-def _s0(u: float) -> float:
-    if abs(u) < _TRIG_SERIES_CUTOFF:
-        u2 = u * u
-        return u * (0.5 - u2 / 24.0 + u2 * u2 / 720.0)
-    return (1.0 - math.cos(u)) / u
-
-
-def _c1(u: float) -> float:
-    if abs(u) < _TRIG_SERIES_CUTOFF:
-        u2 = u * u
-        return 0.5 - u2 / 8.0 + u2 * u2 / 144.0
-    return (math.cos(u) + u * math.sin(u) - 1.0) / (u * u)
-
-
-def _s1(u: float) -> float:
-    if abs(u) < _TRIG_SERIES_CUTOFF:
-        u2 = u * u
-        return u * (1.0 / 3.0 - u2 / 30.0 + u2 * u2 / 840.0)
-    return (math.sin(u) - u * math.cos(u)) / (u * u)
+        u4 = u2 * u2
+        return (
+            1.0 - u2 / 6.0 + u4 / 120.0,
+            u * (0.5 - u2 / 24.0 + u4 / 720.0),
+            0.5 - u2 / 8.0 + u4 / 144.0,
+            u * (1.0 / 3.0 - u2 / 30.0 + u4 / 840.0),
+        )
+    c, s = math.cos(u), math.sin(u)
+    return s / u, (1.0 - c) / u, (c + u * s - 1.0) / (u * u), (s - u * c) / (u * u)
 
 
 def _require_halfline(f: PiecewiseFunction) -> None:
@@ -199,10 +205,10 @@ def _sine_cosine(f: PiecewiseFunction, z: float) -> tuple[float, float]:
     sine_terms = []
     cosine_terms = []
     for a, w, y0, dy in _trig_pieces(f):
-        u = w * z
+        c0, s0, c1, s1 = _piece(w * z)
         az = a * z
-        ic = w * (y0 * _c0(u) + dy * _c1(u))
-        is_ = w * (y0 * _s0(u) + dy * _s1(u))
+        ic = w * (y0 * c0 + dy * c1)
+        is_ = w * (y0 * s0 + dy * s1)
         sin_az, cos_az = math.sin(az), math.cos(az)
         sine_terms.append(sin_az * ic + cos_az * is_)
         cosine_terms.append(cos_az * ic - sin_az * is_)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,10 +6,15 @@ import pytest
 
 from crestimate import (
     PiecewiseLinearFunction,
+    bound_report,
+    comb_resonance,
+    crest_lower_bound,
     function_from_json_dict,
+    hardy_chain_report,
     make_step,
     rearrangement,
 )
+from crestimate import crests
 from crestimate.cli import main
 from crestimate.errors import ConvergenceError
 
@@ -272,3 +278,35 @@ def test_convergence_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "step", "--trials", "1")
     assert code == 2
     assert "synthetic non-convergence" in err
+
+
+def test_report_keys_are_record_fields_in_order():
+    box = make_step([0, 1], [1])
+    records = (
+        bound_report(box, 2.0),
+        crest_lower_bound(box, [1.0, 2.0]),
+        comb_resonance(1),
+        hardy_chain_report(box, box, box, 2.0, 2.0),
+    )
+    for record in records:
+        assert list(record.to_json_dict()) == [f.name for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("command, crest_count", [("analyze", 2), ("comb", 10)])
+def test_crests_counted_once_per_command(command, crest_count, tmp_path, monkeypatch, capsys):
+    # the scan counts the crests; the report reads the count off its records
+    calls = []
+    cuts = crests._cuts
+
+    def counting(f):
+        calls.append(f)
+        return cuts(f)
+
+    monkeypatch.setattr(crests, "_cuts", counting)
+    src = tmp_path / "two-crests.json"
+    src.write_text('{"type":"step","breakpoints":[0,1,2,3],"values":[1,0,2]}')
+    argv = ["analyze", str(src)] if command == "analyze" else ["comb", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["crest_count"] == crest_count
+    assert len(calls) == 1

@@ -58,7 +58,7 @@ from crestimate.hardy import (
     _hardy_lhs_with_error,
 )
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
-from crestimate.transform import PHASE_SERIES_CUTOFF, _c0, _c1, _s0, _s1
+from crestimate.transform import PHASE_SERIES_CUTOFF, _piece
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -143,7 +143,7 @@ def _oracle_fourier(f, z):
         else:
             cu, su = cos(u), sin(u)
             phi_re = su / u
-            phi_im = -(1.0 - cu) / u
+            phi_im = -(su * su / (1.0 + cu) if abs(u) < 1.0 else 1.0 - cu) / u
             d_re = y0 * phi_re + dy * ((phi_im + su) / u)
             d_im = y0 * phi_im + dy * (-(phi_re - cu) / u)
         a_re = w * cos(t0 * z)
@@ -610,9 +610,9 @@ def _oracle_trig_terms(f, z):
         if y0 == 0.0 and y1 == 0.0:
             continue
         w, dy = t1 - t0, y1 - y0
-        u = w * z
-        ic = w * (y0 * _c0(u) + dy * _c1(u))
-        is_ = w * (y0 * _s0(u) + dy * _s1(u))
+        c0, s0, c1, s1 = _piece(w * z)
+        ic = w * (y0 * c0 + dy * c1)
+        is_ = w * (y0 * s0 + dy * s1)
         yield t0 * z, ic, is_
 
 

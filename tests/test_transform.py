@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from crestimate import (
@@ -21,6 +22,7 @@ from crestimate.generators import (
     random_step_function,
     rng_for,
 )
+from crestimate.transform import _TRIG_SERIES_CUTOFF, _piece
 
 BOX = make_step([0, 1], [1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
@@ -86,6 +88,54 @@ def test_small_phase_series_branch_agrees_with_stable_form():
         value = fourier(f, z)
         stable = cmath.exp(-0.5j * z) * (math.sin(0.5 * z) / (0.5 * z))
         assert abs(value - stable) <= 1e-12 * abs(stable)
+
+
+def _mp_segment_fourier(t0, t1, y0, y1, z):
+    """fhat of one linear segment to 40 digits: w E0 (y0 phi + dy psi)."""
+    with mpmath.workdps(40):
+        t0, t1, y0, y1, z = map(mpmath.mpf, (t0, t1, y0, y1, z))
+        w = t1 - t0
+        iu = 1j * w * z
+        e = mpmath.exp(-iu)
+        phi = (1 - e) / iu
+        psi = (phi - e) / iu
+        return w * mpmath.exp(-1j * t0 * z) * (y0 * phi + (y1 - y0) * psi)
+
+
+@pytest.mark.parametrize("u", [1.01e-4, 1.5e-4, 3e-4, 1e-3, 0.3])
+def test_narrow_ramp_just_above_series_cutoff(u):
+    # the narrow closed form takes 1 - cos u as sin^2 u / (1 + cos u); as
+    # 1.0 - cos(u) it carried the rounding of cos u / u into the ramp term,
+    # a relative error near 1e-8 at u = 1e-4
+    for t0, width in ((0.0, 1.0), (3.0, 1 / 32), (-0.5, 0.3)):
+        z = u / width
+        for y0, y1 in ((0.25, 1.0), (2.0, 0.5), (0.0, 1.0)):
+            f = PiecewiseLinearFunction((t0, t0 + width), (y0, y1))
+            exact = abs(_mp_segment_fourier(t0, t0 + width, y0, y1, z))
+            assert abs(abs(fourier(f, z)) - float(exact)) <= 1e-11 * float(exact)
+
+
+def _mp_piece(u):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(u)
+        c, s = mpmath.cos(x), mpmath.sin(x)
+        return (s / x, (1 - c) / x, (c + x * s - 1) / x**2, (s - x * c) / x**2)
+
+
+def test_piece_kernels_match_40_digit_reference():
+    # the bound of the _piece docstring: u^6 / 5040 plus a few ulps of 1 on
+    # the series, 4 * 2^-53 * max(1, 1/u^2) on the closed forms
+    ulp = 2.0**-53
+    cut = _TRIG_SERIES_CUTOFF
+    spread = [10.0 ** (-8 + k / 20) for k in range(201)]
+    for u0 in spread + [cut * (1 + e) for e in (-1e-3, 1e-3)]:
+        for u in (u0, -u0):
+            if abs(u) < cut:
+                bound = 4 * ulp + u**6 / 5040
+            else:
+                bound = 4 * ulp * max(1.0, 1.0 / (u * u))
+            for got, exact in zip(_piece(u), _mp_piece(u)):
+                assert abs(got - float(exact)) <= bound, (u, got)
 
 
 def test_sine_cosine_box_at_pi():
