@@ -27,7 +27,7 @@ from .piecewise import (
     make_step,
     require_nonincreasing_on_halfline,
 )
-from .rearrange import Rearrangement, rearrangement
+from .rearrange import rearrangement
 from .transform import fourier
 
 __all__ = [
@@ -97,30 +97,9 @@ class BoundCertificate:
         return {**vars(self), "grid": [r.to_json_dict() for r in self.grid]}
 
 
-def _validate_nonzero(f: PiecewiseFunction) -> None:
-    if f.is_zero:
-        raise ZeroFunctionError("the zero function has no meaningful Q ratio")
-
-
-def _q_report(f, z, crest_count: int, star: Rearrangement) -> QReport:
-    require_positive("z", z)
-    magnitude = abs(fourier(f, z))
-    tail = star.integral_up_to(1.0 / z)
-    scale = PI_SQRT_10 * tail
-    return QReport(
-        z=z,
-        transform_magnitude=magnitude,
-        tail_integral=tail,
-        bound=crest_count * scale,
-        q_value=magnitude / scale,
-        crest_count=crest_count,
-    )
-
-
 def bound_report(f: PiecewiseFunction, z: float) -> QReport:
-    """Evaluate the crest-count bound and the ratio Q at one z > 0."""
-    _validate_nonzero(f)
-    return _q_report(f, z, count_crests(f), rearrangement(f))
+    """Evaluate the crest-count bound and the ratio Q at one z > 0 (a one-point scan)."""
+    return crest_lower_bound(f, [z]).grid[0]
 
 
 def check_decreasing_bound(f: PiecewiseFunction, z: float) -> tuple[float, float]:
@@ -204,13 +183,13 @@ def comb_resonance(n: int, l: int = 50) -> CombResonance:
     if l < 1:
         raise ValidationError("l must be a positive integer")
     f = comb_example(n)
-    crests = count_crests(f)
-    star = rearrangement(f)
+    # the scan sorts and deduplicates its grid, so the even row comes first
+    rows = crest_lower_bound(f, [(2 * l + 1) * math.pi, 2 * l * math.pi]).grid
+    if len(rows) != 2:
+        raise ValidationError("l is too large: 2l*pi and (2l+1)*pi are the same float")
+    even, odd = rows
     return CombResonance(
-        size=n,
-        odd=_q_report(f, (2 * l + 1) * math.pi, crests, star),
-        even=_q_report(f, 2 * l * math.pi, crests, star),
-        peak_ratio_expected=math.sqrt(10.0) * n / math.pi,
+        size=n, odd=odd, even=even, peak_ratio_expected=math.sqrt(10.0) * n / math.pi
     )
 
 
@@ -246,20 +225,29 @@ def crest_lower_bound(
 ) -> BoundCertificate:
     """Scan Q over the grid and certify lower bounds on crests and roots.
 
-    Q is continuous, so ``refine_depth`` rounds of local grid refinement
-    around the running maximum converge toward the true supremum.  Reports
-    are kept in ascending z order and ties break to the leftmost z.
+    Each round of ``refine_depth`` evaluates 16 points between the
+    neighbours of the running maximum, so refinement converges to a local
+    maximum of Q near the best grid point, not to its supremum.  Reports
+    are kept in ascending z order and ties break to the leftmost z.  This
+    is the only place that evaluates Q.
     """
-    _validate_nonzero(f)
+    if f.is_zero:
+        raise ZeroFunctionError("the zero function has no meaningful Q ratio")
     if not z_grid:
         raise ValidationError("the z grid must not be empty")
-    if not all(0.0 < z < math.inf for z in z_grid):
-        raise ValidationError("grid points must be positive and finite")
     crests = count_crests(f)
     star = rearrangement(f)
 
     def evaluate_grid(zs: list[float]) -> list[QReport]:
-        return [_q_report(f, z, crests, star) for z in sorted(set(zs))]
+        reports = []
+        for z in sorted(set(zs)):
+            # also catches refinement brackets that round to 0 or overflow to inf
+            require_positive("z", z)
+            magnitude = abs(fourier(f, z))
+            tail = star.integral_up_to(1.0 / z)
+            scale = PI_SQRT_10 * tail
+            reports.append(QReport(z, magnitude, tail, crests * scale, magnitude / scale, crests))
+        return reports
 
     def best_index(reports: list[QReport]) -> int:
         # max keeps the first of equal keys, so ties go to the leftmost z

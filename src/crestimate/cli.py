@@ -11,7 +11,10 @@ or as CSV rows ``z,abs_fhat,tail_integral,bound,q`` with 17 significant
 digits for plotting pipelines.  Identical configuration and seed produce
 identical output bytes.
 
-Exit codes: 0 success, 1 validation error, 2 numerical-convergence failure.
+Exit codes: 0 success; 1 validation error (bad arguments, an unreadable,
+undecodable or malformed input, a number beyond float range, an unwritable
+``--out``); 2 numerical failure (quadrature did not converge, or arithmetic
+overflowed).  Either failure prints one line to stderr.
 """
 
 import argparse
@@ -54,16 +57,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_function(spec: str, csv_mode: str):
-    path = Path(spec)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".csv":
-            xs, ys = samples_from_csv_text(text)
-            return from_samples(xs, ys, mode=csv_mode)
-        return _function_from_json_text(text)
+    # inline JSON first: it may be longer than the longest file name
     if spec.lstrip().startswith("{"):
         return _function_from_json_text(spec)
-    raise ValidationError(f"no such input file: {spec}")
+    path = Path(spec)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValidationError(f"no such input file: {spec}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {spec}: {exc}") from exc
+    if path.suffix.lower() == ".csv":
+        xs, ys = samples_from_csv_text(text)
+        return from_samples(xs, ys, mode=csv_mode)
+    return _function_from_json_text(text)
 
 
 def _function_from_json_text(text: str):
@@ -114,7 +121,7 @@ def _parse_float_list(spec: str, flag: str) -> list[float]:
 def _grid_from_args(args) -> list[float]:
     grid = _parse_grid(args.grid) if args.grid else default_z_grid()
     if args.extra_z:
-        grid = sorted(set(grid) | set(_parse_float_list(args.extra_z, "--extra-z")))
+        grid += _parse_float_list(args.extra_z, "--extra-z")  # the scan sorts and deduplicates
     return grid
 
 
@@ -122,7 +129,10 @@ def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -252,7 +262,7 @@ def _add_io_arguments(sub, grid: bool = True):
             type=int,
             default=0,
             help="rounds of local grid refinement around the best Q "
-            "(Q is continuous, so refinement converges to the supremum)",
+            "(converges to a local maximum of Q near the best grid point)",
         )
         sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -332,6 +342,9 @@ def main(argv=None) -> int:
         return 1
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"overflow error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -44,7 +44,6 @@ def random_step_function(
     rng: random.Random,
     min_pieces: int = 1,
     max_pieces: int = 20,
-    allow_zero_gaps: bool = True,
     max_width_units: int = 128,
     start_range_units: int = 1024,
 ) -> StepFunction:
@@ -55,7 +54,7 @@ def random_step_function(
     values: list[float] = []
     for _ in range(n):
         roll = rng.random()
-        if allow_zero_gaps and roll < 0.2:
+        if roll < 0.2:
             values.append(0.0)
         elif values and roll < 0.35:
             values.append(values[-1])  # deliberate tie
@@ -85,7 +84,7 @@ def random_decreasing_step(
 
 
 def random_one_crest_step(
-    rng: random.Random, max_run: int = 6, max_width_units: int = 64
+    rng: random.Random, max_width_units: int = 64
 ) -> StepFunction:
     """Random step function that crests exactly once.
 
@@ -93,8 +92,8 @@ def random_one_crest_step(
     support may sit anywhere on the line.
     """
     peak = rng.randint(2 * _V_SCALE, 8 * _V_SCALE)
-    up = sorted(rng.sample(range(1, peak), rng.randint(0, max_run)))
-    down = sorted(rng.sample(range(1, peak), rng.randint(0, max_run)), reverse=True)
+    up = sorted(rng.sample(range(1, peak), rng.randint(0, 6)))
+    down = sorted(rng.sample(range(1, peak), rng.randint(0, 6)), reverse=True)
     values = [lv / _V_SCALE for lv in [*up, peak, *down]]
     start = rng.randint(-256, 256) / _X_SCALE
     breakpoints = [start]
@@ -115,12 +114,11 @@ def random_interval(rng: random.Random, f: StepFunction) -> tuple[float, float]:
 def random_weight(
     rng: random.Random,
     min_start_units: int = 2,
-    max_end_units: int = 640,
     max_pieces: int = 6,
 ) -> StepFunction:
     """Random nonnegative step weight supported inside (0, 20]."""
     n = rng.randint(1, max_pieces)
-    start = rng.randint(min_start_units, max_end_units // 2) / _X_SCALE
+    start = rng.randint(min_start_units, 320) / _X_SCALE
     widths = _dyadic_widths(rng, n, max_units=64)
     values = [rng.randint(0, 4 * _V_SCALE) / _V_SCALE for _ in range(n)]
     if all(v == 0.0 for v in values):

@@ -412,7 +412,10 @@ def _number_list(obj: dict, field: str) -> list[float]:
     for item in raw:
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValidationError(f"field '{field}' must be a list of numbers")
-        out.append(float(item))
+        try:
+            out.append(float(item))
+        except OverflowError:
+            raise ValidationError(f"field '{field}' holds a number beyond float range") from None
     return out
 
 

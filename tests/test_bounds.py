@@ -229,6 +229,19 @@ def test_non_finite_z_is_rejected(bad):
         default_z_grid(bad, 10.0)
 
 
+@pytest.mark.parametrize("z", [5e-324, 1e308])
+def test_refinement_at_the_ends_of_the_float_range(z):
+    # the bracket around a lone grid point is [z/2, 2z]: 0 for the smallest
+    # subnormal, inf for z near the largest float; both must be rejected
+    with pytest.raises(ValidationError, match="positive and finite"):
+        crest_lower_bound(BOX, [z], refine_depth=1)
+
+
+def test_comb_resonance_rejects_l_whose_points_coincide():
+    with pytest.raises(ValidationError, match="same float"):
+        comb_resonance(1, l=2**60)
+
+
 def quadrature_oracle(f, z):
     return fourier_quadrature_oracle(f, z, 1e-9)
 

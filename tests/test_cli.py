@@ -97,6 +97,60 @@ def test_missing_file(capsys):
     assert "no such input file" in err
 
 
+def test_inline_json_longer_than_a_file_name(tmp_path, capsys):
+    spec = json.dumps(
+        {"type": "step", "breakpoints": list(range(60)), "values": [1 + k % 3 for k in range(59)]}
+    )
+    assert len(spec) > 255  # NAME_MAX on common file systems
+    src = tmp_path / "f.json"
+    src.write_text(spec)
+    grid = ("--grid", "1:10:8:log")
+    code, inline, err = run_cli(capsys, "analyze", spec, *grid)
+    assert code == 0 and not err
+    code, from_file, _ = run_cli(capsys, "analyze", str(src), *grid)
+    assert code == 0
+    assert inline == from_file
+
+
+HOT_BOX = '{"type":"step","breakpoints":[0,1],"values":[3]}'
+HOT_WEIGHT = '{"type":"step","breakpoints":[0.5,2],"values":[3]}'
+HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "]}"
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (("analyze", "{dir}"), 1, "cannot read"),
+        (("analyze", "{dir}/latin1.json"), 1, "codec can't decode"),
+        (("analyze", "x" * 300), 1, "cannot read"),
+        (("analyze", BOX_JSON, "--out", "{dir}/missing/report.json"), 1, "cannot write"),
+        (("analyze", HUGE_INT_JSON), 1, "beyond float range"),
+        (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2000", "--q", "2"), 2, "overflow"),
+        (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2", "--q", "2000"), 2, "overflow"),
+    ],
+    ids=["directory", "not-utf8", "name-too-long", "out-dir-missing", "huge-int", "p-2000", "q-2000"],
+)
+def test_failures_exit_with_one_line(argv, code, fragment, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"type":"step","breakpoints":[0,1],"values":[1]}\xe9')
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    if argv[0] == "analyze":
+        argv += ["--grid", "1:2:2:lin"]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert fragment in err
+
+
+def test_extra_z_order_and_duplicates_do_not_matter(capsys):
+    base = ("analyze", BOX_JSON, "--grid", "1:3:3:lin", "--format", "csv")
+    code, shuffled, _ = run_cli(capsys, *base, "--extra-z", "4,2.5,1,2.5,0.5")
+    assert code == 0
+    _, ordered, _ = run_cli(capsys, *base, "--extra-z", "0.5,2.5,4")
+    assert shuffled == ordered
+    assert len(shuffled.strip().splitlines()) == 7  # header + 0.5, 1, 2, 2.5, 3, 4
+
+
 def test_repeat_runs_give_identical_bytes(capsys, tmp_path):
     # a train of sin^2 bumps with zero gaps, sampled every 1/64
     ys = [math.sin(math.pi * k / 16) ** 2 if k % 32 < 16 else 0.0 for k in range(257)]
