@@ -16,10 +16,11 @@ verification suites is attributable to the mathematics alone.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .crests import count_crests, decompose
-from .errors import ValidationError, ZeroFunctionError, require_positive
+from .errors import ValidationError, require_positive, require_positive_int
 from .piecewise import (
     PiecewiseFunction,
     StepFunction,
@@ -139,8 +140,7 @@ def comb_example(n: int) -> StepFunction:
     single box on [0, 5n), and at z an odd multiple of pi its transform has
     magnitude 10n/z, so Q(z) = sqrt(10) n / pi (about 1.007 n).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer")
+    require_positive_int("n", n)
     breakpoints = [float(k) for k in range(10 * n)]
     values = [1.0 if k % 2 == 0 else 0.0 for k in range(10 * n - 1)]
     return make_step(breakpoints, values)
@@ -180,8 +180,9 @@ class CombResonance:
 
 
 def comb_resonance(n: int, l: int = 50) -> CombResonance:
-    if l < 1:
-        raise ValidationError("l must be a positive integer")
+    require_positive_int("l", l)
+    if 2 * l + 1 > sys.float_info.max / math.pi:  # exact int-float comparison
+        raise ValidationError("l is too large: (2l+1)*pi is beyond float range")
     f = comb_example(n)
     # the scan sorts and deduplicates its grid, so the even row comes first
     rows = crest_lower_bound(f, [(2 * l + 1) * math.pi, 2 * l * math.pi]).grid
@@ -199,8 +200,7 @@ def default_z_grid(
     """Log-spaced grid plus the odd multiples of pi (the comb resonances)."""
     if not 0.0 < z_min < z_max < math.inf:
         raise ValidationError("need 0 < z_min < z_max < inf")
-    if count < 1:
-        raise ValidationError("count must be at least 1")
+    require_positive_int("count", count)
     if count == 1:
         zs = {z_min}
     else:
@@ -229,13 +229,14 @@ def crest_lower_bound(
     neighbours of the running maximum, so refinement converges to a local
     maximum of Q near the best grid point, not to its supremum.  Reports
     are kept in ascending z order and ties break to the leftmost z.  This
-    is the only place that evaluates Q.
+    is the only place that evaluates Q.  A ``refine_depth`` of 0 or below
+    means no refinement.
     """
-    if f.is_zero:
-        raise ZeroFunctionError("the zero function has no meaningful Q ratio")
+    crests = count_crests(f)  # rejects the zero function
     if not z_grid:
         raise ValidationError("the z grid must not be empty")
-    crests = count_crests(f)
+    if refine_depth > 0:
+        require_positive_int("refine_depth", refine_depth)
     star = rearrangement(f)
 
     def evaluate_grid(zs: list[float]) -> list[QReport]:

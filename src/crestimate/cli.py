@@ -32,15 +32,13 @@ from .bounds import (
     default_z_grid,
     grid_csv_lines,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, require_positive_int
 from .hardy import hardy_chain_report
 from .piecewise import (
     PiecewiseLinearFunction,
-    StepFunction,
     from_samples,
     function_from_json_dict,
     function_to_json_dict,
-    require_nonincreasing_on_halfline,
     samples_from_csv_text,
 )
 from .rearrange import rearrangement
@@ -91,14 +89,11 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValidationError(f"bad --grid value: {exc}") from exc
     if not 0.0 < lo < hi < math.inf:
         raise ValidationError("--grid needs 0 < min < max < inf")
-    if count < 1:
-        raise ValidationError("--grid count must be at least 1")
+    require_positive_int("--grid count", count)
     if parts[3] == "log":
         return default_z_grid(lo, hi, count, odd_pi_multiples=False)
     if parts[3] == "lin":
-        if count == 1:
-            return [lo]
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+        return [lo + (hi - lo) * i / max(1, count - 1) for i in range(count)]
     raise ValidationError("--grid scale must be 'log' or 'lin'")
 
 
@@ -174,14 +169,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_comb(args) -> int:
     f = comb_example(args.n)
     resonance = comb_resonance(args.n, args.l)
-    requested = []
-    for z in _parse_float_list(args.z, "--z") if args.z else []:
-        magnitude = abs(fourier(f, z))
-        requested.append({"z": z, "magnitude": magnitude})
+    zs = _parse_float_list(args.z, "--z") if args.z else []
     payload = {
         "input": function_to_json_dict(f),
         "crest_count": resonance.odd.crest_count,
-        "requested_points": requested,
+        "requested_points": [{"z": z, "magnitude": abs(fourier(f, z))} for z in zs],
         "resonance": resonance.to_json_dict(),
     }
     _emit_json(args, payload)
@@ -195,25 +187,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hardy(args) -> int:
-    f = _load_function(args.function, args.csv_mode)
-    try:
-        require_nonincreasing_on_halfline(f)
-    except ValidationError as exc:
-        raise ValidationError(
-            f"this command requires a nonincreasing input supported on [0, oo): {exc}"
-        ) from exc
-    u = _load_step_weight(args.u, args.csv_mode, "u")
-    v = _load_step_weight(args.v, args.csv_mode, "v")
-    report = hardy_chain_report(f, u, v, args.p, args.q)
+    f, u, v = (_load_function(spec, args.csv_mode) for spec in (args.function, args.u, args.v))
+    report = hardy_chain_report(f, u, v, args.p, args.q)  # checks every input once
     _emit_json(args, report.to_json_dict())
     return 0
-
-
-def _load_step_weight(spec: str, csv_mode: str, name: str) -> StepFunction:
-    w = _load_function(spec, csv_mode)
-    if not isinstance(w, StepFunction):
-        raise ValidationError(f"weight {name} must be a step function")
-    return w
 
 
 def _cmd_rearrange(args) -> int:

@@ -23,12 +23,13 @@ without breaking unimodality of either neighbor.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import ValidationError, ZeroFunctionError
+from .errors import ValidationError
 from .piecewise import (
     PiecewiseFunction,
     PiecewiseLinearFunction,
     StepFunction,
     make_step,
+    require_nonzero,
 )
 
 __all__ = [
@@ -63,14 +64,9 @@ def _end_points(f: PiecewiseFunction):
         yield t1, y1
 
 
-def _reject_zero(f: PiecewiseFunction) -> None:
-    if f.is_zero:
-        raise ZeroFunctionError("the crest count of the zero function is not defined")
-
-
 def count_crests(f: PiecewiseFunction) -> int:
     """Minimal number of once-cresting summands for a nonzero input."""
-    _reject_zero(f)
+    require_nonzero(f)
     return 1 + len(_cuts(f))
 
 
@@ -82,7 +78,7 @@ def decompose(f: PiecewiseFunction) -> CrestReport:
     maximizer.  The summands restrict f to the cells between cuts, so they
     are nonnegative, sum to f, and overlap only at the cuts themselves.
     """
-    _reject_zero(f)
+    require_nonzero(f)
     cuts = _cuts(f)
     pieces = _split(f, cuts)
     return CrestReport(
@@ -160,7 +156,7 @@ def brute_force_crests(f: StepFunction, max_pieces: int = 10) -> int:
     """
     if not isinstance(f, StepFunction):
         raise ValidationError("the brute-force oracle handles step functions only")
-    _reject_zero(f)
+    require_nonzero(f)
     vals = f.values
     n = len(vals)
     if n > max_pieces:

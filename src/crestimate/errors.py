@@ -1,4 +1,8 @@
-"""Exception types, and the positivity check, shared across the package."""
+"""Exception types, and the scalar argument rules shared across the package.
+
+Each scalar rule is one function here and raises ``ValidationError``:
+``require_positive``, ``require_positive_int`` and ``require_not_nan``.
+"""
 
 import math
 
@@ -26,3 +30,15 @@ def require_positive(name: str, x: float, inf_ok: bool = False) -> None:
             raise ValidationError(f"{name} must be positive")
     elif not 0.0 < x < math.inf:
         raise ValidationError(f"{name} must be positive and finite")
+
+
+def require_positive_int(name: str, n: int) -> None:
+    """Reject n unless it is an ``int`` of at least 1; bools and floats never pass."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+
+
+def require_not_nan(name: str, x: float) -> None:
+    """Reject nan; the infinities pass."""
+    if x != x:
+        raise ValidationError(f"{name} must not be nan")

@@ -23,12 +23,15 @@ import math
 from dataclasses import dataclass
 
 from .bounds import HALF_PI_SQRT_10
-from .errors import CrestimateError, ValidationError, ZeroFunctionError, require_positive
+from .errors import CrestimateError, ValidationError, require_positive
 from .piecewise import (
     PiecewiseFunction,
     StepFunction,
     integrate,
+    require_halfline_support,
     require_nonincreasing_on_halfline,
+    require_nonzero,
+    require_step_weight,
 )
 from .quadrature import simpson_adaptive
 from .rearrange import lorentz_lambda_norm
@@ -52,30 +55,20 @@ _ORIGIN_MARGIN = 1e-6
 def hardy_operator(f: PiecewiseFunction, z: float) -> float:
     """The running integral int_0^z f, exact, for z > 0 (z = inf gives the mass)."""
     require_positive("z", z, inf_ok=True)
-    if f.support_min < 0.0:
-        raise ValidationError(
-            f"input must be supported on [0, oo); support starts at {f.support_min}"
-        )
+    require_halfline_support(f)
     return integrate(f, 0.0, z)
 
 
-def _require_weight(u: StepFunction, q: float, name: str = "weight") -> None:
-    if not isinstance(u, StepFunction):
-        raise ValidationError(f"the {name} must be a step function")
-    if u.support_min < 0.0:
-        raise ValidationError(f"the {name} must be supported in [0, oo)")
-    if u.is_zero:
-        raise ValidationError(f"the {name} must not be identically zero")
+def _require_weight(u: StepFunction, q: float) -> None:
+    # the public entry points call this once; the _..._with_error cores do not
+    require_positive("q", q)
+    require_step_weight(u, "u")
+    require_halfline_support(u, "the weight u")
+    require_nonzero(u, "the weight u")
     if q < 1.0 and u.support_min < _ORIGIN_MARGIN:
         raise ValidationError(
-            f"for q < 1 the {name} support must start at or above {_ORIGIN_MARGIN:g}"
+            f"for q < 1 the weight u support must start at or above {_ORIGIN_MARGIN:g}"
         )
-
-
-def _require_decreasing_nonzero(f: PiecewiseFunction) -> None:
-    if f.is_zero:
-        raise ZeroFunctionError("input must not be identically zero")
-    require_nonincreasing_on_halfline(f)
 
 
 def _panels(lo: float, hi: float, cuts) -> list[tuple[float, float, int]]:
@@ -107,9 +100,6 @@ def _weighted_integral(u: StepFunction, integrand, panels_of) -> tuple[float, fl
 def _hardy_lhs_with_error(
     f: PiecewiseFunction, u: StepFunction, q: float, form: str
 ) -> tuple[float, float]:
-    require_positive("q", q)
-    _require_decreasing_nonzero(f)
-    _require_weight(u, q)
     total_mass = integrate(f, 0.0, math.inf)
     kinks = [x for x in f.edges if x > 0.0]
     if form == "substituted":
@@ -151,6 +141,8 @@ def hardy_lhs(
     evaluates the equivalent ``( int ( int_0^z f )^q u(1/z)/z^2 dz )^{1/q}``
     (which additionally needs the weight support to avoid the origin).
     """
+    require_nonincreasing_on_halfline(f)
+    _require_weight(u, q)
     value, _ = _hardy_lhs_with_error(f, u, q, form)
     return value
 
@@ -158,8 +150,6 @@ def hardy_lhs(
 def _fourier_weighted_norm_with_error(
     f: PiecewiseFunction, u: StepFunction, q: float
 ) -> tuple[float, float]:
-    require_positive("q", q)
-    _require_weight(u, q)
     if f.is_zero:
         return 0.0, 0.0
     # |fhat| oscillates on the z-scale pi / x_extent; start below that.
@@ -178,6 +168,7 @@ def _fourier_weighted_norm_with_error(
 
 def fourier_weighted_norm(f: PiecewiseFunction, u: StepFunction, q: float) -> float:
     """( int |fhat(z)|^q u(z) dz )^{1/q} against a compact step weight."""
+    _require_weight(u, q)
     value, _ = _fourier_weighted_norm_with_error(f, u, q)
     return value
 
@@ -214,11 +205,11 @@ def hardy_chain_report(
     f: PiecewiseFunction, u: StepFunction, v: StepFunction, p: float, q: float
 ) -> HardyReport:
     """Evaluate the full chain for a nonincreasing f and weights u, v."""
-    require_positive("p", p)
-    _require_decreasing_nonzero(f)
+    require_nonincreasing_on_halfline(f)
+    _require_weight(u, q)
+    lam = lorentz_lambda_norm(f, v, p)  # checks p and v
     fn, ferr = _fourier_weighted_norm_with_error(f, u, q)
     middle, herr = _hardy_lhs_with_error(f, u, q, "substituted")
-    lam = lorentz_lambda_norm(f, v, p)
     if fn > HALF_PI_SQRT_10 * middle * (1.0 + _CHAIN_TOLERANCE):
         raise CrestimateError(
             "internal inconsistency: the weighted transform norm exceeded "

@@ -22,6 +22,10 @@ Step functions are kept canonical: adjacent pieces with equal values are
 merged and zero-valued leading/trailing pieces are trimmed (an identically
 zero function keeps a single zero piece).  Canonical form makes equality
 comparisons and structural monotonicity checks reliable.
+
+The rules on input functions are one function each, raising ``ValidationError``:
+``require_nonzero`` (as ``ZeroFunctionError``), ``require_halfline_support``,
+``require_nonincreasing_on_halfline`` and ``require_step_weight``.
 """
 
 import csv
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, ZeroFunctionError, require_not_nan
 
 __all__ = [
     "StepFunction",
@@ -44,7 +48,10 @@ __all__ = [
     "integrate",
     "from_samples",
     "is_nonincreasing_on_halfline",
+    "require_nonzero",
+    "require_halfline_support",
     "require_nonincreasing_on_halfline",
+    "require_step_weight",
     "function_to_json_dict",
     "function_from_json_dict",
     "samples_from_csv_text",
@@ -256,9 +263,10 @@ def make_step(breakpoints: Sequence[float], values: Sequence[float]) -> StepFunc
 
 
 def evaluate(f: PiecewiseFunction, x: float) -> float:
-    """f(x) under the half-open convention; zero outside the support."""
+    """f(x) under the half-open convention; zero outside the support, nan rejected."""
     edges = f.edges
-    if x < edges[0] or x >= edges[-1]:
+    if not edges[0] <= x < edges[-1]:  # nan lands here too
+        require_not_nan("x", x)
         return 0.0
     t0, t1, y0, y1 = f.segment(bisect_right(edges, x) - 1)
     return y0 + (x - t0) * (y1 - y0) / (t1 - t0)
@@ -268,8 +276,10 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
     """Exact integral of f over [a, b], closed form per piece.
 
     If a > b the bounds are swapped and the result negated.  Infinite bounds
-    are fine: the support is compact, so they clip to it.
+    are fine: the support is compact, so they clip to it; nan is rejected.
     """
+    require_not_nan("a", a)
+    require_not_nan("b", b)
     if a > b:
         return -integrate(f, b, a)
     terms = []
@@ -335,35 +345,50 @@ def from_samples(
     raise ValidationError(f"unknown sampling mode {mode!r} (use 'left-step' or 'linear')")
 
 
-def is_nonincreasing_on_halfline(f: PiecewiseFunction) -> bool:
-    """True when f is nonincreasing on [0, oo) in the wider sense.
-
-    Structural check on the representation: the support must start exactly at
-    0 (otherwise the function rises from 0 somewhere on the positive axis)
-    and the piece/node values must never increase.
-    """
+def require_nonzero(f: PiecewiseFunction, name: str = "the input") -> None:
     if f.is_zero:
-        return False
-    if f.support_min != 0.0:
-        return False
-    prev = math.inf
-    for _, _, y0, y1 in f.segments():
-        if not prev >= y0 >= y1:
-            return False
-        prev = y1
-    return True
+        raise ZeroFunctionError(f"{name} must not be the zero function")
+
+
+def require_halfline_support(f: PiecewiseFunction, name: str = "the input") -> None:
+    if f.support_min < 0.0:
+        raise ValidationError(
+            f"{name} must be supported on [0, oo); support starts at {f.support_min}"
+        )
 
 
 def require_nonincreasing_on_halfline(f: PiecewiseFunction) -> None:
-    if f.is_zero:
-        raise ValidationError("input must not be identically zero")
+    """Reject f unless it is nonzero and nonincreasing on [0, oo) in the wider sense.
+
+    The support must start exactly at 0 (else f rises from 0 somewhere on the
+    positive axis) and the piece/node values must never increase.
+    """
+    require_nonzero(f)
     if f.support_min != 0.0:
         raise ValidationError(
             "a nonincreasing input on [0, oo) must have its support start at 0 "
             f"(support starts at {f.support_min})"
         )
-    if not is_nonincreasing_on_halfline(f):
-        raise ValidationError("input values must be nonincreasing")
+    prev = math.inf
+    for _, _, y0, y1 in f.segments():
+        if not prev >= y0 >= y1:
+            raise ValidationError("input values must be nonincreasing")
+        prev = y1
+
+
+def is_nonincreasing_on_halfline(f: PiecewiseFunction) -> bool:
+    """True when :func:`require_nonincreasing_on_halfline` accepts f."""
+    try:
+        require_nonincreasing_on_halfline(f)
+    except ValidationError:
+        return False
+    return True
+
+
+def require_step_weight(w: PiecewiseFunction, name: str) -> None:
+    """Reject a weight (``name`` is ``u`` or ``v``) unless it is a step function."""
+    if not isinstance(w, StepFunction):
+        raise ValidationError(f"the weight {name} must be a step function")
 
 
 # ---------------------------------------------------------------------------

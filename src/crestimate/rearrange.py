@@ -43,6 +43,7 @@ from .piecewise import (
     StepFunction,
     _segment_integral,
     make_step,
+    require_step_weight,
 )
 
 __all__ = [
@@ -223,8 +224,7 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
     each term is a closed form (:func:`_mean_power`); one fsum adds them.
     """
     require_positive("p", p)
-    if not isinstance(v, StepFunction):
-        raise ValidationError("the weight must be a step function")
+    require_step_weight(v, "v")
     terms = []
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
         if y0 == 0.0 and y1 == 0.0:

@@ -22,15 +22,13 @@ phases ``E0``, ``E1`` contributes
       phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
       psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
 
-  The closed form takes ``1 - cos u`` as ``sin^2 u / (1 + cos u)``; on
-  this branch ``|u| < 1``, so the denominator exceeds 1.54 and nothing
-  cancels.  Written as ``1.0 - cos(u)`` it carried the rounding of cos u,
-  divided by u, into the ramp term, about ``2^-53 / u^2`` relative: on 300
-  single linear segments with |u| log-uniform in [1e-4, 0.9] the worst
-  relative error of ``|fhat|`` against 40 digits was 7.5e-9, and is 5.6e-16
-  with the quotient.  What is left is ``sin(u) / u - cos(u)``, of size
-  u^2 / 3 from terms of size 1, about ``2^-53 / u`` relative to the piece
-  term but at right angles to it, so it barely moves ``|fhat|``.
+  The closed form takes ``1 - cos u`` as ``sin^2 u / (1 + cos u)``, as
+  ``_piece`` does; here ``|u| < 1``, so the denominator exceeds 1.54 and
+  nothing cancels (on 300 single linear segments with |u| log-uniform in
+  [1e-4, 0.9] ``|fhat|`` is within 5.6e-16 relative of 40 digits).  What
+  is left is ``sin(u) / u - cos(u)``, of size u^2 / 3 from terms of size 1,
+  about ``2^-53 / u`` relative to the piece term but at right angles to it,
+  so it barely moves ``|fhat|``.
   Below ``|u| = 1e-4`` phi and psi are read off the real kernels of the
   sine and cosine transforms instead, ``phi = c0 - i s0`` and
   ``psi = c1 - i s1`` (``_piece``, one cos and one sin per piece, or
@@ -61,7 +59,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, require_positive
-from .piecewise import PiecewiseFunction, evaluate, integrate
+from .piecewise import PiecewiseFunction, evaluate, integrate, require_halfline_support
 from .quadrature import gauss_kronrod_adaptive
 
 __all__ = [
@@ -168,10 +166,12 @@ def _piece(u: float) -> tuple[float, float, float, float]:
     Below ``|u| = 1e-2`` (``_TRIG_SERIES_CUTOFF``) each kernel is its power
     series to order u^5; the first dropped term is at most ``u^6 / 5040``,
     below 2e-16 there.  Above it the closed forms round cos u and sin u to
-    half an ulp each; ``c1``'s numerator ``cos u + u sin u - 1`` cancels from
-    terms of size 1 down to ``u^2 / 2``, so its absolute error is about
-    ``2 * 2^-53 / u^2`` (2e-12 just above the cutoff), and every closed form
-    stays within ``4 * 2^-53 * max(1, 1 / u^2)``.
+    half an ulp each.  ``1 - cos u`` is taken as ``sin^2 u / (1 + cos u)``
+    while ``cos u > 0``, so ``s0`` and ``c1 = (u sin u - (1 - cos u)) / u^2``
+    do not cancel and stay within ``4 * 2^-53`` of the exact values, as does
+    ``c0``.  ``s1``'s numerator ``sin u - u cos u`` still cancels from terms
+    of size u down to ``u^3 / 3``; it stays within
+    ``4 * 2^-53 * max(1, 1 / u^2)``.
     """
     if abs(u) < _TRIG_SERIES_CUTOFF:
         u2 = u * u
@@ -183,14 +183,8 @@ def _piece(u: float) -> tuple[float, float, float, float]:
             u * (1.0 / 3.0 - u2 / 30.0 + u4 / 840.0),
         )
     c, s = math.cos(u), math.sin(u)
-    return s / u, (1.0 - c) / u, (c + u * s - 1.0) / (u * u), (s - u * c) / (u * u)
-
-
-def _require_halfline(f: PiecewiseFunction) -> None:
-    if f.support_min < 0.0:
-        raise ValidationError(
-            f"input must be supported on [0, oo); support starts at {f.support_min}"
-        )
+    om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
+    return s / u, om / u, (u * s - om) / (u * u), (s - u * c) / (u * u)
 
 
 def _trig_pieces(f: PiecewiseFunction):
@@ -217,14 +211,14 @@ def _sine_cosine(f: PiecewiseFunction, z: float) -> tuple[float, float]:
 
 def sine_transform(f: PiecewiseFunction, z: float) -> float:
     """Sf(z) = integral_0^oo f(x) sin(xz) dx for f supported on [0, oo)."""
-    _require_halfline(f)
+    require_halfline_support(f)
     require_positive("z", z)
     return _sine_cosine(f, z)[0]
 
 
 def cosine_transform(f: PiecewiseFunction, z: float) -> float:
     """Cf(z) = integral_0^oo f(x) cos(xz) dx for f supported on [0, oo)."""
-    _require_halfline(f)
+    require_halfline_support(f)
     require_positive("z", z)
     return _sine_cosine(f, z)[1]
 
@@ -282,7 +276,7 @@ class WindowBoundReport:
 def window_bounds(f: PiecewiseFunction, z: float) -> WindowBoundReport:
     """Evaluate Sf, Cf and their comparison windows at finite z > 0."""
     require_positive("z", z)
-    _require_halfline(f)
+    require_halfline_support(f)
     half_pi = math.pi / (2.0 * z)
     sine_value, cosine_value = _sine_cosine(f, z)
     return WindowBoundReport(

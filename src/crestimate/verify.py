@@ -30,7 +30,7 @@ from .generators import (
     random_step_function,
     rng_for,
 )
-from .errors import ValidationError
+from .errors import ValidationError, require_positive_int
 from .piecewise import function_to_json_dict, integrate
 from .rearrange import rearrangement
 from .transform import fourier, window_bounds
@@ -185,6 +185,5 @@ def run_suite(family: str, trials: int, seed: int) -> SuiteResult:
         raise ValidationError(
             f"unknown family {family!r} (choose from {sorted(FAMILIES)})"
         )
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    require_positive_int("trials", trials)
     return FAMILIES[family](trials, seed)

@@ -123,18 +123,19 @@ def _mp_piece(u):
 
 
 def test_piece_kernels_match_40_digit_reference():
-    # the bound of the _piece docstring: u^6 / 5040 plus a few ulps of 1 on
-    # the series, 4 * 2^-53 * max(1, 1/u^2) on the closed forms
+    # the bounds of the _piece docstring: u^6 / 5040 plus a few ulps of 1 on
+    # the series; on the closed forms 4 * 2^-53 for c0, s0 and c1, and
+    # 4 * 2^-53 * max(1, 1/u^2) for s1
     ulp = 2.0**-53
     cut = _TRIG_SERIES_CUTOFF
     spread = [10.0 ** (-8 + k / 20) for k in range(201)]
     for u0 in spread + [cut * (1 + e) for e in (-1e-3, 1e-3)]:
         for u in (u0, -u0):
             if abs(u) < cut:
-                bound = 4 * ulp + u**6 / 5040
+                bounds = [4 * ulp + u**6 / 5040] * 4
             else:
-                bound = 4 * ulp * max(1.0, 1.0 / (u * u))
-            for got, exact in zip(_piece(u), _mp_piece(u)):
+                bounds = [4 * ulp] * 3 + [4 * ulp * max(1.0, 1.0 / (u * u))]
+            for got, exact, bound in zip(_piece(u), _mp_piece(u), bounds):
                 assert abs(got - float(exact)) <= bound, (u, got)
 
 
