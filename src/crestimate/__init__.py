@@ -19,7 +19,6 @@ from .bounds import (
     check_one_crest_bound,
     comb_example,
     comb_resonance,
-    comb_size,
     crest_lower_bound,
     default_z_grid,
 )
@@ -41,7 +40,6 @@ from .piecewise import (
     function_from_json_dict,
     function_to_json_dict,
     integrate,
-    is_nonincreasing_on_halfline,
     make_step,
 )
 from .rearrange import (
@@ -88,7 +86,6 @@ __all__ = [
     "check_one_crest_bound",
     "comb_example",
     "comb_resonance",
-    "comb_size",
     "cosine_transform",
     "count_crests",
     "crest_lower_bound",
@@ -106,7 +103,6 @@ __all__ = [
     "hardy_lhs",
     "hardy_operator",
     "integrate",
-    "is_nonincreasing_on_halfline",
     "lorentz_lambda_norm",
     "make_step",
     "rearrangement",

@@ -41,7 +41,6 @@ __all__ = [
     "check_decreasing_bound",
     "check_one_crest_bound",
     "comb_example",
-    "comb_size",
     "comb_resonance",
     "certified_crests",
     "crest_lower_bound",
@@ -144,17 +143,6 @@ def comb_example(n: int) -> StepFunction:
     breakpoints = [float(k) for k in range(10 * n)]
     values = [1.0 if k % 2 == 0 else 0.0 for k in range(10 * n - 1)]
     return make_step(breakpoints, values)
-
-
-def comb_size(f: PiecewiseFunction) -> int | None:
-    """n when f equals comb_example(n) exactly, else None."""
-    if not isinstance(f, StepFunction):
-        return None
-    pieces = len(f.values)
-    if pieces % 10 != 9:
-        return None
-    n = (pieces + 1) // 10
-    return n if f == comb_example(n) else None
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .bounds import (
     BoundCertificate,
     comb_example,
     comb_resonance,
-    comb_size,
     crest_lower_bound,
     default_z_grid,
     grid_csv_lines,
@@ -137,18 +136,6 @@ def _emit_json(args, payload: dict) -> None:
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
-def _certificate_payload(f, certificate: BoundCertificate) -> dict:
-    payload = {
-        "input": function_to_json_dict(f),
-        "crest_count": certificate.grid[0].crest_count,
-        "certificate": certificate.to_json_dict(),
-    }
-    n = comb_size(f)
-    if n is not None:
-        payload["comb_note"] = comb_resonance(n).to_json_dict()
-    return payload
-
-
 def _scan(args, f) -> BoundCertificate | None:
     """Q of f over the requested grid; in CSV format, emit its rows and return None."""
     certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
@@ -162,7 +149,12 @@ def _cmd_analyze(args) -> int:
     f = _load_function(args.input, args.csv_mode)
     certificate = _scan(args, f)
     if certificate is not None:
-        _emit_json(args, _certificate_payload(f, certificate))
+        payload = {
+            "input": function_to_json_dict(f),
+            "crest_count": certificate.grid[0].crest_count,
+            "certificate": certificate.to_json_dict(),
+        }
+        _emit_json(args, payload)
     return 0
 
 

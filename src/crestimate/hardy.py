@@ -30,8 +30,7 @@ from .piecewise import (
     integrate,
     require_halfline_support,
     require_nonincreasing_on_halfline,
-    require_nonzero,
-    require_step_weight,
+    require_weight,
 )
 from .quadrature import simpson_adaptive
 from .rearrange import lorentz_lambda_norm
@@ -62,9 +61,7 @@ def hardy_operator(f: PiecewiseFunction, z: float) -> float:
 def _require_weight(u: StepFunction, q: float) -> None:
     # the public entry points call this once; the _..._with_error cores do not
     require_positive("q", q)
-    require_step_weight(u, "u")
-    require_halfline_support(u, "the weight u")
-    require_nonzero(u, "the weight u")
+    require_weight(u, "u")
     if q < 1.0 and u.support_min < _ORIGIN_MARGIN:
         raise ValidationError(
             f"for q < 1 the weight u support must start at or above {_ORIGIN_MARGIN:g}"
@@ -208,6 +205,8 @@ def hardy_chain_report(
     require_nonincreasing_on_halfline(f)
     _require_weight(u, q)
     lam = lorentz_lambda_norm(f, v, p)  # checks p and v
+    if lam == 0.0:
+        raise ValidationError("the weight v must not vanish wherever f* is positive")
     fn, ferr = _fourier_weighted_norm_with_error(f, u, q)
     middle, herr = _hardy_lhs_with_error(f, u, q, "substituted")
     if fn > HALF_PI_SQRT_10 * middle * (1.0 + _CHAIN_TOLERANCE):
@@ -224,7 +223,7 @@ def hardy_chain_report(
         p=p,
         q=q,
         chain_ratio=fn / (HALF_PI_SQRT_10 * middle) if middle > 0.0 else math.nan,
-        hardy_to_lambda_ratio=middle / lam if lam > 0.0 else math.nan,
+        hardy_to_lambda_ratio=middle / lam,
         fourier_quadrature_error=ferr,
         hardy_quadrature_error=herr,
     )

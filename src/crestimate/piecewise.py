@@ -25,7 +25,9 @@ comparisons and structural monotonicity checks reliable.
 
 The rules on input functions are one function each, raising ``ValidationError``:
 ``require_nonzero`` (as ``ZeroFunctionError``), ``require_halfline_support``,
-``require_nonincreasing_on_halfline`` and ``require_step_weight``.
+``require_nonincreasing_on_halfline`` and ``require_weight`` (a nonzero step
+function supported in [0, oo), for both weights ``u`` and ``v``).  The data
+of every function, sampled or built, passes one check, ``_check_data``.
 """
 
 import csv
@@ -47,30 +49,26 @@ __all__ = [
     "evaluate",
     "integrate",
     "from_samples",
-    "is_nonincreasing_on_halfline",
     "require_nonzero",
     "require_halfline_support",
     "require_nonincreasing_on_halfline",
-    "require_step_weight",
+    "require_weight",
     "function_to_json_dict",
     "function_from_json_dict",
     "samples_from_csv_text",
 ]
 
 
-def _check_finite(name: str, xs: Sequence[float]) -> None:
+def _check_data(x_name: str, xs: Sequence[float], y_name: str, ys: Sequence[float]) -> None:
+    """Reject xs unless finite and strictly increasing, ys unless finite and nonnegative."""
     if not all(math.isfinite(x) for x in xs):
-        raise ValidationError(f"{name} must be finite")
-
-
-def _check_increasing(name: str, xs: Sequence[float]) -> None:
+        raise ValidationError(f"{x_name} must be finite")
     if any(a >= b for a, b in zip(xs, xs[1:])):
-        raise ValidationError(f"{name} must be strictly increasing")
-
-
-def _check_nonnegative(name: str, ys: Sequence[float]) -> None:
+        raise ValidationError(f"{x_name} must be strictly increasing")
+    if not all(math.isfinite(y) for y in ys):
+        raise ValidationError(f"{y_name} must be finite")
     if any(y < 0.0 for y in ys):
-        raise ValidationError(f"{name} must be nonnegative")
+        raise ValidationError(f"{y_name} must be nonnegative")
 
 
 class _Segments:
@@ -153,10 +151,7 @@ class StepFunction(_Segments):
             )
         if not vals:
             raise ValidationError("a step function needs at least one piece")
-        _check_finite("breakpoints", bp)
-        _check_increasing("breakpoints", bp)
-        _check_finite("values", vals)
-        _check_nonnegative("values", vals)
+        _check_data("breakpoints", bp, "values", vals)
         bp, vals = _canonical_step(bp, vals)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -222,10 +217,7 @@ class PiecewiseLinearFunction(_Segments):
             )
         if len(nd) < 2:
             raise ValidationError("a piecewise-linear function needs at least two nodes")
-        _check_finite("nodes", nd)
-        _check_increasing("nodes", nd)
-        _check_finite("node_values", vals)
-        _check_nonnegative("node_values", vals)
+        _check_data("nodes", nd, "node_values", vals)
         object.__setattr__(self, "nodes", nd)
         object.__setattr__(self, "node_values", vals)
 
@@ -324,10 +316,7 @@ def from_samples(
         raise ValidationError(f"expected len(xs) == len(ys), got {len(xs)} != {len(ys)}")
     if len(xs) < 2:
         raise ValidationError("need at least two samples")
-    _check_finite("xs", xs)
-    _check_increasing("xs", xs)
-    _check_finite("ys", ys)
-    _check_nonnegative("ys", ys)
+    _check_data("xs", xs, "ys", ys)
     if mode == "left-step":
         last_gap = xs[-1] - xs[-2]
         return make_step(xs + [xs[-1] + last_gap], ys)
@@ -376,19 +365,13 @@ def require_nonincreasing_on_halfline(f: PiecewiseFunction) -> None:
         prev = y1
 
 
-def is_nonincreasing_on_halfline(f: PiecewiseFunction) -> bool:
-    """True when :func:`require_nonincreasing_on_halfline` accepts f."""
-    try:
-        require_nonincreasing_on_halfline(f)
-    except ValidationError:
-        return False
-    return True
-
-
-def require_step_weight(w: PiecewiseFunction, name: str) -> None:
-    """Reject a weight (``name`` is ``u`` or ``v``) unless it is a step function."""
+def require_weight(w: PiecewiseFunction, name: str) -> None:
+    """Reject a weight (``name`` is ``u`` or ``v``) unless it is a nonzero
+    step function supported in [0, oo)."""
     if not isinstance(w, StepFunction):
         raise ValidationError(f"the weight {name} must be a step function")
+    require_halfline_support(w, f"the weight {name}")
+    require_nonzero(w, f"the weight {name}")
 
 
 # ---------------------------------------------------------------------------

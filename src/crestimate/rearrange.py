@@ -43,7 +43,7 @@ from .piecewise import (
     StepFunction,
     _segment_integral,
     make_step,
-    require_step_weight,
+    require_weight,
 )
 
 __all__ = [
@@ -220,11 +220,12 @@ def rearrangement_integral(f: PiecewiseFunction, t: float) -> float:
 def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> float:
     """Weighted norm ( integral (f*)^p v )^(1/p) against a step weight v, exact.
 
-    f* is linear on each overlap of its segments with the weight's pieces, so
-    each term is a closed form (:func:`_mean_power`); one fsum adds them.
+    v must be a nonzero step function supported in [0, oo).  f* is linear on
+    each overlap of its segments with the weight's pieces, so each term is a
+    closed form (:func:`_mean_power`); one fsum adds them.
     """
     require_positive("p", p)
-    require_step_weight(v, "v")
+    require_weight(v, "v")
     terms = []
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
         if y0 == 0.0 and y1 == 0.0:

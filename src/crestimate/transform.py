@@ -76,6 +76,10 @@ __all__ = [
 PHASE_SERIES_CUTOFF = 1e-4
 # the real trig kernels cancel at order u^2, so they switch earlier
 _TRIG_SERIES_CUTOFF = 1e-2
+# s1's closed form cancels by 1/u^2, so it keeps its series up to here;
+# the coefficients of u^15, u^13, ..., u^1, highest first
+_S1_SERIES_CUTOFF = 0.5
+_S1_SERIES = tuple((-1) ** (k + 1) * 2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
 
 
 def _phase(theta: float) -> complex:
@@ -169,9 +173,11 @@ def _piece(u: float) -> tuple[float, float, float, float]:
     half an ulp each.  ``1 - cos u`` is taken as ``sin^2 u / (1 + cos u)``
     while ``cos u > 0``, so ``s0`` and ``c1 = (u sin u - (1 - cos u)) / u^2``
     do not cancel and stay within ``4 * 2^-53`` of the exact values, as does
-    ``c0``.  ``s1``'s numerator ``sin u - u cos u`` still cancels from terms
-    of size u down to ``u^3 / 3``; it stays within
-    ``4 * 2^-53 * max(1, 1 / u^2)``.
+    ``c0``.  ``s1``'s closed form ``(sin u - u cos u) / u^2`` cancels from
+    terms of size u down to ``u^3 / 3``, within ``4 * 2^-53 * max(1, 1 / u^2)``,
+    so below ``|u| = 0.5`` (``_S1_SERIES_CUTOFF``) ``s1`` is its power series
+    ``sum_k (-1)^(k+1) 2k u^(2k-1) / (2k+1)!`` through ``u^15``, whose first
+    dropped term is below ``10^-20`` relative there.
     """
     if abs(u) < _TRIG_SERIES_CUTOFF:
         u2 = u * u
@@ -184,7 +190,15 @@ def _piece(u: float) -> tuple[float, float, float, float]:
         )
     c, s = math.cos(u), math.sin(u)
     om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
-    return s / u, om / u, (u * s - om) / (u * u), (s - u * c) / (u * u)
+    if abs(u) < _S1_SERIES_CUTOFF:
+        u2 = u * u
+        s1 = 0.0
+        for coefficient in _S1_SERIES:
+            s1 = s1 * u2 + coefficient
+        s1 *= u
+    else:
+        s1 = (s - u * c) / (u * u)
+    return s / u, om / u, (u * s - om) / (u * u), s1
 
 
 def _trig_pieces(f: PiecewiseFunction):

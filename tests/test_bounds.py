@@ -13,7 +13,6 @@ from crestimate import (
     check_one_crest_bound,
     comb_example,
     comb_resonance,
-    comb_size,
     cosine_transform,
     count_crests,
     crest_lower_bound,
@@ -148,16 +147,6 @@ def test_comb_example_structure():
         comb_example(0)
     with pytest.raises(ValidationError):
         comb_example(-3)
-
-
-def test_comb_size_detection():
-    assert comb_size(comb_example(1)) == 1
-    assert comb_size(comb_example(3)) == 3
-    assert comb_size(BOX) is None
-    assert comb_size(TRIANGLE) is None
-    # right piece count but wrong shape
-    wrong = make_step(list(range(10)), [2.0 if k % 2 == 0 else 0.0 for k in range(9)])
-    assert comb_size(wrong) is None
 
 
 def test_comb_resonance_records_both_points():

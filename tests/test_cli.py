@@ -7,23 +7,32 @@ import pytest
 from crestimate import (
     PiecewiseLinearFunction,
     bound_report,
+    comb_example,
     comb_resonance,
     crest_lower_bound,
     function_from_json_dict,
+    function_to_json_dict,
     hardy_chain_report,
     make_step,
     rearrangement,
 )
 from crestimate import crests
 from crestimate.cli import main
-from crestimate.errors import ConvergenceError
+from crestimate.errors import ConvergenceError, ValidationError
 
 BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1]}'
 
 
+def _reject_constant(token):
+    raise AssertionError(f"{token} in a JSON report")
+
+
 def run_cli(capsys, *argv):
+    """Run the CLI; a successful JSON report on stdout must be strict JSON."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0 and captured.out.startswith("{"):
+        json.loads(captured.out, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -55,8 +64,6 @@ def test_analyze_file_and_out(tmp_path, capsys):
     assert payload["certificate"]["crest_lower_bound"] == 2
     assert payload["certificate"]["root_lower_bound"] == 1
     assert payload["certificate"]["derived_root_bound"] == 3
-    assert "comb_note" in payload
-    assert payload["comb_note"]["even"]["transform_magnitude"] < 1e-10
 
 
 def test_analyze_csv_format_output(capsys):
@@ -246,6 +253,36 @@ def test_hardy_rejects_nondecreasing_input(capsys):
     assert "nonincreasing" in err
 
 
+def test_analyze_report_keys_do_not_depend_on_the_input(capsys):
+    keys = []
+    for spec in (COMB_2_JSON, BOX_JSON):
+        code, out, _ = run_cli(capsys, "analyze", spec, "--grid", "1:10:4:log")
+        assert code == 0
+        keys.append(list(json.loads(out)))
+    assert keys == [["input", "crest_count", "certificate"]] * 2
+
+
+# weights v that the Lorentz side cannot use: zero, supported left of 0, and
+# vanishing wherever f* = (2 on [0, 1), 1 on [1, 3)) is positive
+HARDY_F = '{"type":"step","breakpoints":[0,1,3],"values":[2,1]}'
+HARDY_U = '{"type":"step","breakpoints":[0.5,3],"values":[1]}'
+BAD_V = {
+    "zero": '{"type":"step","breakpoints":[0,1],"values":[0]}',
+    "left-of-0": '{"type":"step","breakpoints":[-2,-1],"values":[1]}',
+    "past-f-star": '{"type":"step","breakpoints":[5,6],"values":[1]}',
+}
+
+
+@pytest.mark.parametrize("v", BAD_V.values(), ids=BAD_V.keys())
+def test_hardy_rejects_a_weight_v_the_lorentz_side_cannot_use(v, capsys):
+    code, out, err = run_cli(capsys, "hardy", HARDY_F, HARDY_U, v, "--p", "2", "--q", "2")
+    assert code == 1 and not out
+    assert err.startswith("error:") and "the weight v" in err
+    f, u, v = (function_from_json_dict(json.loads(spec)) for spec in (HARDY_F, HARDY_U, v))
+    with pytest.raises(ValidationError, match="the weight v"):
+        hardy_chain_report(f, u, v, 2.0, 2.0)
+
+
 def test_hardy_rejects_bad_exponent(capsys):
     for bad_p in ("0", "nan"):
         code, _, err = run_cli(capsys, "hardy", BOX_JSON, BOX_JSON, BOX_JSON, "--p", bad_p, "--q", "2")
@@ -346,9 +383,15 @@ def test_report_keys_are_record_fields_in_order():
         assert list(record.to_json_dict()) == [f.name for f in dataclasses.fields(record)]
 
 
-@pytest.mark.parametrize("command, crest_count", [("analyze", 2), ("comb", 10)])
+COMB_2_JSON = json.dumps(function_to_json_dict(comb_example(2)))
+
+
+@pytest.mark.parametrize(
+    "command, crest_count", [("analyze", 2), ("comb", 10), ("analyze-comb", 10)]
+)
 def test_crests_counted_once_per_command(command, crest_count, tmp_path, monkeypatch, capsys):
-    # the scan counts the crests; the report reads the count off its records
+    # the scan counts the crests; the report reads the count off its records,
+    # and an input equal to a comb is analyzed like any other
     calls = []
     cuts = crests._cuts
 
@@ -359,7 +402,11 @@ def test_crests_counted_once_per_command(command, crest_count, tmp_path, monkeyp
     monkeypatch.setattr(crests, "_cuts", counting)
     src = tmp_path / "two-crests.json"
     src.write_text('{"type":"step","breakpoints":[0,1,2,3],"values":[1,0,2]}')
-    argv = ["analyze", str(src)] if command == "analyze" else ["comb", "2"]
+    argv = {
+        "analyze": ["analyze", str(src)],
+        "comb": ["comb", "2"],
+        "analyze-comb": ["analyze", COMB_2_JSON],
+    }[command]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["crest_count"] == crest_count

@@ -178,8 +178,8 @@ def test_hardy_command_checks_each_input_once(monkeypatch, capsys):
             monkeypatch.setattr(module, name, wrapped)
 
     count("require_nonincreasing_on_halfline", hardy)
-    count("require_step_weight", hardy, rearrange)
-    count("require_nonzero", hardy, piecewise)
+    count("require_weight", hardy, rearrange)
+    count("require_nonzero", piecewise)
     f = '{"type":"step","breakpoints":[0,1,3],"values":[2,1]}'
     u = '{"type":"step","breakpoints":[0.5,2],"values":[3]}'
     v = '{"type":"step","breakpoints":[0,4],"values":[4]}'
@@ -189,9 +189,45 @@ def test_hardy_command_checks_each_input_once(monkeypatch, capsys):
         ("require_nonincreasing_on_halfline", (2.0, 1.0)),
         ("require_nonzero", (2.0, 1.0)),
         ("require_nonzero", (3.0,)),
-        ("require_step_weight", (3.0,)),
-        ("require_step_weight", (4.0,)),
+        ("require_nonzero", (4.0,)),
+        ("require_weight", (3.0,)),
+        ("require_weight", (4.0,)),
     ]
+
+
+@pytest.mark.parametrize(
+    "v, error, message",
+    [
+        (ZERO, ZeroFunctionError, "the weight v must not be the zero function"),
+        (make_step([-1, 1], [1]), ValidationError, r"the weight v must be supported on \[0, oo\)"),
+    ],
+    ids=["zero", "left-of-0"],
+)
+def test_lorentz_norm_holds_v_to_the_weight_rule(v, error, message):
+    with pytest.raises(error, match=message):
+        lorentz_lambda_norm(BOX, v, 2.0)
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (lambda xs, ys: piecewise.from_samples(xs, ys), ("xs", "ys")),
+        (lambda xs, ys: make_step([*xs, xs[-1] + 1.0], ys), ("breakpoints", "values")),
+        (lambda xs, ys: PiecewiseLinearFunction(xs, ys), ("nodes", "node_values")),
+    ],
+    ids=["from_samples", "StepFunction", "PiecewiseLinearFunction"],
+)
+def test_data_messages_name_the_fields(build, names):
+    x_name, y_name = names
+    cases = [
+        ((0.0, math.inf), (1.0, 1.0), f"{x_name} must be finite"),
+        ((1.0, 0.0), (1.0, 1.0), f"{x_name} must be strictly increasing"),
+        ((0.0, 1.0), (1.0, NAN), f"{y_name} must be finite"),
+        ((0.0, 1.0), (1.0, -1.0), f"{y_name} must be nonnegative"),
+    ]
+    for xs, ys, message in cases:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(xs, ys)
 
 
 def test_sine_transform_of_box_at_small_z_matches_40_digits():

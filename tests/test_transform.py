@@ -22,7 +22,7 @@ from crestimate.generators import (
     random_step_function,
     rng_for,
 )
-from crestimate.transform import _TRIG_SERIES_CUTOFF, _piece
+from crestimate.transform import _S1_SERIES_CUTOFF, _TRIG_SERIES_CUTOFF, _piece
 
 BOX = make_step([0, 1], [1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
@@ -124,19 +124,24 @@ def _mp_piece(u):
 
 def test_piece_kernels_match_40_digit_reference():
     # the bounds of the _piece docstring: u^6 / 5040 plus a few ulps of 1 on
-    # the series; on the closed forms 4 * 2^-53 for c0, s0 and c1, and
-    # 4 * 2^-53 * max(1, 1/u^2) for s1
+    # the series; on the closed forms 4 * 2^-53 for c0, s0 and c1; for s1
+    # 4 * 2^-53 relative on its long series and 4 * 2^-53 * max(1, 1/u^2)
+    # on its closed form, at most 16 * 2^-53 since |u| >= 0.5 there
     ulp = 2.0**-53
     cut = _TRIG_SERIES_CUTOFF
     spread = [10.0 ** (-8 + k / 20) for k in range(201)]
-    for u0 in spread + [cut * (1 + e) for e in (-1e-3, 1e-3)]:
+    edges = [c * (1 + e) for c in (cut, _S1_SERIES_CUTOFF) for e in (-1e-3, 1e-3)]
+    for u0 in spread + edges:
         for u in (u0, -u0):
+            exact = [float(x) for x in _mp_piece(u)]
             if abs(u) < cut:
                 bounds = [4 * ulp + u**6 / 5040] * 4
+            elif abs(u) < _S1_SERIES_CUTOFF:
+                bounds = [4 * ulp] * 3 + [4 * ulp * abs(exact[3])]
             else:
-                bounds = [4 * ulp] * 3 + [4 * ulp * max(1.0, 1.0 / (u * u))]
-            for got, exact, bound in zip(_piece(u), _mp_piece(u), bounds):
-                assert abs(got - float(exact)) <= bound, (u, got)
+                bounds = [4 * ulp] * 3 + [4 * ulp / min(1.0, u * u)]
+            for got, want, bound in zip(_piece(u), exact, bounds):
+                assert abs(got - want) <= bound, (u, got)
 
 
 def test_sine_cosine_box_at_pi():
