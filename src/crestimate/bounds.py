@@ -167,11 +167,16 @@ class CombResonance:
         return {**vars(self), "odd": self.odd.to_json_dict(), "even": self.even.to_json_dict()}
 
 
-def comb_resonance(n: int, l: int = 50) -> CombResonance:
+def comb_resonance(n: int, l: int = 50, comb: StepFunction | None = None) -> CombResonance:
+    """Q of ``comb_example(n)`` at ``(2l+1) pi`` and ``2l pi``.
+
+    ``comb`` is that comb when the caller already holds it; it is built here
+    otherwise.
+    """
     require_positive_int("l", l)
     if 2 * l + 1 > sys.float_info.max / math.pi:  # exact int-float comparison
         raise ValidationError("l is too large: (2l+1)*pi is beyond float range")
-    f = comb_example(n)
+    f = comb if comb is not None else comb_example(n)
     # the scan sorts and deduplicates its grid, so the even row comes first
     rows = crest_lower_bound(f, [(2 * l + 1) * math.pi, 2 * l * math.pi]).grid
     if len(rows) != 2:

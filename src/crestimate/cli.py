@@ -160,7 +160,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_comb(args) -> int:
     f = comb_example(args.n)
-    resonance = comb_resonance(args.n, args.l)
+    resonance = comb_resonance(args.n, args.l, f)
     zs = _parse_float_list(args.z, "--z") if args.z else []
     payload = {
         "input": function_to_json_dict(f),

@@ -98,8 +98,9 @@ class _Segments:
         return integrate(self, -math.inf, math.inf)
 
     @cached_property
-    def edge_table(self) -> tuple[float, tuple[tuple[float, ...], ...]]:
-        """``(c, rows)``: the edges of the nonzero segments, centred at an edge c.
+    def edge_table(self) -> tuple:
+        """``(c, reach, rows, lattice)``: the edges of the nonzero segments,
+        centred at an edge c, and a lattice table when their lengths repeat.
 
         ``c`` is the middle entry of ``edges``.  There is one row per edge x
         of a nonzero segment, left to right:
@@ -109,13 +110,21 @@ class _Segments:
         nonzero segments meeting at x.  ``wl, yl, sl`` are the width, end
         value and slope of the nonzero segment ending at x, and
         ``wr, yr, dyr, sr`` the width, start value, rise and slope of the
-        one starting there; an absent side is all zeros.  The table does
-        not depend on z, so it is built once per function.
+        one starting there; an absent side is all zeros.  ``reach`` is the
+        largest ``|x - c|`` and ``|c|``, so every phase argument of the edge
+        loop is at most ``reach |z|``.
+
+        ``lattice`` (see ``_lattice_table``) is set when the nonzero
+        segments repeat their lengths: when their distinct widths and gaps
+        between consecutive left edges number at most half the rows; it is
+        None otherwise.  The table does not depend on z, so it is built once
+        per function.  Plain tuples keep unpacking it cheap per call.
         """
         edges = self.edges
         centre = edges[len(edges) // 2]
         rows = []
-        x = None  # right edge of the last nonzero segment
+        lengths = set()  # widths and gaps between consecutive left edges
+        x = a = None  # right and left edge of the last nonzero segment
         left = _NO_END
         for t0, t1, y0, y1 in self.segments():
             if y0 == 0.0 and y1 == 0.0:
@@ -128,10 +137,48 @@ class _Segments:
             dy = y1 - y0
             s = dy / w
             rows.append(_edge_row(t0 - centre, left, (w, y0, dy, s)))
-            x, left = t1, (w, y1, s)
+            lengths.add(w)
+            if a is not None:
+                lengths.add(t0 - a)
+            x, a, left = t1, t0, (w, y1, s)
         if x is not None:
             rows.append(_edge_row(x - centre, left, _NO_START))
-        return centre, tuple(rows)
+        reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
+        lattice = self._lattice_table() if rows and 2 * len(lengths) <= len(rows) else None
+        return centre, reach, tuple(rows), lattice
+
+    def _lattice_table(self) -> tuple:
+        """``(anchor, reach, lengths, widths, sloped, rows)``: the nonzero
+        segments by the index of their lengths.
+
+        ``lengths`` are distinct: the widths of sloped segments first
+        (``sloped`` of them), then the other widths (``widths`` in all), then
+        the gaps between consecutive left edges that are no width.  There is
+        one row per nonzero segment, right to left: ``(gap, width, y0, dy)``,
+        with ``gap`` the index of the distance to the next left edge on the
+        right (0 on the rightmost segment, where nothing follows) and
+        ``width`` the index of its width.  ``anchor`` is the leftmost left
+        edge, and ``reach`` the largest of ``|anchor|`` and the lengths.
+        """
+        segments = [
+            (t0, t1 - t0, y0, y1 - y0)
+            for t0, t1, y0, y1 in self.segments()
+            if y0 != 0.0 or y1 != 0.0
+        ]
+        sloped = {w for _, w, _, dy in segments if dy}
+        flat = {w for _, w, _, _ in segments} - sloped
+        gaps = {b[0] - a[0] for a, b in zip(segments, segments[1:])} - sloped - flat
+        lengths = (*sloped, *flat, *gaps)
+        index = {length: k for k, length in enumerate(lengths)}
+        rows = []
+        right = None  # left edge of the next nonzero segment to the right
+        for t0, w, y0, dy in reversed(segments):
+            gap = index[right - t0] if right is not None else 0
+            rows.append((gap, index[w], y0, dy))
+            right = t0
+        anchor = segments[0][0]
+        reach = max(abs(anchor), *lengths)
+        return anchor, reach, lengths, len(sloped) + len(flat), len(sloped), tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,55 @@ and makes the arguments independent of where the input sits: translating
 it by an offset that keeps every ``x - c`` exact leaves the centred sum the
 same bits, so ``|fhat|`` moves only by the rounding of the final product.
 
+Inputs whose nonzero segments repeat their lengths take a lattice sum
+instead: sampled traces on an evenly spaced grid whose steps are exact
+floats, and step functions on a coarse dyadic lattice.  The lengths are the
+widths of the nonzero segments and the gaps between consecutive left edges;
+when there are at most half as many distinct ones as rows in the edge table,
+the last entry of ``f.edge_table`` holds them, chosen once per function.  Then, with
+``a`` the leftmost left edge, ``g_j`` the gap from segment j to the next and
+``p_j = w (y0 phi(u) + (y1 - y0) psi(u))`` its piece term without its phase,
+
+    fhat(z) = exp(-iaz) S_0,   S_j = S_(j+1) exp(-i g_j z) + p_j,
+
+by Horner's rule from the rightmost segment.  Each distinct length L costs
+one ``exp(-iLz)``, one cos and one sin, and the piece factors of a width are
+read off them: ``w phi(u) = (sin u - i (1 - cos u)) / z``, with
+``1 - cos u`` as ``sin^2 u / (1 + cos u)`` while ``cos u > 0``, and for a
+sloped segment's width ``w psi(u) = w (c1 - i s1)`` as in ``_piece``; below
+``|u| = 1e-2`` both are ``_piece``'s series.  Every segment keeps its piece
+form, so there is no wide/narrow split and no trig call per segment.  On
+the few-piece functions of ``verify`` a typical input has 8 distinct
+lengths for 9 rows, and setting up a table per z would cost more than the
+edge loop saves, hence the rule.  At z = 0 every function takes the edge loop,
+which adds the segment integrals left to right.
+
+The lattice sum's error, with u = 2^-53, n nonzero segments,
+``M = sum w (|y0| + |y1 - y0| / 2)`` (at least ``sum |p_j|``, as
+``|phi| <= 1`` and ``|psi| <= 1/2``) and W the span from a to the right end
+of the last segment:
+
+* a gap and its product with z round by at most ``2u |g z|``, and the phase
+  of ``p_j`` is the sum of the gaps left of it, so these roundings move the
+  result by at most ``2u |z| W M``, and ``a z`` by ``u |a z| M``;
+* each Horner step multiplies a partial sum, of size at most M, by a phase
+  step within ``sqrt(2) u`` of its value (cos and sin within an ulp), with
+  a complex product within ``sqrt(5) u``, and adds a term, rounding by u:
+  below ``5u M`` per step, n steps with the anchor factor;
+* the bounds of ``_piece`` and the products put each ``p_j`` within
+  ``48u w (|y0| + |y1 - y0| / 2)``.
+
+So the computed value is within ``(5n + 2 |z| W + |a z| + 64) u M`` of
+fhat.  The phase roundings are those of short lengths times z, not of
+``(x - c) z``, and they add along the sum like a random walk: on a
+1,024-piece step function (``bench`` step-scan seed 1) the worst relative
+error of ``|fhat|`` over the default grid against 40 digits is 1.4e-11,
+where the edge loop's is 2.6e-10, and on a 1,601-sample trace
+(linear-roots seed 1) 6.4e-14, against 2.9e-12.  The one exception is small
+z on long runs of one gap: there the same rounded phase step multiplies the
+sum again and again, so its rounding adds up in step, to about 1e-14
+relative on that trace where the edge loop gives 2e-15.
+
 The sine and cosine transforms are computed together, in one pass, from
 separate real closed forms (so the identity ``fhat = Cf - i Sf`` is a
 genuine cross-check of :func:`fourier`, not a tautology).
@@ -55,6 +104,7 @@ included for independent verification of the closed forms; nothing in the
 closed-form paths calls it.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -90,16 +140,22 @@ def _phase(theta: float) -> complex:
 def fourier(f: PiecewiseFunction, z: float) -> complex:
     """Exact transform value fhat(z) for finite z; z = 0 gives the total integral.
 
-    One pass over the rows of ``f.edge_table``; each edge's centred phase
+    A function whose segment lengths repeat (the last entry of
+    ``f.edge_table`` is its lattice table) takes the lattice sum at every z
+    but 0; any other takes one pass over the rows of ``f.edge_table``, where
+    each edge's centred phase
     ``E = cos t - i sin t``, ``t = (x - c) z``, costs one cos and one sin.
     Wide segments enter through the jumps and kinks at their edges, narrow
     ones through their piece form at their left edge (see the module
-    docstring).  Every sum is kept on real and imaginary parts, and each
-    imaginary part is odd in z and built from the same operations for z and
-    -z, so ``fourier(f, -z) == fourier(f, z).conjugate()`` holds exactly.
+    docstring).  On either path each imaginary part is odd in z and built
+    from the same operations for z and -z, so
+    ``fourier(f, -z) == fourier(f, z).conjugate()`` holds exactly.
+    A z so large that a phase argument overflows is rejected.
     """
-    _require_finite(z)
-    centre, rows = f.edge_table
+    centre, reach, rows, lattice = f.edge_table
+    if lattice and z:  # nan and inf are rejected there
+        return _lattice_sum(lattice, z)
+    _require_finite_phase(reach, z)
     wide = 1.0 / abs(z) if z else math.inf  # segments at least this wide are wide
     cutoff = PHASE_SERIES_CUTOFF
     cos, sin = math.cos, math.sin
@@ -156,9 +212,58 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
     return complex(re * pc + im * ps, im * pc - re * ps)
 
 
+def _lattice_sum(lattice: tuple, z: float) -> complex:
+    """fhat(z) by Horner's rule over the segments, right to left.
+
+    One complex exponential per distinct length L gives the phase step
+    ``exp(-iu)``, ``u = L z``, and from its cos and sin, for a width, the
+    piece factor ``L phi(u) = (sin u - i (1 - cos u)) / z`` and, for the
+    width of a sloped segment, ``L psi(u) = L (c1 - i s1)``; below
+    ``|u| = 1e-2`` both read the series of ``_piece`` (see the module
+    docstring).  The sum is anchored at the leftmost edge.
+    """
+    anchor, reach, lengths, widths, sloped, rows = lattice
+    _require_finite_phase(reach, z)
+    cutoff = _TRIG_SERIES_CUTOFF
+    mz = complex(0.0, -z)
+    # the argument's real part is a zero, so exp is (cos u, -sin u) to the bit
+    step = [cmath.exp(length * mz) for length in lengths]
+    phi, psi = [], []  # L phi(u) and L psi(u) per width
+    for k in range(widths):
+        length = lengths[k]
+        u = length * z
+        if -cutoff < u < cutoff:
+            c0, s0, c1, s1 = _piece(u)
+            phi.append(complex(length * c0, -length * s0))
+        else:
+            c, s = step[k].real, -step[k].imag
+            om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
+            phi.append(complex(s / z, -om / z))
+            if k < sloped:
+                c1, s1 = _ramp(u, c, s, om)
+        if k < sloped:
+            psi.append(complex(length * c1, -length * s1))
+    acc = 0j
+    if sloped:  # one expression per row is faster than a test for dy
+        psi += [0j] * (widths - sloped)
+        for gap, width, y0, dy in rows:
+            acc = acc * step[gap] + y0 * phi[width] + dy * psi[width]
+    else:
+        for gap, width, y0, _ in rows:
+            acc = acc * step[gap] + y0 * phi[width]
+    return acc * cmath.exp(anchor * mz)
+
+
 def _require_finite(z: float) -> None:
     if not math.isfinite(z):
         raise ValidationError("z must be finite")
+
+
+def _require_finite_phase(reach: float, z: float) -> None:
+    """Reject z unless it and every phase argument, at most ``reach |z|``, are finite."""
+    if not math.isfinite(reach * z):
+        _require_finite(z)
+        raise ValidationError(f"z = {z!r} is too large: a phase argument overflows")
 
 
 # --- real kernels: integral_0^w (..) over one piece in local coordinates ---
@@ -190,6 +295,11 @@ def _piece(u: float) -> tuple[float, float, float, float]:
         )
     c, s = math.cos(u), math.sin(u)
     om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
+    return s / u, om / u, *_ramp(u, c, s, om)
+
+
+def _ramp(u: float, c: float, s: float, om: float) -> tuple[float, float]:
+    """(c1, s1) for ``|u| >= 1e-2`` from cos u, sin u and 1 - cos u (see ``_piece``)."""
     if abs(u) < _S1_SERIES_CUTOFF:
         u2 = u * u
         s1 = 0.0
@@ -198,7 +308,7 @@ def _piece(u: float) -> tuple[float, float, float, float]:
         s1 *= u
     else:
         s1 = (s - u * c) / (u * u)
-    return s / u, om / u, (u * s - om) / (u * u), s1
+    return (u * s - om) / (u * u), s1
 
 
 def _trig_pieces(f: PiecewiseFunction):
@@ -209,7 +319,12 @@ def _trig_pieces(f: PiecewiseFunction):
 
 
 def _sine_cosine(f: PiecewiseFunction, z: float) -> tuple[float, float]:
-    """(Sf(z), Cf(z)) in one pass: two fsums over the same per-piece integrals."""
+    """(Sf(z), Cf(z)) in one pass: two fsums over the same per-piece integrals.
+
+    f is supported on [0, oo), so every start and width is at most its
+    ``support_max``.
+    """
+    _require_finite_phase(f.support_max, z)
     sine_terms = []
     cosine_terms = []
     for a, w, y0, dy in _trig_pieces(f):

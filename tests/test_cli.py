@@ -122,6 +122,8 @@ def test_inline_json_longer_than_a_file_name(tmp_path, capsys):
 HOT_BOX = '{"type":"step","breakpoints":[0,1],"values":[3]}'
 HOT_WEIGHT = '{"type":"step","breakpoints":[0.5,2],"values":[3]}'
 HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "]}"
+# its lengths do not repeat, so fourier takes the edge loop; the comb's do
+TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
 
 
 @pytest.mark.parametrize(
@@ -134,8 +136,20 @@ HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "
         (("analyze", HUGE_INT_JSON), 1, "beyond float range"),
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2000", "--q", "2"), 2, "overflow"),
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2", "--q", "2000"), 2, "overflow"),
+        (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
+        (("comb", "1", "--z", "1e308"), 1, "too large"),
     ],
-    ids=["directory", "not-utf8", "name-too-long", "out-dir-missing", "huge-int", "p-2000", "q-2000"],
+    ids=[
+        "directory",
+        "not-utf8",
+        "name-too-long",
+        "out-dir-missing",
+        "huge-int",
+        "p-2000",
+        "q-2000",
+        "phase-overflow-edges",
+        "phase-overflow-lattice",
+    ],
 )
 def test_failures_exit_with_one_line(argv, code, fragment, tmp_path, capsys):
     (tmp_path / "latin1.json").write_bytes(b'{"type":"step","breakpoints":[0,1],"values":[1]}\xe9')
@@ -204,6 +218,20 @@ def test_comb_command_magnitudes(capsys):
     assert math.isclose(mags[2], 10.0 / (3.0 * math.pi), rel_tol=1e-9)
     assert payload["crest_count"] == 5
     assert "vanishes" in payload["resonance"]["note"]
+
+
+def test_comb_command_builds_the_comb_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return comb_example(n)
+
+    monkeypatch.setattr("crestimate.cli.comb_example", counting)
+    monkeypatch.setattr("crestimate.bounds.comb_example", counting)
+    code, _, _ = run_cli(capsys, "comb", "2", "--z", "3.0")
+    assert code == 0
+    assert calls == [2]
 
 
 def test_comb_rejects_nonpositive_size(capsys):

@@ -11,8 +11,9 @@ decomposition that rescanned every piece per cell, the separate sine and
 cosine loops, the two adaptive quadrature engines with their Hardy loops,
 and the Lorentz norm that ran adaptive Simpson on linear input.  The
 library must agree with them exactly, with no tolerance, except for the
-transform, which now sums centred edge phases (within a derived rounding
-bound, and against 40 digits at 10^4 pieces), and the linear Lorentz norm,
+transform, which now sums centred edge phases or, on inputs whose segment
+lengths repeat, runs Horner's rule over the segments (within a derived
+rounding bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear Lorentz norm,
 which is now exact (see their tests).
 """
 
@@ -20,6 +21,7 @@ import cmath
 import heapq
 import math
 from bisect import bisect_right
+from collections import defaultdict
 
 import mpmath
 import pytest
@@ -369,12 +371,15 @@ def _branches(widths, z):
 
 
 def _check_fourier_family(family, rng):
-    every = [0, 0, 0]
+    """Counts of z taking only the series, closed-form or wide branch, then
+    of functions taking the edge loop and the lattice sum."""
+    every = [0, 0, 0, 0, 0]
     for f in family:
         widths = [t1 - t0 for t0, t1, y0, y1 in f.segments() if y0 != 0.0 or y1 != 0.0]
         if not widths:
             assert fourier(f, 1.0) == 0.0 == _oracle_fourier(f, 1.0)
             continue
+        every[4 if f.edge_table[-1] else 3] += 1  # the lattice table, or None
         zs = [log_uniform(rng, 1e-3, 1e3), -log_uniform(rng, 1e-3, 1e3), *_branch_zs(widths)]
         for z in zs + [-z for z in zs[2:]]:
             value = fourier(f, z)
@@ -391,8 +396,41 @@ def test_linear_fourier_within_rounding_of_segment_kernel():
     assert all(count > 0 for count in every), every
 
 
+def _lattice_function(rng):
+    """Segments on the 1/32 lattice, 1 to 4 cells wide, so a few lengths repeat.
+
+    A step function with zero gaps, a comb, or samples through
+    :func:`from_samples` in either mode, with some runs of zeros.
+    """
+    roll = rng.random()
+    if roll < 0.1:
+        return comb_example(rng.randint(1, 4))
+    n = rng.randint(24, 160)
+    x = rng.randint(-256, 256) / 32
+    if roll < 0.55:
+        breakpoints = [x]
+        for _ in range(n):
+            breakpoints.append(breakpoints[-1] + rng.randint(1, 4) / 32)
+        values = [rng.choice((0.0, rng.randint(1, 64) / 16)) for _ in range(n)]
+        values[0] = values[-1] = 1.0
+        return make_step(breakpoints, values)
+    ys = [0.0 if rng.random() < 0.3 else rng.randint(0, 1024) / 256 for _ in range(n)]
+    mode = "linear" if roll < 0.85 else "left-step"
+    return from_samples([x + k / 32 for k in range(n)], ys, mode=mode)
+
+
+_lattice_rng = rng_for(51, "differential/lattice")
+LATTICE_FAMILY = [_lattice_function(_lattice_rng) for _ in range(300)]
+
+
+def test_lattice_fourier_within_rounding_of_segment_kernel():
+    every = _check_fourier_family(LATTICE_FAMILY, rng_for(52, "differential/lattice/z"))
+    assert every[3] == 0 and all(count > 0 for count in every[:3] + every[4:]), every
+
+
 def test_linear_fourier_on_a_sampled_trace_within_rounding_of_segment_kernel():
     f = _bump_trace()
+    assert f.edge_table[-1]
     for k in range(-40, 61):
         z = 10.0 ** (k / 10)
         assert abs(fourier(f, z) - _oracle_fourier(f, z)) <= _fourier_rounding_bound(f, z)
@@ -521,15 +559,26 @@ def _lattice_step(rng, pieces):
 
 
 def _mp_fourier_magnitude(f, z):
-    """|fhat(z)| to 40 digits: the jumps of a step function, sum dv e^(-ixz) / (iz)."""
+    """|fhat(z)| to 40 digits, by parts: the sum over the edges x of
+    ``exp(-ixz) (J / (iz) + K / z^2)``, J the rise of f across x and K the
+    slope left of x minus the slope right of it."""
     with mpmath.workdps(40):
         zz = mpmath.mpf(z)
-        values = (0.0, *f.values, 0.0)
+        rise = defaultdict(mpmath.mpf)
+        kink = defaultdict(mpmath.mpf)
+        for t0, t1, y0, y1 in f.segments():
+            rise[t0] += y0
+            rise[t1] -= y1
+            if y1 != y0:
+                slope = (mpmath.mpf(y1) - y0) / (mpmath.mpf(t1) - t0)
+                kink[t0] -= slope
+                kink[t1] += slope
+        inverse = 1 / zz
         total = mpmath.fsum(
-            (values[k + 1] - values[k]) * mpmath.expj(-mpmath.mpf(x) * zz)
-            for k, x in enumerate(f.breakpoints)
+            mpmath.expj(-mpmath.mpf(x) * zz) * mpmath.mpc(kink[x] * inverse**2, -rise[x] * inverse)
+            for x in rise
         )
-        return abs(total) / zz
+        return abs(total)
 
 
 def test_step_fourier_matches_40_digit_reference_at_10k_pieces():
@@ -543,6 +592,30 @@ def test_step_fourier_matches_40_digit_reference_at_10k_pieces():
     for z in (0.7, 31.4159, 333.3, 934.64):
         exact = _mp_fourier_magnitude(f, z)
         assert abs(abs(fourier(f, z)) - exact) <= 1e-9 * exact
+
+
+def _lattice_error_bound(f, z):
+    """The lattice sum's error bound of the ``transform`` docstring."""
+    segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+    anchor, span = segments[0][0], segments[-1][1] - segments[0][0]
+    mass = math.fsum((t1 - t0) * (abs(y0) + abs(y1 - y0) / 2) for t0, t1, y0, y1 in segments)
+    return (5 * len(segments) + 2 * abs(z) * span + abs(anchor * z) + 64) * 2.0**-53 * mass
+
+
+def test_lattice_fourier_within_its_error_bound_at_bench_scale():
+    """1,024 pieces on the 1/32 lattice and 1,601 samples, against 40 digits.
+
+    The z values run from every width on the series branch through widths on
+    both sides of 1/z to every width past it.
+    """
+    step = _lattice_step(rng_for(53, "differential/bench-scale"), 1024)
+    trace = _bump_trace()
+    zs = (1e-3, 0.01, 0.1, 0.35, 1.0, 3.3, 10.0, 31.4159, 40.0, 100.0, 333.3, 934.64)
+    for f, extra in ((step, ()), (trace, (2048.0,))):
+        assert f.edge_table[-1]
+        for z in zs + extra:
+            exact = _mp_fourier_magnitude(f, z)
+            assert abs(abs(fourier(f, z)) - exact) <= _lattice_error_bound(f, z), z
 
 
 # --- oracle: the decomposition that rescanned every piece per cell --------

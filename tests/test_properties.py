@@ -8,9 +8,15 @@ same holds for scaling the values by 2^k.
 
 Translation: the transform sums phases centred at an edge c of the input,
 and for a dyadic offset every centred edge x - c has the same bits, so only
-the final factor e^(-icz) differs (see the bound below); the rearrangement
-reads only widths and values, so it does not change at all.  The crest count
-does not see a piece split in two.
+the final factor e^(-icz) differs (see the bound below); on a lattice input
+the Horner sum reads only widths and gaps, which keep their bits, and only
+its anchor factor differs.  The rearrangement reads only widths and values,
+so it does not change at all.  The crest count does not see a piece split
+in two.
+
+Each symmetry is checked on two kinds of input: few segments of unrelated
+widths, which take the edge loop of ``fourier``, and many segments of one to
+four lattice cells, which take its lattice sum.
 """
 
 import math
@@ -53,6 +59,24 @@ def dyadic_functions(draw):
     return PiecewiseLinearFunction(tuple(edges), tuple(values))
 
 
+@st.composite
+def lattice_functions(draw):
+    """16 to 48 segments, each 1 to 4 cells of 1/32 wide, no two the same
+    step value, so the lengths repeat and ``fourier`` sums by Horner's rule
+    (the last entry of ``edge_table``, the lattice table, is set)."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=16, max_size=48))
+    x = draw(st.integers(-1024, 1024)) / 32
+    edges = [x]
+    for w in widths:
+        edges.append(edges[-1] + w / 32)
+    levels = draw(st.lists(st.integers(1, 4096), min_size=len(edges), max_size=len(edges)))
+    if draw(st.booleans()):
+        # neighbours differ in parity, so no two pieces merge
+        return make_step(edges, [(2 * m + k % 2) / 1024 for k, m in enumerate(levels[1:])])
+    values = [0.0, *(m / 1024 for m in levels[1:-1]), 0.0]
+    return PiecewiseLinearFunction(tuple(edges), tuple(values))
+
+
 def _dilate(f, lam):
     """g(x) = f(lam x): the same values on edges divided by lam."""
     if isinstance(f, StepFunction):
@@ -66,6 +90,13 @@ def test_q_is_covariant_under_dyadic_dilation(f, k, z):
     lam = math.ldexp(1.0, k)
     g = _dilate(f, lam)
     assert bound_report(g, z).q_value == bound_report(f, z / lam).q_value
+
+
+@_settings
+@given(f=lattice_functions(), k=st.integers(-12, 12), z=_z)
+def test_q_is_covariant_under_dyadic_dilation_on_a_lattice(f, k, z):
+    assert f.edge_table[-1]
+    test_q_is_covariant_under_dyadic_dilation.hypothesis.inner_test(f, k, z)
 
 
 def _map_values(f, fn):
@@ -115,6 +146,13 @@ def test_q_is_invariant_under_dyadic_translation(f, n, e, z):
     assert rearrangement(g).star == rearrangement(f).star
     q_f, q_g = bound_report(f, z).q_value, bound_report(g, z).q_value
     assert abs(q_g - q_f) <= _Q_TRANSLATE_ULPS * 2.0**-53 * q_f
+
+
+@_settings
+@given(f=lattice_functions(), n=st.integers(-64, 64), e=st.integers(-5, 40), z=_z)
+def test_fourier_magnitude_is_invariant_under_dyadic_translation_on_a_lattice(f, n, e, z):
+    assert f.edge_table[-1]
+    test_fourier_magnitude_is_invariant_under_dyadic_translation.hypothesis.inner_test(f, n, e, z)
 
 
 def test_comb_q_is_invariant_under_a_2_to_40_translation():

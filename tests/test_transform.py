@@ -12,6 +12,7 @@ from crestimate import (
     cosine_transform,
     fourier,
     fourier_quadrature_oracle,
+    from_samples,
     make_step,
     sine_transform,
     window_bounds,
@@ -28,10 +29,29 @@ BOX = make_step([0, 1], [1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
 
 
+def _lattice_inputs(rng):
+    """Inputs whose segment lengths repeat, so ``fourier`` sums by Horner's
+    rule: combs, step functions of 1 to 4 cells of 1/32, sampled bumps.
+    The last entry of ``edge_table`` is the lattice table, or None."""
+    inputs = [comb_example(n) for n in (1, 3)]
+    inputs += [
+        random_step_function(rng, min_pieces=64, max_pieces=256, max_width_units=4)
+        for _ in range(20)
+    ]
+    ys = [math.sin(math.pi * k / 16) ** 2 if k % 32 < 16 else 0.0 for k in range(257)]
+    inputs.append(from_samples([k / 64 for k in range(257)], ys, mode="linear"))
+    assert all(f.edge_table[-1] for f in inputs)
+    return inputs
+
+
 def test_fourier_at_zero_is_total_integral():
     rng = rng_for(31, "zero-frequency")
     for _ in range(50):
         f = random_step_function(rng)
+        fh = fourier(f, 0.0)
+        assert fh.imag == 0.0
+        assert math.isclose(fh.real, f.total_integral, rel_tol=1e-14)
+    for f in _lattice_inputs(rng):
         fh = fourier(f, 0.0)
         assert fh.imag == 0.0
         assert math.isclose(fh.real, f.total_integral, rel_tol=1e-14)
@@ -69,6 +89,28 @@ def test_conjugate_symmetry_is_exact():
         f = random_step_function(rng)
         z = log_uniform(rng, 1e-3, 1e3)
         assert fourier(f, -z) == fourier(f, z).conjugate()
+    # z from the series branch of every width to past every width's 1/z
+    for f in _lattice_inputs(rng_for(32, "conjugate/lattice")):
+        for z in (1e-4, *(log_uniform(rng, 1e-3, 1e3) for _ in range(5))):
+            assert fourier(f, -z) == fourier(f, z).conjugate()
+
+
+@pytest.mark.parametrize(
+    "f, lattice",
+    [(make_step([0, 1, 3], [1, 2]), False), (comb_example(1), True)],
+    ids=["edges", "lattice"],
+)
+def test_phase_arguments_beyond_float_range_are_rejected(f, lattice):
+    assert bool(f.edge_table[-1]) == lattice
+    for z in (1e308, -1e308):
+        with pytest.raises(ValidationError, match="too large"):
+            fourier(f, z)
+    for transform in (sine_transform, cosine_transform, window_bounds):
+        with pytest.raises(ValidationError, match="too large"):
+            transform(f, 1e308)
+    # the unit box's phases stay finite there
+    assert abs(fourier(BOX, 1e308)) < 1e-307
+    assert abs(sine_transform(BOX, 1e308)) < 1e-307
 
 
 def test_transform_magnitude_bounded_by_mass():
