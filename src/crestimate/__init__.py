@@ -24,13 +24,6 @@ from .bounds import (
 )
 from .crests import CrestReport, brute_force_crests, count_crests, decompose
 from .errors import ConvergenceError, CrestimateError, ValidationError, ZeroFunctionError
-from .hardy import (
-    HardyReport,
-    fourier_weighted_norm,
-    hardy_chain_report,
-    hardy_lhs,
-    hardy_operator,
-)
 from .piecewise import (
     PiecewiseFunction,
     PiecewiseLinearFunction,
@@ -60,6 +53,21 @@ from .transform import (
 from .verify import SuiteResult, run_suite
 
 __version__ = "0.1.0"
+
+# hardy (and the quadrature it uses) loads on first use of one of its names,
+# so a scan does not pay for importing it
+_HARDY_NAMES = frozenset(
+    ("HardyReport", "fourier_weighted_norm", "hardy_chain_report", "hardy_lhs", "hardy_operator")
+)
+
+
+def __getattr__(name: str):
+    if name in _HARDY_NAMES:
+        from . import hardy
+
+        return getattr(hardy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

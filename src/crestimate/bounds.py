@@ -17,7 +17,7 @@ verification suites is attributable to the mathematics alone.
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .crests import count_crests, decompose
 from .errors import ValidationError, require_positive, require_positive_int
@@ -56,8 +56,7 @@ HALF_PI_SQRT_10 = 0.5 * math.pi * math.sqrt(10.0)
 CERTIFICATE_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class QReport:
+class QReport(NamedTuple):
     """One grid point: transform size against the rearrangement tail."""
 
     z: float
@@ -68,12 +67,10 @@ class QReport:
     crest_count: int
 
     def to_json_dict(self) -> dict:
-        # the instance dict holds the fields in declaration order (no __slots__)
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Certified lower bounds extracted from a grid of Q values.
 
     ``crest_lower_bound`` is floor(best_q - guard) + 1, at least 1 (a nonzero
@@ -94,7 +91,7 @@ class BoundCertificate:
     grid: tuple[QReport, ...]
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "grid": [r.to_json_dict() for r in self.grid]}
+        return {**self._asdict(), "grid": [r.to_json_dict() for r in self.grid]}
 
 
 def bound_report(f: PiecewiseFunction, z: float) -> QReport:
@@ -145,8 +142,7 @@ def comb_example(n: int) -> StepFunction:
     return make_step(breakpoints, values)
 
 
-@dataclass(frozen=True)
-class CombResonance:
+class CombResonance(NamedTuple):
     """Q of a comb at one odd and one even multiple of pi.
 
     The transform of the comb vanishes identically at even multiples of pi;
@@ -164,7 +160,7 @@ class CombResonance:
     )
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "odd": self.odd.to_json_dict(), "even": self.even.to_json_dict()}
+        return {**self._asdict(), "odd": self.odd.to_json_dict(), "even": self.even.to_json_dict()}
 
 
 def comb_resonance(n: int, l: int = 50, comb: StepFunction | None = None) -> CombResonance:

@@ -32,7 +32,6 @@ from .bounds import (
     grid_csv_lines,
 )
 from .errors import ConvergenceError, ValidationError, require_positive_int
-from .hardy import hardy_chain_report
 from .piecewise import (
     PiecewiseLinearFunction,
     from_samples,
@@ -179,6 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hardy(args) -> int:
+    from .hardy import hardy_chain_report  # loaded on first use: no scan needs it
+
     f, u, v = (_load_function(spec, args.csv_mode) for spec in (args.function, args.u, args.v))
     report = hardy_chain_report(f, u, v, args.p, args.q)  # checks every input once
     _emit_json(args, report.to_json_dict())

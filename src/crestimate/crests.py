@@ -21,7 +21,7 @@ without breaking unimodality of either neighbor.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .piecewise import (
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrestReport:
+class CrestReport(NamedTuple):
     """A witness decomposition achieving the minimal crest count."""
 
     count: int

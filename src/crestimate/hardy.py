@@ -20,7 +20,7 @@ numbers).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import HALF_PI_SQRT_10
 from .errors import CrestimateError, ValidationError, require_positive
@@ -170,8 +170,7 @@ def fourier_weighted_norm(f: PiecewiseFunction, u: StepFunction, q: float) -> fl
     return value
 
 
-@dataclass(frozen=True)
-class HardyReport:
+class HardyReport(NamedTuple):
     """Both sides of the weighted transform estimate for a decreasing input.
 
     ``fourier_weighted_norm <= chain_constant * hardy_middle`` is the
@@ -192,7 +191,7 @@ class HardyReport:
     hardy_quadrature_error: float
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 _CHAIN_TOLERANCE = 1e-6

@@ -33,9 +33,7 @@ of every function, sampled or built, passes one check, ``_check_data``.
 import csv
 import io
 import math
-import statistics
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -71,7 +69,38 @@ def _check_data(x_name: str, xs: Sequence[float], y_name: str, ys: Sequence[floa
         raise ValidationError(f"{y_name} must be nonnegative")
 
 
-class _Segments:
+class _Record:
+    """An immutable value: equality, hash and repr read the attributes named
+    in ``_fields``, in order, and assigning or deleting any attribute raises.
+
+    ``__init__`` sets the attributes through ``object.__setattr__``.
+    """
+
+    _fields: tuple[str, ...]  # set by each subclass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Segments(_Record):
     """What both representations share, read off ``edges`` and ``segments()``.
 
     A subclass provides ``edges`` (its breakpoints or nodes), ``segments()``
@@ -115,9 +144,10 @@ class _Segments:
         loop is at most ``reach |z|``.
 
         ``lattice`` (see ``_lattice_table``) is set when the nonzero
-        segments repeat their lengths: when their distinct widths and gaps
-        between consecutive left edges number at most half the rows; it is
-        None otherwise.  The table does not depend on z, so it is built once
+        segments repeat their lengths: when there are at least
+        ``_LATTICE_MIN_ROWS`` rows and their distinct widths and gaps between
+        consecutive left edges number at most half the rows; it is None
+        otherwise.  The table does not depend on z, so it is built once
         per function.  Plain tuples keep unpacking it cheap per call.
         """
         edges = self.edges
@@ -144,7 +174,9 @@ class _Segments:
         if x is not None:
             rows.append(_edge_row(x - centre, left, _NO_START))
         reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
-        lattice = self._lattice_table() if rows and 2 * len(lengths) <= len(rows) else None
+        lattice = None
+        if len(rows) >= _LATTICE_MIN_ROWS and 2 * len(lengths) <= len(rows):
+            lattice = self._lattice_table()
         return centre, reach, tuple(rows), lattice
 
     def _lattice_table(self) -> tuple:
@@ -181,16 +213,16 @@ class _Segments:
         return anchor, reach, lengths, len(sloped) + len(flat), len(sloped), tuple(rows)
 
 
-@dataclass(frozen=True)
 class StepFunction(_Segments):
     """Nonnegative step function, canonical and zero outside its breakpoints."""
 
+    _fields = ("breakpoints", "values")
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
+    def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
+        bp = tuple(float(x) for x in breakpoints)
+        vals = tuple(float(v) for v in values)
         if len(bp) != len(vals) + 1:
             raise ValidationError(
                 "expected len(breakpoints) == len(values) + 1, got "
@@ -242,7 +274,6 @@ def _canonical_step(bp, vals):
     return tuple(new_bp), tuple(new_vals)
 
 
-@dataclass(frozen=True)
 class PiecewiseLinearFunction(_Segments):
     """Nonnegative piecewise-linear function, zero outside its node range.
 
@@ -252,12 +283,13 @@ class PiecewiseLinearFunction(_Segments):
     jump there (decreasing rearrangements need it).
     """
 
+    _fields = ("nodes", "node_values")
     nodes: tuple[float, ...]
     node_values: tuple[float, ...]
 
-    def __post_init__(self):
-        nd = tuple(float(x) for x in self.nodes)
-        vals = tuple(float(v) for v in self.node_values)
+    def __init__(self, nodes: Sequence[float], node_values: Sequence[float]):
+        nd = tuple(float(x) for x in nodes)
+        vals = tuple(float(v) for v in node_values)
         if len(nd) != len(vals):
             raise ValidationError(
                 f"expected len(nodes) == len(node_values), got {len(nd)} != {len(vals)}"
@@ -282,6 +314,9 @@ class PiecewiseLinearFunction(_Segments):
         return nd[i], nd[i + 1], vals[i], vals[i + 1]
 
 
+# Fewer edge rows than this take the edge loop even when their lengths
+# repeat: there the lattice sum's set-up per call costs more than it saves.
+_LATTICE_MIN_ROWS = 8
 _NO_END = (0.0, 0.0, 0.0)  # no nonzero segment ends at the edge
 _NO_START = (0.0, 0.0, 0.0, 0.0)  # none starts there
 
@@ -368,7 +403,10 @@ def from_samples(
         last_gap = xs[-1] - xs[-2]
         return make_step(xs + [xs[-1] + last_gap], ys)
     if mode == "linear":
-        pad = statistics.median(b - a for a, b in zip(xs, xs[1:]))
+        # the median gap, as statistics.median takes it (mean of the middle two)
+        gaps = sorted(b - a for a, b in zip(xs, xs[1:]))
+        m = len(gaps) // 2
+        pad = gaps[m] if len(gaps) % 2 else (gaps[m - 1] + gaps[m]) / 2
         nodes = list(xs)
         vals = list(ys)
         if vals[0] != 0.0:

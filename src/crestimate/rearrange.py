@@ -34,13 +34,13 @@ in this module calls quadrature.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .errors import ValidationError, require_positive
 from .piecewise import (
     PiecewiseFunction,
     PiecewiseLinearFunction,
     StepFunction,
+    _Record,
     _segment_integral,
     make_step,
     require_weight,
@@ -76,18 +76,16 @@ def _segment_superlevel(t0, t1, y0, y1, alpha) -> float:
     return (hi - alpha) * ((t1 - t0) / (hi - lo))
 
 
-@dataclass(frozen=True)
-class Rearrangement:
+class Rearrangement(_Record):
     """The decreasing rearrangement f*, nonincreasing on [0, oo)."""
 
+    _fields = ("star",)
     star: PiecewiseFunction
-    # the term integrate(star, 0.0, t) forms for each piece that t covers whole
-    _terms: list[float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        terms = [
-            _segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in self.star.segments()
-        ]
+    def __init__(self, star: PiecewiseFunction):
+        object.__setattr__(self, "star", star)
+        # the term integrate(star, 0.0, t) forms for each piece that t covers whole
+        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in star.segments()]
         object.__setattr__(self, "_terms", terms)
 
     def integral_up_to(self, t: float) -> float:

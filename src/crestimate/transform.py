@@ -66,8 +66,15 @@ sloped segment's width ``w psi(u) = w (c1 - i s1)`` as in ``_piece``; below
 form, so there is no wide/narrow split and no trig call per segment.  On
 the few-piece functions of ``verify`` a typical input has 8 distinct
 lengths for 9 rows, and setting up a table per z would cost more than the
-edge loop saves, hence the rule.  At z = 0 every function takes the edge loop,
-which adds the segment integrals left to right.
+edge loop saves, hence the rule.  For the same reason an input with fewer
+than 8 edge rows (``piecewise._LATTICE_MIN_ROWS``) takes the edge loop even
+when its lengths repeat: per call, over 50 log-uniform z in [1e-3, 1e3]
+(Python 3.11.7, 2-vCPU Xeon VM, best of 7), a box takes 3.3 us by the
+lattice sum and 2.1 us by the edge loop, 6 equal steps (7 rows) 4.5 and
+4.4 us, 7 equal steps (8 rows) 4.7 and 4.9 us, a 7-segment sampled trace
+(8 rows) 6.6 and 7.0 us, and a 10-box comb (20 rows) 4.8 and 8.3 us.
+At z = 0 every function takes the edge loop, which adds the segment
+integrals left to right.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
 ``M = sum w (|y0| + |y1 - y0| / 2)`` (at least ``sum |p_j|``, as
@@ -106,11 +113,10 @@ closed-form paths calls it.
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError, require_positive
 from .piecewise import PiecewiseFunction, evaluate, integrate, require_halfline_support
-from .quadrature import gauss_kronrod_adaptive
 
 __all__ = [
     "fourier",
@@ -363,6 +369,8 @@ def fourier_quadrature_oracle(
     panels are then bisected until the estimated absolute error is below
     ``tol`` or the budget of ``max_panels`` panels is exhausted.
     """
+    from .quadrature import gauss_kronrod_adaptive  # loaded on first use: no scan needs it
+
     require_positive("tol", tol)
     _require_finite(z)
     cap = math.pi / (4.0 * abs(z)) if z != 0.0 else math.inf
@@ -382,8 +390,7 @@ def fourier_quadrature_oracle(
     return value
 
 
-@dataclass(frozen=True)
-class WindowBoundReport:
+class WindowBoundReport(NamedTuple):
     """Sine/cosine transform values next to their window comparisons.
 
     For a nonincreasing f on [0, oo) the alternating-series argument gives

@@ -19,8 +19,6 @@ A relative slack of 1e-9 guards the crest-count bound; the window checks use
 an absolute slack of 1e-12.
 """
 
-from dataclasses import dataclass, field
-
 from .bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
 from .generators import (
@@ -44,13 +42,15 @@ Z_RANGE = (1e-3, 1e3)
 Z_PER_FUNCTION = 50
 
 
-@dataclass
 class CheckResult:
-    name: str
-    comparisons: int = 0
-    max_ratio: float = 0.0
-    violations: list[dict] = field(default_factory=list)
-    expected_to_hold: bool = True
+    """One inequality: its comparisons, largest lhs/rhs ratio and violations."""
+
+    def __init__(self, name: str, expected_to_hold: bool = True):
+        self.name = name
+        self.comparisons = 0
+        self.max_ratio = 0.0
+        self.violations: list[dict] = []
+        self.expected_to_hold = expected_to_hold
 
     def record(self, lhs: float, rhs: float, slack: float, payload: dict) -> None:
         self.comparisons += 1
@@ -75,12 +75,14 @@ class CheckResult:
         }
 
 
-@dataclass
 class SuiteResult:
-    family: str
-    trials: int
-    seed: int
-    checks: list[CheckResult]
+    """The checks of one family run, with the trials and seed that replay it."""
+
+    def __init__(self, family: str, trials: int, seed: int, checks: list[CheckResult]):
+        self.family = family
+        self.trials = trials
+        self.seed = seed
+        self.checks = checks
 
     @property
     def violations_total(self) -> int:

@@ -1,20 +1,26 @@
-import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crestimate
 from crestimate import (
     PiecewiseLinearFunction,
     bound_report,
     comb_example,
     comb_resonance,
     crest_lower_bound,
+    decompose,
     function_from_json_dict,
     function_to_json_dict,
     hardy_chain_report,
     make_step,
     rearrangement,
+    window_bounds,
 )
 from crestimate import crests
 from crestimate.cli import main
@@ -408,7 +414,45 @@ def test_report_keys_are_record_fields_in_order():
         hardy_chain_report(box, box, box, 2.0, 2.0),
     )
     for record in records:
-        assert list(record.to_json_dict()) == [f.name for f in dataclasses.fields(record)]
+        assert list(record.to_json_dict()) == list(record._fields)
+
+
+def test_report_records_are_immutable_and_named_in_repr():
+    box = make_step([0, 1], [1])
+    records = (
+        bound_report(box, 2.0),
+        crest_lower_bound(box, [1.0, 2.0]),
+        comb_resonance(1),
+        decompose(box),
+        hardy_chain_report(box, box, box, 2.0, 2.0),
+        window_bounds(box, 2.0),
+    )
+    for record in records:
+        first = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, first, 0)
+        assert repr(record).startswith(f"{type(record).__name__}({first}=")
+
+
+def test_import_loads_only_what_a_scan_runs():
+    # one process: the modules it holds before the import are those a bare
+    # interpreter (and any site hook) already loaded, so they do not count
+    script = (
+        "import sys; before = set(sys.modules); import crestimate.cli; "
+        "print(*sorted(set(sys.modules) - before)); "
+        "import crestimate; crestimate.hardy_chain_report; print('crestimate.hardy' in sys.modules)"
+    )
+    src = str(Path(crestimate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, hardy_on_first_use = proc.stdout.splitlines()
+    assert "crestimate.cli" in loaded.split()
+    unwanted = {"dataclasses", "statistics", "inspect", "crestimate.hardy", "crestimate.quadrature"}
+    assert unwanted.isdisjoint(loaded.split()), loaded
+    assert hardy_on_first_use == "True"
 
 
 COMB_2_JSON = json.dumps(function_to_json_dict(comb_example(2)))

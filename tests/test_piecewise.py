@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 
@@ -12,6 +13,7 @@ from crestimate import (
     function_to_json_dict,
     integrate,
     make_step,
+    rearrangement,
 )
 from crestimate.generators import random_step_function, rng_for
 from crestimate.piecewise import samples_from_csv_text
@@ -171,6 +173,40 @@ def test_from_samples_linear_pads_nonzero_endpoints():
     f = from_samples([0, 1, 2], [2, 1, 2], mode="linear")
     assert f.nodes == (-1.0, 0.0, 1.0, 2.0, 3.0)
     assert f.node_values == (0.0, 2.0, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("samples", [7, 8, 1601, 1602])
+def test_from_samples_linear_pad_is_the_median_gap_to_the_bit(samples):
+    rng = rng_for(samples, "piecewise/median-pad")
+    xs = [0.1]
+    for _ in range(samples - 1):
+        xs.append(xs[-1] + rng.uniform(0.001, 0.01))
+    ys = [1.0 + rng.random() for _ in xs]
+    pad = statistics.median(b - a for a, b in zip(xs, xs[1:]))
+    f = from_samples(xs, ys, mode="linear")
+    assert f.nodes[0] == xs[0] - pad
+    assert f.nodes[-1] == xs[-1] + pad
+
+
+def test_functions_and_rearrangements_are_immutable_values():
+    step = make_step([0, 1, 1.5], [1, 1])
+    linear = PiecewiseLinearFunction((0.0, 1.5), (1.0, 1.0))
+    star = rearrangement(step)
+    for obj, field in ((step, "values"), (linear, "nodes"), (star, "star")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, ())
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert step.edge_table is step.edge_table  # cached_property still stores its value
+    equal = make_step([0.0, 1.5], [1.0])
+    assert step == equal and hash(step) == hash(equal)
+    assert linear == PiecewiseLinearFunction([0, 1.5], [1, 1])
+    assert hash(linear) == hash(PiecewiseLinearFunction([0, 1.5], [1, 1]))
+    assert step != linear and step != make_step([0, 1.5], [2])
+    assert star == rearrangement(equal)
+    assert repr(step) == "StepFunction(breakpoints=(0.0, 1.5), values=(1.0,))"
+    assert repr(linear) == "PiecewiseLinearFunction(nodes=(0.0, 1.5), node_values=(1.0, 1.0))"
+    assert repr(star) == f"Rearrangement(star={star.star!r})"
 
 
 @pytest.mark.parametrize(

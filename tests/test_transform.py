@@ -44,6 +44,13 @@ def _lattice_inputs(rng):
     return inputs
 
 
+def test_few_edge_rows_take_the_edge_loop():
+    # below 8 edge rows the lattice sum's set-up costs more than it saves
+    for f in (BOX, make_step([0, 1.5], [1]), make_step([0, 1, 2, 3], [1, 2, 1]), TRIANGLE):
+        assert f.edge_table[-1] is None
+    assert make_step([k * 1.5 for k in range(8)], [1 + k % 2 for k in range(7)]).edge_table[-1]
+
+
 def test_fourier_at_zero_is_total_integral():
     rng = rng_for(31, "zero-frequency")
     for _ in range(50):
