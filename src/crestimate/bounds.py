@@ -54,6 +54,8 @@ HALF_PI_SQRT_10 = 0.5 * math.pi * math.sqrt(10.0)
 # Strict-threshold guard: Q must exceed an integer by more than this before
 # the certificate counts an extra crest, so float noise can never do it.
 CERTIFICATE_GUARD = 1e-9
+# default_z_grid adds at most this many odd multiples of pi (159 by default)
+_MAX_PI_MULTIPLES = 100_000
 
 
 class QReport(NamedTuple):
@@ -196,7 +198,13 @@ def default_z_grid(
         lo, hi = math.log10(z_min), math.log10(z_max)
         zs = {10.0 ** (lo + (hi - lo) * i / (count - 1)) for i in range(count)}
     if odd_pi_multiples:
-        k = 1
+        # odd k from below z_min / pi on, counted before any multiple is built
+        k = max(1, 2 * (math.floor(z_min / math.pi) // 2) - 1)
+        multiples = (math.floor(z_max / math.pi) - k) // 2 + 1
+        if multiples > _MAX_PI_MULTIPLES:
+            raise ValidationError(
+                f"z_max admits {multiples:.3g} odd multiples of pi, more than {_MAX_PI_MULTIPLES}"
+            )
         while k * math.pi <= z_max:
             if k * math.pi >= z_min:
                 zs.add(k * math.pi)

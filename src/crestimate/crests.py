@@ -102,7 +102,7 @@ def _cuts(f: PiecewiseFunction) -> tuple[float, ...]:
         left = runs[k - 1][2] if k > 0 else 0.0
         right = runs[k + 1][2] if k < len(runs) - 1 else 0.0
         if left > v < right:
-            cuts.append(0.5 * (x0 + x1) if v == 0.0 else x0)
+            cuts.append(0.5 * x0 + 0.5 * x1 if v == 0.0 else x0)  # halved first: no overflow
     return tuple(cuts)
 
 

@@ -5,7 +5,9 @@ function runs linearly from ``y0`` at ``t0`` to ``y1`` at ``t1``, and a step
 piece is a segment with ``y0 == y1``.  Each class exposes its breakpoints or
 nodes as ``edges`` and its segments through ``segments()`` and
 ``segment(i)``; every kernel that only reads segments is written once
-against that protocol.  The two representations share conventions:
+against that protocol.  Each function also caches ``fourier_table``, which
+:mod:`crestimate.transform` builds and reads.  The two representations
+share conventions:
 
 * Half-open evaluation.  A step function takes ``values[i]`` on
   ``[breakpoints[i], breakpoints[i+1])`` and is zero outside
@@ -127,90 +129,9 @@ class _Segments(_Record):
         return integrate(self, -math.inf, math.inf)
 
     @cached_property
-    def edge_table(self) -> tuple:
-        """``(c, reach, rows, lattice)``: the edges of the nonzero segments,
-        centred at an edge c, and a lattice table when their lengths repeat.
-
-        ``c`` is the middle entry of ``edges``.  There is one row per edge x
-        of a nonzero segment, left to right:
-        ``(x - c, jump, kink, width, wl, yl, sl, wr, yr, dyr, sr)``.
-        ``jump`` is the rise of f across x and ``kink`` the slope just left
-        of x minus the slope just right; ``width`` is the narrower of the
-        nonzero segments meeting at x.  ``wl, yl, sl`` are the width, end
-        value and slope of the nonzero segment ending at x, and
-        ``wr, yr, dyr, sr`` the width, start value, rise and slope of the
-        one starting there; an absent side is all zeros.  ``reach`` is the
-        largest ``|x - c|`` and ``|c|``, so every phase argument of the edge
-        loop is at most ``reach |z|``.
-
-        ``lattice`` (see ``_lattice_table``) is set when the nonzero
-        segments repeat their lengths: when there are at least
-        ``_LATTICE_MIN_ROWS`` rows and their distinct widths and gaps between
-        consecutive left edges number at most half the rows; it is None
-        otherwise.  The table does not depend on z, so it is built once
-        per function.  Plain tuples keep unpacking it cheap per call.
-        """
-        edges = self.edges
-        centre = edges[len(edges) // 2]
-        rows = []
-        lengths = set()  # widths and gaps between consecutive left edges
-        x = a = None  # right and left edge of the last nonzero segment
-        left = _NO_END
-        for t0, t1, y0, y1 in self.segments():
-            if y0 == 0.0 and y1 == 0.0:
-                continue
-            if t0 != x:
-                if x is not None:
-                    rows.append(_edge_row(x - centre, left, _NO_START))
-                left = _NO_END
-            w = t1 - t0
-            dy = y1 - y0
-            s = dy / w
-            rows.append(_edge_row(t0 - centre, left, (w, y0, dy, s)))
-            lengths.add(w)
-            if a is not None:
-                lengths.add(t0 - a)
-            x, a, left = t1, t0, (w, y1, s)
-        if x is not None:
-            rows.append(_edge_row(x - centre, left, _NO_START))
-        reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
-        lattice = None
-        if len(rows) >= _LATTICE_MIN_ROWS and 2 * len(lengths) <= len(rows):
-            lattice = self._lattice_table()
-        return centre, reach, tuple(rows), lattice
-
-    def _lattice_table(self) -> tuple:
-        """``(anchor, reach, lengths, widths, sloped, rows)``: the nonzero
-        segments by the index of their lengths.
-
-        ``lengths`` are distinct: the widths of sloped segments first
-        (``sloped`` of them), then the other widths (``widths`` in all), then
-        the gaps between consecutive left edges that are no width.  There is
-        one row per nonzero segment, right to left: ``(gap, width, y0, dy)``,
-        with ``gap`` the index of the distance to the next left edge on the
-        right (0 on the rightmost segment, where nothing follows) and
-        ``width`` the index of its width.  ``anchor`` is the leftmost left
-        edge, and ``reach`` the largest of ``|anchor|`` and the lengths.
-        """
-        segments = [
-            (t0, t1 - t0, y0, y1 - y0)
-            for t0, t1, y0, y1 in self.segments()
-            if y0 != 0.0 or y1 != 0.0
-        ]
-        sloped = {w for _, w, _, dy in segments if dy}
-        flat = {w for _, w, _, _ in segments} - sloped
-        gaps = {b[0] - a[0] for a, b in zip(segments, segments[1:])} - sloped - flat
-        lengths = (*sloped, *flat, *gaps)
-        index = {length: k for k, length in enumerate(lengths)}
-        rows = []
-        right = None  # left edge of the next nonzero segment to the right
-        for t0, w, y0, dy in reversed(segments):
-            gap = index[right - t0] if right is not None else 0
-            rows.append((gap, index[w], y0, dy))
-            right = t0
-        anchor = segments[0][0]
-        reach = max(abs(anchor), *lengths)
-        return anchor, reach, lengths, len(sloped) + len(flat), len(sloped), tuple(rows)
+    def fourier_table(self) -> tuple:
+        """The kernel of :func:`crestimate.transform.fourier` and its table, built once."""
+        return transform._fourier_table(self)
 
 
 class StepFunction(_Segments):
@@ -312,20 +233,6 @@ class PiecewiseLinearFunction(_Segments):
     def segment(self, i: int) -> tuple[float, float, float, float]:
         nd, vals = self.nodes, self.node_values
         return nd[i], nd[i + 1], vals[i], vals[i + 1]
-
-
-# Fewer edge rows than this take the edge loop even when their lengths
-# repeat: there the lattice sum's set-up per call costs more than it saves.
-_LATTICE_MIN_ROWS = 8
-_NO_END = (0.0, 0.0, 0.0)  # no nonzero segment ends at the edge
-_NO_START = (0.0, 0.0, 0.0, 0.0)  # none starts there
-
-
-def _edge_row(d, left, right):
-    wl, yl, sl = left
-    wr, yr, _, sr = right
-    width = min(wl, wr) if wl and wr else wl or wr
-    return (d, yr - yl, sl - sr, width, *left, *right)
 
 
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction
@@ -533,3 +440,7 @@ def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
     if not xs:
         raise ValidationError("CSV contained no samples")
     return xs, ys
+
+
+# transform imports this module: importing a module, not a name, works either way round
+from . import transform  # noqa: E402

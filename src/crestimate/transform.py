@@ -5,7 +5,12 @@ Every kernel here reads the segments ``(t0, t1, y0, y1)`` of
 :mod:`crestimate.piecewise`, so each formula is written once; a step piece
 is a segment with ``y1 = y0``.
 
-:func:`fourier` works on edges.  It takes the phases relative to an edge c
+:func:`fourier` runs one kernel per function on one table built once for
+it (``_fourier_table``): the edge loop below or the lattice sum further
+down.  At z = 0 it runs neither: ``fhat(0)`` is the total integral, the
+correctly rounded sum of the segment integrals.
+
+The edge loop works on edges.  It takes the phases relative to an edge c
 of the input (the middle entry of ``edges``), ``E_k = exp(-i (x_k - c) z)``,
 one cos and one sin per edge, and returns ``exp(-icz)`` times the centred
 sum.  A segment of width ``w``, slope ``s = (y1 - y0) / w`` and edge
@@ -50,8 +55,8 @@ Inputs whose nonzero segments repeat their lengths take a lattice sum
 instead: sampled traces on an evenly spaced grid whose steps are exact
 floats, and step functions on a coarse dyadic lattice.  The lengths are the
 widths of the nonzero segments and the gaps between consecutive left edges;
-when there are at most half as many distinct ones as rows in the edge table,
-the last entry of ``f.edge_table`` holds them, chosen once per function.  Then, with
+when there are at least 8 edge rows (one per edge of a nonzero segment)
+and at most half as many distinct lengths, the table holds them.  Then, with
 ``a`` the leftmost left edge, ``g_j`` the gap from segment j to the next and
 ``p_j = w (y0 phi(u) + (y1 - y0) psi(u))`` its piece term without its phase,
 
@@ -67,14 +72,12 @@ form, so there is no wide/narrow split and no trig call per segment.  On
 the few-piece functions of ``verify`` a typical input has 8 distinct
 lengths for 9 rows, and setting up a table per z would cost more than the
 edge loop saves, hence the rule.  For the same reason an input with fewer
-than 8 edge rows (``piecewise._LATTICE_MIN_ROWS``) takes the edge loop even
+than 8 edge rows (``_LATTICE_MIN_ROWS``) takes the edge loop even
 when its lengths repeat: per call, over 50 log-uniform z in [1e-3, 1e3]
 (Python 3.11.7, 2-vCPU Xeon VM, best of 7), a box takes 3.3 us by the
 lattice sum and 2.1 us by the edge loop, 6 equal steps (7 rows) 4.5 and
 4.4 us, 7 equal steps (8 rows) 4.7 and 4.9 us, a 7-segment sampled trace
 (8 rows) 6.6 and 7.0 us, and a 10-box comb (20 rows) 4.8 and 8.3 us.
-At z = 0 every function takes the edge loop, which adds the segment
-integrals left to right.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
 ``M = sum w (|y0| + |y1 - y0| / 2)`` (at least ``sum |p_j|``, as
@@ -113,6 +116,7 @@ closed-form paths calls it.
 
 import cmath
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import ValidationError, require_positive
@@ -146,23 +150,30 @@ def _phase(theta: float) -> complex:
 def fourier(f: PiecewiseFunction, z: float) -> complex:
     """Exact transform value fhat(z) for finite z; z = 0 gives the total integral.
 
-    A function whose segment lengths repeat (the last entry of
-    ``f.edge_table`` is its lattice table) takes the lattice sum at every z
-    but 0; any other takes one pass over the rows of ``f.edge_table``, where
-    each edge's centred phase
-    ``E = cos t - i sin t``, ``t = (x - c) z``, costs one cos and one sin.
+    ``fhat(0)`` is ``complex(f.total_integral)``.  At any other z, f's one
+    kernel reads its one table (``f.fourier_table``, see ``_fourier_table``):
+    the lattice sum when its segment lengths repeat, else the edge loop.  On
+    either path each imaginary part is odd in z and built from the same
+    operations for z and -z, so ``fourier(f, -z) == fourier(f, z).conjugate()``
+    holds exactly.  A z so large that a phase argument overflows is rejected.
+    """
+    if not z:
+        return complex(f.total_integral)
+    kernel, reach, table = f.fourier_table
+    if not math.isfinite(reach * z):  # a test here is cheaper than a call
+        _require_finite_phase(reach, z)
+    return kernel(table, z)
+
+
+def _edge_sum(table: tuple, z: float) -> complex:
+    """fhat(z), z != 0, by one pass over the edge rows: one cos and one sin
+    per edge for its centred phase ``E = cos t - i sin t``, ``t = (x - c) z``.
     Wide segments enter through the jumps and kinks at their edges, narrow
     ones through their piece form at their left edge (see the module
-    docstring).  On either path each imaginary part is odd in z and built
-    from the same operations for z and -z, so
-    ``fourier(f, -z) == fourier(f, z).conjugate()`` holds exactly.
-    A z so large that a phase argument overflows is rejected.
+    docstring).
     """
-    centre, reach, rows, lattice = f.edge_table
-    if lattice and z:  # nan and inf are rejected there
-        return _lattice_sum(lattice, z)
-    _require_finite_phase(reach, z)
-    wide = 1.0 / abs(z) if z else math.inf  # segments at least this wide are wide
+    centre, rows = table
+    wide = 1.0 / abs(z)  # segments at least this wide are wide
     cutoff = PHASE_SERIES_CUTOFF
     cos, sin = math.cos, math.sin
     # z * (a - i b) + (kc - i ks) collects the jump, kink and closed-form
@@ -211,14 +222,13 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
                 q += dy * (su / u - cu)
             a += co * p - si * q
             b += co * q + si * p
-    if z:
-        re += (a + kc / z) / z
-        im -= (b + ks / z) / z
+    re += (a + kc / z) / z
+    im -= (b + ks / z) / z
     pc, ps = cos(centre * z), sin(centre * z)
     return complex(re * pc + im * ps, im * pc - re * ps)
 
 
-def _lattice_sum(lattice: tuple, z: float) -> complex:
+def _lattice_sum(table: tuple, z: float) -> complex:
     """fhat(z) by Horner's rule over the segments, right to left.
 
     One complex exponential per distinct length L gives the phase step
@@ -228,8 +238,7 @@ def _lattice_sum(lattice: tuple, z: float) -> complex:
     ``|u| = 1e-2`` both read the series of ``_piece`` (see the module
     docstring).  The sum is anchored at the leftmost edge.
     """
-    anchor, reach, lengths, widths, sloped, rows = lattice
-    _require_finite_phase(reach, z)
+    anchor, lengths, widths, sloped, rows = table
     cutoff = _TRIG_SERIES_CUTOFF
     mz = complex(0.0, -z)
     # the argument's real part is a zero, so exp is (cos u, -sin u) to the bit
@@ -258,6 +267,81 @@ def _lattice_sum(lattice: tuple, z: float) -> complex:
         for gap, width, y0, _ in rows:
             acc = acc * step[gap] + y0 * phi[width]
     return acc * cmath.exp(anchor * mz)
+
+
+_LATTICE_MIN_ROWS = 8  # fewer edge rows take the edge loop (see the module docstring)
+
+
+def _fourier_table(f: PiecewiseFunction) -> tuple:
+    """``(kernel, reach, table)``: f's one kernel of :func:`fourier`, a bound
+    ``reach |z|`` on its phase arguments, and the table the kernel reads.
+
+    The lengths are the widths of the nonzero segments and the gaps between
+    consecutive left edges, and there is one edge row per edge of a nonzero
+    segment.  With at least ``_LATTICE_MIN_ROWS`` rows and at most half as
+    many distinct lengths, the kernel is ``_lattice_sum`` and the table
+    ``(anchor, lengths, widths, sloped, rows)``.  ``lengths`` are distinct:
+    the widths of sloped segments first (``sloped`` of them), then the other
+    widths (``widths`` in all), then the gaps that are no width.  There is
+    one row per nonzero segment, right to left: ``(gap, width, y0, dy)``,
+    with ``gap`` the index of the distance to the next left edge on the right
+    (0 on the rightmost segment) and ``width`` the index of its width.
+    ``anchor`` is the leftmost left edge, and ``reach`` the largest of
+    ``|anchor|`` and the lengths.
+
+    Otherwise the kernel is ``_edge_sum`` and the table ``(c, rows)``, centred
+    at the middle entry c of ``edges``, with one row per edge x, left to
+    right: ``(x - c, jump, kink, width, wl, yl, sl, wr, yr, dyr, sr)``.
+    ``jump`` is the rise of f across x and ``kink`` the slope just left of x
+    minus the slope just right; ``width`` is the narrower of the nonzero
+    segments meeting at x.  ``wl, yl, sl`` are the width, end value and
+    slope of the nonzero segment ending at x, and ``wr, yr, dyr, sr`` the
+    width, start value, rise and slope of the one starting there; an absent
+    side is all zeros.  ``reach`` is the largest ``|x - c|`` and ``|c|``.
+    Neither table depends on z, so ``f.fourier_table`` builds it once per
+    function; plain tuples keep unpacking it cheap per call.
+    """
+    segments = _nonzero_segments(f)
+    starts = [seg[0] for seg in segments]
+    ends = [seg[1] for seg in segments]
+    after = starts[1:] + [None]  # the next left edge
+    # an edge row per left edge, and per right edge that is no left edge
+    count = len(segments) + sum(map(operator.ne, ends, after))
+    if count >= _LATTICE_MIN_ROWS:
+        widths = set(map(operator.sub, ends, starts))
+        lengths = widths.union(map(operator.sub, starts[1:], starts))
+        if 2 * len(lengths) <= count:
+            sloped = {t1 - t0 for t0, t1, y0, y1 in segments if y0 != y1}
+            lengths = (*sloped, *(widths - sloped), *(lengths - widths))
+            index = {length: k for k, length in enumerate(lengths)}
+            rows = tuple(
+                (0 if b is None else index[b - t0], index[t1 - t0], y0, y1 - y0)
+                for (t0, t1, y0, y1), b in zip(reversed(segments), reversed(after))
+            )
+            table = starts[0], lengths, len(widths), len(sloped), rows
+            return _lattice_sum, max(abs(starts[0]), *lengths), table
+    edges = f.edges
+    centre = edges[len(edges) // 2]
+    rows = []
+    wl = yl = sl = 0.0  # width, end value and slope of the segment ending here
+    for (t0, t1, y0, y1), b in zip(segments, after):
+        w = t1 - t0
+        dy = y1 - y0
+        s = dy / w
+        width = wl if 0.0 < wl < w else w
+        rows.append((t0 - centre, y0 - yl, sl - s, width, wl, yl, sl, w, y0, dy, s))
+        if b == t1:
+            wl, yl, sl = w, y1, s
+        else:  # nothing starts at t1; 0.0 - y1 keeps a zero jump +0.0
+            rows.append((t1 - centre, 0.0 - y1, s, w, w, y1, s, 0.0, 0.0, 0.0, 0.0))
+            wl = yl = sl = 0.0
+    reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
+    return _edge_sum, reach, (centre, tuple(rows))
+
+
+def _nonzero_segments(f: PiecewiseFunction) -> list:
+    """The segments ``(t0, t1, y0, y1)`` on which f is not zero, left to right."""
+    return [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
 
 
 def _require_finite(z: float) -> None:
@@ -317,13 +401,6 @@ def _ramp(u: float, c: float, s: float, om: float) -> tuple[float, float]:
     return (u * s - om) / (u * u), s1
 
 
-def _trig_pieces(f: PiecewiseFunction):
-    """Yield (start, width, left value, value increment) per nonzero segment."""
-    for t0, t1, y0, y1 in f.segments():
-        if y0 != 0.0 or y1 != 0.0:
-            yield t0, t1 - t0, y0, y1 - y0
-
-
 def _sine_cosine(f: PiecewiseFunction, z: float) -> tuple[float, float]:
     """(Sf(z), Cf(z)) in one pass: two fsums over the same per-piece integrals.
 
@@ -333,7 +410,9 @@ def _sine_cosine(f: PiecewiseFunction, z: float) -> tuple[float, float]:
     _require_finite_phase(f.support_max, z)
     sine_terms = []
     cosine_terms = []
-    for a, w, y0, dy in _trig_pieces(f):
+    for a, t1, y0, y1 in _nonzero_segments(f):
+        w = t1 - a
+        dy = y1 - y0
         c0, s0, c1, s1 = _piece(w * z)
         az = a * z
         ic = w * (y0 * c0 + dy * c1)
@@ -375,7 +454,8 @@ def fourier_quadrature_oracle(
     _require_finite(z)
     cap = math.pi / (4.0 * abs(z)) if z != 0.0 else math.inf
     panels: list[tuple[float, float]] = []
-    for a, w, _, _ in _trig_pieces(f):
+    for a, t1, _, _ in _nonzero_segments(f):
+        w = t1 - a
         k = max(1, math.ceil(w / cap)) if math.isfinite(cap) else 1
         step = w / k
         for i in range(k):

@@ -170,6 +170,15 @@ def test_default_z_grid_contains_odd_pi_multiples():
         default_z_grid(z_min=0.0)
     with pytest.raises(ValidationError):
         default_z_grid(count=0)
+    assert len(grid) == 671
+    assert len({k * math.pi for k in range(1, 319, 2)} & set(grid)) == 159
+
+
+def test_default_z_grid_counts_the_odd_pi_multiples_before_building_them():
+    # one multiple per 2 pi of z_max: 1.6e299 of them, so the count must refuse it at once
+    with pytest.raises(ValidationError, match=r"1\.59e\+299 odd multiples of pi"):
+        default_z_grid(1e-2, 1e300)
+    assert default_z_grid(1e6, 1e6 + 7.0, count=1) == [1e6, 318311 * math.pi]
 
 
 def test_certificate_comb1():

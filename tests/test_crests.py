@@ -123,6 +123,21 @@ def test_decompose_linear_zero_gap_cut_at_midpoint():
     assert report.cut_points == (3.0,)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        make_step([0, 1.5e308, 1.6e308, 1.7e308], [1, 0, 1]),
+        PiecewiseLinearFunction((0, 1, 1.5e308, 1.6e308, 1.7e308), (0, 1, 0, 0, 1)),
+    ],
+    ids=["step", "linear"],
+)
+def test_zero_valley_cut_near_the_float_range_does_not_overflow(f):
+    report = decompose(f)
+    assert report.count == 2
+    (cut,) = report.cut_points
+    assert 1.5e308 < cut < 1.6e308
+
+
 def test_count_is_reflection_invariant():
     rng = rng_for(44, "reflection")
     for _ in range(200):

@@ -60,7 +60,7 @@ from crestimate.hardy import (
     _hardy_lhs_with_error,
 )
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
-from crestimate.transform import PHASE_SERIES_CUTOFF, _piece
+from crestimate.transform import PHASE_SERIES_CUTOFF, _lattice_sum, _piece
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -379,7 +379,7 @@ def _check_fourier_family(family, rng):
         if not widths:
             assert fourier(f, 1.0) == 0.0 == _oracle_fourier(f, 1.0)
             continue
-        every[4 if f.edge_table[-1] else 3] += 1  # the lattice table, or None
+        every[4 if f.fourier_table[0] is _lattice_sum else 3] += 1
         zs = [log_uniform(rng, 1e-3, 1e3), -log_uniform(rng, 1e-3, 1e3), *_branch_zs(widths)]
         for z in zs + [-z for z in zs[2:]]:
             value = fourier(f, z)
@@ -387,7 +387,9 @@ def _check_fourier_family(family, rng):
             hits = _branches(widths, z)
             if sum(hits) == 1:
                 every[hits.index(True)] += 1
-        assert fourier(f, 0.0) == _oracle_fourier(f, 0.0)
+        # fhat(0) is the correctly rounded sum of the segment integrals
+        integrals = [(t1 - t0) * (y0 + y1) / 2 for t0, t1, y0, y1 in f.segments()]
+        assert fourier(f, 0.0) == complex(math.fsum(integrals))
     return every
 
 
@@ -430,7 +432,7 @@ def test_lattice_fourier_within_rounding_of_segment_kernel():
 
 def test_linear_fourier_on_a_sampled_trace_within_rounding_of_segment_kernel():
     f = _bump_trace()
-    assert f.edge_table[-1]
+    assert f.fourier_table[0] is _lattice_sum
     for k in range(-40, 61):
         z = 10.0 ** (k / 10)
         assert abs(fourier(f, z) - _oracle_fourier(f, z)) <= _fourier_rounding_bound(f, z)
@@ -612,7 +614,7 @@ def test_lattice_fourier_within_its_error_bound_at_bench_scale():
     trace = _bump_trace()
     zs = (1e-3, 0.01, 0.1, 0.35, 1.0, 3.3, 10.0, 31.4159, 40.0, 100.0, 333.3, 934.64)
     for f, extra in ((step, ()), (trace, (2048.0,))):
-        assert f.edge_table[-1]
+        assert f.fourier_table[0] is _lattice_sum
         for z in zs + extra:
             exact = _mp_fourier_magnitude(f, z)
             assert abs(abs(fourier(f, z)) - exact) <= _lattice_error_bound(f, z), z

@@ -34,6 +34,7 @@ from crestimate import (
     make_step,
     rearrangement,
 )
+from crestimate.transform import _lattice_sum
 
 _settings = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 _z = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -63,7 +64,7 @@ def dyadic_functions(draw):
 def lattice_functions(draw):
     """16 to 48 segments, each 1 to 4 cells of 1/32 wide, no two the same
     step value, so the lengths repeat and ``fourier`` sums by Horner's rule
-    (the last entry of ``edge_table``, the lattice table, is set)."""
+    (the kernel in ``fourier_table`` is ``_lattice_sum``)."""
     widths = draw(st.lists(st.integers(1, 4), min_size=16, max_size=48))
     x = draw(st.integers(-1024, 1024)) / 32
     edges = [x]
@@ -95,7 +96,7 @@ def test_q_is_covariant_under_dyadic_dilation(f, k, z):
 @_settings
 @given(f=lattice_functions(), k=st.integers(-12, 12), z=_z)
 def test_q_is_covariant_under_dyadic_dilation_on_a_lattice(f, k, z):
-    assert f.edge_table[-1]
+    assert f.fourier_table[0] is _lattice_sum
     test_q_is_covariant_under_dyadic_dilation.hypothesis.inner_test(f, k, z)
 
 
@@ -151,7 +152,7 @@ def test_q_is_invariant_under_dyadic_translation(f, n, e, z):
 @_settings
 @given(f=lattice_functions(), n=st.integers(-64, 64), e=st.integers(-5, 40), z=_z)
 def test_fourier_magnitude_is_invariant_under_dyadic_translation_on_a_lattice(f, n, e, z):
-    assert f.edge_table[-1]
+    assert f.fourier_table[0] is _lattice_sum
     test_fourier_magnitude_is_invariant_under_dyadic_translation.hypothesis.inner_test(f, n, e, z)
 
 

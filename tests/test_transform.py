@@ -23,7 +23,14 @@ from crestimate.generators import (
     random_step_function,
     rng_for,
 )
-from crestimate.transform import _S1_SERIES_CUTOFF, _TRIG_SERIES_CUTOFF, _piece
+from crestimate import transform
+from crestimate.transform import (
+    _S1_SERIES_CUTOFF,
+    _TRIG_SERIES_CUTOFF,
+    _edge_sum,
+    _lattice_sum,
+    _piece,
+)
 
 BOX = make_step([0, 1], [1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
@@ -32,7 +39,7 @@ TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
 def _lattice_inputs(rng):
     """Inputs whose segment lengths repeat, so ``fourier`` sums by Horner's
     rule: combs, step functions of 1 to 4 cells of 1/32, sampled bumps.
-    The last entry of ``edge_table`` is the lattice table, or None."""
+    The first entry of ``fourier_table`` is the kernel."""
     inputs = [comb_example(n) for n in (1, 3)]
     inputs += [
         random_step_function(rng, min_pieces=64, max_pieces=256, max_width_units=4)
@@ -40,28 +47,42 @@ def _lattice_inputs(rng):
     ]
     ys = [math.sin(math.pi * k / 16) ** 2 if k % 32 < 16 else 0.0 for k in range(257)]
     inputs.append(from_samples([k / 64 for k in range(257)], ys, mode="linear"))
-    assert all(f.edge_table[-1] for f in inputs)
+    assert all(f.fourier_table[0] is _lattice_sum for f in inputs)
     return inputs
 
 
 def test_few_edge_rows_take_the_edge_loop():
     # below 8 edge rows the lattice sum's set-up costs more than it saves
     for f in (BOX, make_step([0, 1.5], [1]), make_step([0, 1, 2, 3], [1, 2, 1]), TRIANGLE):
-        assert f.edge_table[-1] is None
-    assert make_step([k * 1.5 for k in range(8)], [1 + k % 2 for k in range(7)]).edge_table[-1]
+        assert f.fourier_table[0] is _edge_sum
+    f = make_step([k * 1.5 for k in range(8)], [1 + k % 2 for k in range(7)])
+    assert f.fourier_table[0] is _lattice_sum
 
 
 def test_fourier_at_zero_is_total_integral():
     rng = rng_for(31, "zero-frequency")
-    for _ in range(50):
-        f = random_step_function(rng)
-        fh = fourier(f, 0.0)
-        assert fh.imag == 0.0
-        assert math.isclose(fh.real, f.total_integral, rel_tol=1e-14)
-    for f in _lattice_inputs(rng):
-        fh = fourier(f, 0.0)
-        assert fh.imag == 0.0
-        assert math.isclose(fh.real, f.total_integral, rel_tol=1e-14)
+    for f in [random_step_function(rng) for _ in range(50)] + _lattice_inputs(rng):
+        assert fourier(f, 0.0) == complex(f.total_integral)
+        assert fourier(f, -0.0) == complex(f.total_integral)
+
+
+def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
+    """Its one table is the lattice table, one 4-entry row per nonzero
+    segment, and no z, 0 included, takes the edge loop."""
+
+    def no_edge_loop(table, z):
+        raise AssertionError("the edge loop ran")
+
+    monkeypatch.setattr(transform, "_edge_sum", no_edge_loop)  # before any table is built
+    for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")):
+        kernel, _, (anchor, lengths, widths, sloped, rows) = f.fourier_table
+        assert kernel is _lattice_sum
+        segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+        assert len(rows) == len(segments) and all(len(row) == 4 for row in rows)
+        assert fourier(f, 0.0) == complex(f.total_integral)
+        for z in (1e-3, 1.3, -27.0):
+            fourier(f, z)
+    assert make_step([0, 1], [1]).fourier_table[0] is no_edge_loop  # the patch was in effect
 
 
 def test_fourier_box_at_pi():
@@ -108,7 +129,7 @@ def test_conjugate_symmetry_is_exact():
     ids=["edges", "lattice"],
 )
 def test_phase_arguments_beyond_float_range_are_rejected(f, lattice):
-    assert bool(f.edge_table[-1]) == lattice
+    assert (f.fourier_table[0] is _lattice_sum) == lattice
     for z in (1e308, -1e308):
         with pytest.raises(ValidationError, match="too large"):
             fourier(f, z)
