@@ -204,8 +204,9 @@ def _cmd_bound_roots(args) -> int:
     certificate = _scan(args, f)
     if certificate is None:
         return 0
-    payload = {"input": function_to_json_dict(f), **certificate.to_json_dict()}
-    del payload["grid"]
+    fields = certificate._asdict()
+    del fields["grid"]  # the report leaves the grid out: CSV format is the grid
+    payload = {"input": function_to_json_dict(f), **fields}
     if certificate.root_lower_bound == 0:
         payload["note"] = "no nontrivial certificate (best Q never exceeded 1)"
     _emit_json(args, payload)

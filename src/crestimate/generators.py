@@ -25,6 +25,7 @@ __all__ = [
     "random_interval",
     "random_weight",
     "log_uniform",
+    "log_uniform_list",
 ]
 
 _X_SCALE = 32  # breakpoint grid 1/32
@@ -130,4 +131,16 @@ def random_weight(
 
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+    return log_uniform_list(rng, lo, hi, 1)[0]
+
+
+def log_uniform_list(rng: random.Random, lo: float, hi: float, count: int) -> list[float]:
+    """``count`` successive draws of :func:`log_uniform`, the same bits.
+
+    ``rng.uniform(a, b)`` is documented as ``a + (b - a) * rng.random()``,
+    which is written out here to save a call per draw.
+    """
+    a = math.log10(lo)
+    d = math.log10(hi) - a
+    draw = rng.random
+    return [10.0 ** (a + d * draw()) for _ in range(count)]

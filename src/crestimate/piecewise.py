@@ -35,8 +35,8 @@ of every function, sampled or built, passes one check, ``_check_data``.
 import csv
 import io
 import math
+import operator
 from bisect import bisect_right
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ValidationError, ZeroFunctionError, require_not_nan
@@ -61,11 +61,11 @@ __all__ = [
 
 def _check_data(x_name: str, xs: Sequence[float], y_name: str, ys: Sequence[float]) -> None:
     """Reject xs unless finite and strictly increasing, ys unless finite and nonnegative."""
-    if not all(math.isfinite(x) for x in xs):
+    if not all(map(math.isfinite, xs)):
         raise ValidationError(f"{x_name} must be finite")
-    if any(a >= b for a, b in zip(xs, xs[1:])):
+    if any(map(operator.ge, xs, xs[1:])):
         raise ValidationError(f"{x_name} must be strictly increasing")
-    if not all(math.isfinite(y) for y in ys):
+    if not all(map(math.isfinite, ys)):
         raise ValidationError(f"{y_name} must be finite")
     if any(y < 0.0 for y in ys):
         raise ValidationError(f"{y_name} must be nonnegative")
@@ -102,6 +102,26 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
+class _stored:
+    """A method run on first read, its value stored in the instance ``__dict__``.
+
+    The stored value then shadows this descriptor, so every later read is a
+    plain instance-dict read.  Unlike ``functools.cached_property`` on
+    Python 3.11 the first read takes no lock.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class _Segments(_Record):
     """What both representations share, read off ``edges`` and ``segments()``.
 
@@ -128,7 +148,7 @@ class _Segments(_Record):
     def total_integral(self) -> float:
         return integrate(self, -math.inf, math.inf)
 
-    @cached_property
+    @_stored
     def fourier_table(self) -> tuple:
         """The kernel of :func:`crestimate.transform.fourier` and its table, built once."""
         return transform._fourier_table(self)
@@ -142,8 +162,8 @@ class StepFunction(_Segments):
     values: tuple[float, ...]
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        bp = tuple(float(x) for x in breakpoints)
-        vals = tuple(float(v) for v in values)
+        bp = tuple(map(float, breakpoints))
+        vals = tuple(map(float, values))
         if len(bp) != len(vals) + 1:
             raise ValidationError(
                 "expected len(breakpoints) == len(values) + 1, got "
@@ -209,8 +229,8 @@ class PiecewiseLinearFunction(_Segments):
     node_values: tuple[float, ...]
 
     def __init__(self, nodes: Sequence[float], node_values: Sequence[float]):
-        nd = tuple(float(x) for x in nodes)
-        vals = tuple(float(v) for v in node_values)
+        nd = tuple(map(float, nodes))
+        vals = tuple(map(float, node_values))
         if len(nd) != len(vals):
             raise ValidationError(
                 f"expected len(nodes) == len(node_values), got {len(nd)} != {len(vals)}"

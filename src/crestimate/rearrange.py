@@ -24,7 +24,8 @@ the same f*, the same tail integrals and the same Q denominator.
 
 :meth:`Rearrangement.integral_up_to` reads the integral of f* over [0, t]
 off a table of whole-piece terms built with the rearrangement: one bisect,
-one partial piece and one correctly rounded sum.
+one partial piece and one correctly rounded sum, or the total mass, stored
+with the table, when t is past the support.
 
 :func:`lorentz_lambda_norm` is exact for both representations too: f* is
 linear on each overlap of its segments with the step weight's pieces, and
@@ -84,9 +85,13 @@ class Rearrangement(_Record):
 
     def __init__(self, star: PiecewiseFunction):
         object.__setattr__(self, "star", star)
+        segments = tuple(star.segments())
         # the term integrate(star, 0.0, t) forms for each piece that t covers whole
-        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in star.segments()]
+        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in segments]
+        object.__setattr__(self, "_edges", star.edges)
+        object.__setattr__(self, "_segments", segments)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_total", math.fsum(terms))
 
     def integral_up_to(self, t: float) -> float:
         """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t).
@@ -95,14 +100,17 @@ class Rearrangement(_Record):
         """
         if not t >= 0.0:  # inline: this runs once per z in the scan
             raise ValidationError("t must be nonnegative")
-        edges = self.star.edges
+        edges = self._edges
         k = bisect_right(edges, t) - 1  # pieces 0..k-1 end at or before t
         if k < 0:
             return 0.0
-        if k == len(self._terms) or edges[k] == t:
-            return math.fsum(self._terms[:k])
-        partial = _segment_integral(*self.star.segment(k), edges[k], t)
-        return math.fsum(self._terms[:k] + [partial])
+        terms = self._terms
+        if k == len(terms):  # t is past the support: the total mass
+            return self._total
+        if edges[k] == t:
+            return math.fsum(terms[:k])
+        t0, t1, y0, y1 = self._segments[k]
+        return math.fsum(terms[:k] + [_segment_integral(t0, t1, y0, y1, t0, t)])
 
 
 def rearrangement(f: PiecewiseFunction) -> Rearrangement:

@@ -17,12 +17,18 @@ exactly).  The checks are:
 
 A relative slack of 1e-9 guards the crest-count bound; the window checks use
 an absolute slack of 1e-12.
+
+Each check also reports the comparison that attains its largest ratio
+(``max_ratio_witness``), in the same form as a violation.  A trial draws its
+50 z at once, evaluates both sides of every check as lists and hands each
+check the lists in one call; the function's JSON is built only for a
+violation or a new largest ratio.
 """
 
 from .bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
 from .generators import (
-    log_uniform,
+    log_uniform_list,
     random_decreasing_step,
     random_one_crest_step,
     random_step_function,
@@ -42,22 +48,74 @@ Z_RANGE = (1e-3, 1e3)
 Z_PER_FUNCTION = 50
 
 
-class CheckResult:
-    """One inequality: its comparisons, largest lhs/rhs ratio and violations."""
+class _Trial:
+    """One drawn function and the fields its payloads carry besides it.
 
-    def __init__(self, name: str, expected_to_hold: bool = True):
+    The function's JSON is built on first need, for a violation or a new
+    largest ratio, and shared by every payload of the trial.
+    """
+
+    __slots__ = ("f", "fields", "_head")
+
+    def __init__(self, f, **fields):
+        self.f = f
+        self.fields = fields
+        self._head = None
+
+    def payload(self, key: str, at: float, lhs: float, rhs: float) -> dict:
+        if self._head is None:
+            self._head = {"function": function_to_json_dict(self.f), **self.fields}
+        return {**self._head, key: at, "lhs": lhs, "rhs": rhs}
+
+
+class CheckResult:
+    """One inequality: its comparisons, largest lhs/rhs ratio and violations.
+
+    A pair violates when ``lhs > rhs + slack``, with ``slack`` scaled by
+    ``rhs`` when ``relative``.  ``max_ratio_witness`` is the payload of the
+    first comparison that attains ``max_ratio``, so it can be replayed.
+    """
+
+    def __init__(
+        self, name: str, slack: float, relative: bool = False, expected_to_hold: bool = True
+    ):
         self.name = name
+        self.slack = slack
+        self.relative = relative
         self.comparisons = 0
         self.max_ratio = 0.0
+        self.max_ratio_witness: dict | None = None
         self.violations: list[dict] = []
         self.expected_to_hold = expected_to_hold
 
-    def record(self, lhs: float, rhs: float, slack: float, payload: dict) -> None:
-        self.comparisons += 1
-        if rhs > 0.0:
-            self.max_ratio = max(self.max_ratio, lhs / rhs)
-        if lhs > rhs + slack:
-            self.violations.append({**payload, "lhs": lhs, "rhs": rhs})
+    def record(self, lhs: list, rhs: list, trial: _Trial, at: list, key: str = "z") -> None:
+        """Compare ``lhs[i]`` with ``rhs[i]`` at ``at[i]`` for every i.
+
+        ``max_ratio`` runs left to right over the pairs with ``rhs > 0``;
+        a payload is built only for a failing pair or a new maximum.
+        """
+        self.comparisons += len(lhs)
+        # 0.0 for rhs <= 0 never raises the maximum, which starts at 0.0
+        ratios = [a / b if b > 0.0 else 0.0 for a, b in zip(lhs, rhs)]
+        top = max(ratios)
+        if top > self.max_ratio:
+            self.max_ratio = top
+            i = ratios.index(top)
+            self.max_ratio_witness = trial.payload(key, at[i], lhs[i], rhs[i])
+        slack = self.slack
+        if self.relative:
+            failing = [i for i, (a, b) in enumerate(zip(lhs, rhs)) if a > b + slack * b]
+        else:
+            failing = [i for i, (a, b) in enumerate(zip(lhs, rhs)) if a > b + slack]
+        for i in failing:
+            self.violations.append(trial.payload(key, at[i], lhs[i], rhs[i]))
+
+    def record_positive(self, values: list, trial: _Trial, at: list) -> None:
+        """Check ``values[i] > 0`` at ``at[i]``; a ratio has no meaning here."""
+        self.comparisons += len(values)
+        for v, z in zip(values, at):
+            if v <= 0.0:
+                self.violations.append(trial.payload("z", z, v, 0.0))
 
     @property
     def passed(self) -> bool:
@@ -68,6 +126,7 @@ class CheckResult:
             "name": self.name,
             "comparisons": self.comparisons,
             "max_ratio": self.max_ratio,
+            "max_ratio_witness": self.max_ratio_witness,
             "violation_count": len(self.violations),
             "violations": self.violations[:20],
             "expected_to_hold": self.expected_to_hold,
@@ -107,23 +166,21 @@ class SuiteResult:
 def _suite_step(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "step/functions")
     z_rng = rng_for(seed, "step/z")
-    bound_check = CheckResult("crest-count-bound")
-    certificate_check = CheckResult("certificate-soundness")
+    bound_check = CheckResult("crest-count-bound", RELATIVE_SLACK, relative=True)
+    certificate_check = CheckResult("certificate-soundness", 0.0)
     for _ in range(trials):
         f = random_step_function(f_rng)
         n = count_crests(f)
         star = rearrangement(f)
-        payload = {"function": function_to_json_dict(f), "crest_count": n}
-        best_q = 0.0
-        for _ in range(Z_PER_FUNCTION):
-            z = log_uniform(z_rng, *Z_RANGE)
-            magnitude = abs(fourier(f, z))
-            tail = star.integral_up_to(1.0 / z)
-            bound = n * PI_SQRT_10 * tail
-            bound_check.record(magnitude, bound, RELATIVE_SLACK * bound, {**payload, "z": z})
-            best_q = max(best_q, magnitude / (PI_SQRT_10 * tail))
+        trial = _Trial(f, crest_count=n)
+        zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
+        magnitudes = [abs(fourier(f, z)) for z in zs]
+        tails = [star.integral_up_to(1.0 / z) for z in zs]
+        bounds = [n * PI_SQRT_10 * tail for tail in tails]
+        bound_check.record(magnitudes, bounds, trial, zs)
+        best_q = max(0.0, *[m / (PI_SQRT_10 * t) for m, t in zip(magnitudes, tails)])
         certificate_check.record(
-            float(certified_crests(best_q)), float(n), 0.0, {**payload, "best_q": best_q}
+            [float(certified_crests(best_q))], [float(n)], trial, [best_q], key="best_q"
         )
     return SuiteResult("step", trials, seed, [bound_check, certificate_check])
 
@@ -131,28 +188,29 @@ def _suite_step(trials: int, seed: int) -> SuiteResult:
 def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "decreasing/functions")
     z_rng = rng_for(seed, "decreasing/z")
-    halfline = CheckResult("monotone-halfline-bound")
-    positive = CheckResult("sine-positive")
-    narrow = CheckResult("sine-window-narrow", expected_to_hold=False)
-    wide = CheckResult("sine-window-wide")
-    cosine = CheckResult("cosine-window")
+    halfline = CheckResult("monotone-halfline-bound", ABSOLUTE_SLACK)
+    positive = CheckResult("sine-positive", 0.0)
+    narrow = CheckResult("sine-window-narrow", ABSOLUTE_SLACK, expected_to_hold=False)
+    wide = CheckResult("sine-window-wide", ABSOLUTE_SLACK)
+    cosine = CheckResult("cosine-window", ABSOLUTE_SLACK)
     for _ in range(trials):
         f = random_decreasing_step(f_rng)
-        payload = {"function": function_to_json_dict(f)}
-        for _ in range(Z_PER_FUNCTION):
-            z = log_uniform(z_rng, *Z_RANGE)
-            zp = {**payload, "z": z}
-            lhs = abs(fourier(f, z))
-            rhs = HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z)
-            halfline.record(lhs, rhs, ABSOLUTE_SLACK, zp)
-            wb = window_bounds(f, z)
-            # strict positivity of the sine transform, margin 0
-            positive.comparisons += 1
-            if wb.sine_value <= 0.0:
-                positive.violations.append({**zp, "lhs": wb.sine_value, "rhs": 0.0})
-            narrow.record(wb.sine_value, wb.sine_narrow_rhs, ABSOLUTE_SLACK, zp)
-            wide.record(wb.sine_value, wb.sine_wide_rhs, ABSOLUTE_SLACK, zp)
-            cosine.record(abs(wb.cosine_value), wb.cosine_rhs, ABSOLUTE_SLACK, zp)
+        trial = _Trial(f)
+        zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
+        halfline.record(
+            [abs(fourier(f, z)) for z in zs],
+            [HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z) for z in zs],
+            trial,
+            zs,
+        )
+        reports = [window_bounds(f, z) for z in zs]
+        sines = [wb.sine_value for wb in reports]
+        positive.record_positive(sines, trial, zs)
+        narrow.record(sines, [wb.sine_narrow_rhs for wb in reports], trial, zs)
+        wide.record(sines, [wb.sine_wide_rhs for wb in reports], trial, zs)
+        cosine.record(
+            [abs(wb.cosine_value) for wb in reports], [wb.cosine_rhs for wb in reports], trial, zs
+        )
     return SuiteResult(
         "decreasing", trials, seed, [halfline, positive, narrow, wide, cosine]
     )
@@ -161,16 +219,17 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
 def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
     f_rng = rng_for(seed, "one-crest/functions")
     z_rng = rng_for(seed, "one-crest/z")
-    window = CheckResult("single-crest-window-bound")
+    window = CheckResult("single-crest-window-bound", ABSOLUTE_SLACK)
     for _ in range(trials):
         f = random_one_crest_step(f_rng)
         b = decompose(f).crest_locations[0]
-        payload = {"function": function_to_json_dict(f), "crest_location": b}
-        for _ in range(Z_PER_FUNCTION):
-            z = log_uniform(z_rng, *Z_RANGE)
-            lhs = abs(fourier(f, z))
-            rhs = HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z)
-            window.record(lhs, rhs, ABSOLUTE_SLACK, {**payload, "z": z})
+        zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
+        window.record(
+            [abs(fourier(f, z)) for z in zs],
+            [HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z) for z in zs],
+            _Trial(f, crest_location=b),
+            zs,
+        )
     return SuiteResult("one-crest", trials, seed, [window])
 
 

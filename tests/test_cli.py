@@ -15,6 +15,7 @@ from crestimate import (
     comb_resonance,
     crest_lower_bound,
     decompose,
+    default_z_grid,
     function_from_json_dict,
     function_to_json_dict,
     hardy_chain_report,
@@ -348,6 +349,18 @@ def test_bound_roots_triangle_has_no_certificate(capsys):
     payload = json.loads(out)
     assert payload["root_lower_bound"] == 0
     assert "no nontrivial certificate" in payload["note"]
+
+
+def test_bound_roots_report_is_the_certificate_without_its_grid(capsys):
+    tri = '{"type":"linear","nodes":[0,1,2],"node_values":[0,1,0]}'
+    code, out, _ = run_cli(capsys, "bound-roots", tri, "--grid", "0.1:100:64:log")
+    assert code == 0
+    f = function_from_json_dict(json.loads(tri))
+    grid = default_z_grid(0.1, 100.0, 64, odd_pi_multiples=False)
+    fields = crest_lower_bound(f, grid).to_json_dict()
+    del fields["grid"]
+    expected = {"input": function_to_json_dict(f), **fields, "note": json.loads(out)["note"]}
+    assert out == json.dumps(expected, separators=(",", ":")) + "\n"
 
 
 def test_bound_roots_rejects_step_input(capsys):

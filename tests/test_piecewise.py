@@ -197,7 +197,8 @@ def test_functions_and_rearrangements_are_immutable_values():
             setattr(obj, field, ())
         with pytest.raises(AttributeError):
             delattr(obj, field)
-    assert step.fourier_table is step.fourier_table  # cached_property still stores its value
+    assert step.fourier_table is step.fourier_table  # built once, then stored
+    assert vars(step)["fourier_table"] is step.fourier_table  # a plain instance-dict read
     equal = make_step([0.0, 1.5], [1.0])
     assert step == equal and hash(step) == hash(equal)
     assert linear == PiecewiseLinearFunction([0, 1.5], [1, 1])

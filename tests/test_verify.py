@@ -1,10 +1,39 @@
+import hashlib
+import json
 import math
 
 import pytest
 
 from crestimate import ValidationError, run_suite
-from crestimate.piecewise import function_from_json_dict, integrate
-from crestimate.transform import sine_transform
+from crestimate import verify
+from crestimate.bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
+from crestimate.cli import main
+from crestimate.crests import count_crests, decompose
+from crestimate.generators import random_step_function, rng_for
+from crestimate.piecewise import function_from_json_dict, function_to_json_dict, integrate
+from crestimate.rearrange import rearrangement
+from crestimate.transform import fourier, sine_transform, window_bounds
+
+# The README's verify runs.  Each digest is the sha256 of the compact JSON
+# report without its ``max_ratio_witness`` keys, taken on the code that
+# compared one pair at a time, before the witnesses existed; every other
+# field must keep its bytes.
+README_RUNS = {
+    ("step", "1000", "42"): "9a1d9b990eb4e07d01ce94c88f2d5c9c0e641e527f0891872e0820174bab7cda",
+    ("decreasing", "500", "7"): "c099b746b55a54b29da1ecf5d6172068b20b4124d0df436768808ef83393d847",
+    ("one-crest", "500", "7"): "b14f4e0cf98a44f9ffed90d2f9a15ea96f953caeb9bd7797f2ace4892a170d62",
+}
+
+
+@pytest.fixture(scope="module")
+def readme_reports(tmp_path_factory):
+    """The README runs through the CLI: {(family, trials, seed): report text}."""
+    out = tmp_path_factory.mktemp("verify") / "report.json"
+    reports = {}
+    for family, trials, seed in README_RUNS:
+        assert main(["verify", family, "--trials", trials, "--seed", seed, "--out", str(out)]) == 0
+        reports[family, trials, seed] = out.read_text(encoding="utf-8")
+    return reports
 
 
 def test_suites_are_deterministic():
@@ -66,3 +95,135 @@ def test_suite_json_shape():
     assert payload["violations_total"] == 0
     assert payload["checks"][0]["name"] == "single-crest-window-bound"
     assert payload["checks"][0]["passed"] is True
+
+
+def test_readme_runs_keep_every_field_but_the_witness(readme_reports):
+    for run, digest in README_RUNS.items():
+        text = readme_reports[run]
+        report = json.loads(text)
+        assert text == json.dumps(report, separators=(",", ":")) + "\n"
+        for check in report["checks"]:
+            assert "max_ratio_witness" in check
+            del check["max_ratio_witness"]
+        stripped = json.dumps(report, separators=(",", ":"))
+        assert hashlib.sha256(stripped.encode()).hexdigest() == digest, run
+
+
+def test_witnesses_replay_the_readme_ratios(readme_reports):
+    """Each witness gives back its check's max_ratio from the library's own
+    transforms and integrals, bit for bit; the decreasing run holds the
+    README's 0.4026313... and 0.7246038...."""
+    report = json.loads(readme_reports["decreasing", "500", "7"])
+    checks = {c["name"]: c for c in report["checks"]}
+    halfline = checks["monotone-halfline-bound"]
+    wide = checks["sine-window-wide"]
+    assert repr(halfline["max_ratio"]).startswith("0.4026313")
+    assert repr(wide["max_ratio"]).startswith("0.7246038")
+    assert checks["sine-positive"]["max_ratio_witness"] is None  # a sign check has no ratio
+
+    def replay(witness):
+        return function_from_json_dict(witness["function"]), witness["z"]
+
+    f, z = replay(halfline["max_ratio_witness"])
+    assert abs(fourier(f, z)) / (HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z)) == halfline["max_ratio"]
+    for name, lhs, rhs in (
+        ("sine-window-narrow", "sine_value", "sine_narrow_rhs"),
+        ("sine-window-wide", "sine_value", "sine_wide_rhs"),
+        ("cosine-window", "cosine_value", "cosine_rhs"),
+    ):
+        f, z = replay(checks[name]["max_ratio_witness"])
+        wb = window_bounds(f, z)
+        assert abs(getattr(wb, lhs)) / getattr(wb, rhs) == checks[name]["max_ratio"], name
+
+    report = json.loads(readme_reports["step", "1000", "42"])
+    bound, certificate = report["checks"]
+    f, z = replay(bound["max_ratio_witness"])
+    n = count_crests(f)
+    assert bound["max_ratio_witness"]["crest_count"] == n
+    tail = rearrangement(f).integral_up_to(1.0 / z)
+    assert abs(fourier(f, z)) / (n * PI_SQRT_10 * tail) == bound["max_ratio"]
+    witness = certificate["max_ratio_witness"]
+    assert certified_crests(witness["best_q"]) / witness["crest_count"] == certificate["max_ratio"]
+
+    report = json.loads(readme_reports["one-crest", "500", "7"])
+    (window,) = report["checks"]
+    f, z = replay(window["max_ratio_witness"])
+    b = window["max_ratio_witness"]["crest_location"]
+    assert b == decompose(f).crest_locations[0]
+    rhs = HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z)
+    assert abs(fourier(f, z)) / rhs == window["max_ratio"]
+    for check in (*report["checks"], bound, certificate, halfline, wide):
+        w = check["max_ratio_witness"]
+        assert w["lhs"] / w["rhs"] == check["max_ratio"]
+
+
+def _reference_step_suite(trials: int, seed: int) -> tuple[dict, set[int]]:
+    """The step suite one comparison at a time, as a plain loop: its report,
+    and the trials in which some check's largest ratio rose."""
+    f_rng = rng_for(seed, "step/functions")
+    z_rng = rng_for(seed, "step/z")
+    lo, hi = math.log10(1e-3), math.log10(1e3)
+    checks = [
+        {"name": name, "comparisons": 0, "max_ratio": 0.0, "max_ratio_witness": None, "violations": []}
+        for name in ("crest-count-bound", "certificate-soundness")
+    ]
+    raised = set()
+
+    def compare(check, k, payload, lhs, rhs, slack):
+        check["comparisons"] += 1
+        if rhs > 0.0 and lhs / rhs > check["max_ratio"]:
+            check["max_ratio"] = lhs / rhs
+            check["max_ratio_witness"] = {**payload, "lhs": lhs, "rhs": rhs}
+            raised.add(k)
+        if lhs > rhs + slack:
+            check["violations"].append({**payload, "lhs": lhs, "rhs": rhs})
+
+    for k in range(trials):
+        f = random_step_function(f_rng)
+        n = count_crests(f)
+        star = rearrangement(f)
+        payload = {"function": function_to_json_dict(f), "crest_count": n}
+        best_q = 0.0
+        for _ in range(50):
+            z = 10.0 ** z_rng.uniform(lo, hi)
+            magnitude = abs(fourier(f, z))
+            tail = star.integral_up_to(1.0 / z)
+            bound = n * PI_SQRT_10 * tail
+            compare(checks[0], k, {**payload, "z": z}, magnitude, bound, 1e-9 * bound)
+            best_q = max(best_q, magnitude / (PI_SQRT_10 * tail))
+        compare(
+            checks[1], k, {**payload, "best_q": best_q}, float(certified_crests(best_q)), float(n), 0.0
+        )
+    for check in checks:
+        violations = check.pop("violations")
+        check.update(
+            violation_count=len(violations),
+            violations=violations[:20],
+            expected_to_hold=True,
+            passed=not violations,
+        )
+    total = sum(c["violation_count"] for c in checks)
+    report = {"family": "step", "trials": trials, "seed": seed, "violations_total": total, "checks": checks}
+    return report, raised
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_suite_matches_a_per_comparison_loop(seed):
+    expected, _ = _reference_step_suite(200, seed)
+    assert run_suite("step", 200, seed).to_json_dict() == expected
+
+
+def test_clean_step_suite_serializes_a_function_only_for_a_new_maximum(monkeypatch):
+    _, raised = _reference_step_suite(200, 5)
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return function_to_json_dict(f)
+
+    monkeypatch.setattr(verify, "function_to_json_dict", counting)
+    result = run_suite("step", 200, 5)
+    assert result.violations_total == 0
+    assert result.check("crest-count-bound").comparisons == 50 * 200
+    # one serialization per trial that raised a maximum, shared by its checks
+    assert len(calls) == len(raised) < 200
