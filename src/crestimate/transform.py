@@ -95,11 +95,45 @@ of the last segment:
   ``48u w (|y0| + |y1 - y0| / 2)``.
 
 So the computed value is within ``(5n + 2 |z| W + |a z| + 64) u M`` of
-fhat.  The phase roundings are those of short lengths times z, not of
-``(x - c) z``, and they add along the sum like a random walk: on a
-1,024-piece step function (``bench`` step-scan seed 1) the worst relative
-error of ``|fhat|`` over the default grid against 40 digits is 1.4e-11,
-where the edge loop's is 2.6e-10, and on a 1,601-sample trace
+fhat.
+
+A step function's lattice table also holds its jumps, and wherever that
+bound is the larger one the sum runs over them instead.  By parts,
+``fhat(z) = (1 / (iz)) sum_k J_k exp(-i x_k z)`` over the n_e edges x_k of
+the nonzero segments, J_k the rise of f across x_k; with ``h_k`` the gap
+from edge k to the next,
+
+    fhat(z) = exp(-iaz) T_0 / (iz),   T_k = T_(k+1) exp(-i h_k z) + J_k,
+
+one complex product and one add per edge and one ``exp(-ihz)`` per distinct
+gap, with no piece factors.  Every partial sum is at most the total
+variation ``V = sum |J_k|``, so the steps above, plus the rounding of each
+jump (``u |J_k|``), the division by z (u) and the anchor factor
+(``(sqrt(2) + sqrt(5)) u``), below ``6u V / |z|`` together, put it within
+``(5 n_e + 2 |z| W + |a z| + 8) u V / |z|`` of fhat.  With ``A = 5n + 64``, ``B = 5 n_e + 8`` and
+``X = 2 |z| W + |a z|`` it is no larger than the segment form's bound when
+``(B + X) V / |z| <= (A + X) M``, and this holds for every ``X >= 0``, so
+whatever the span and the anchor, exactly when ``V / |z| <= M min(1, A / B)``:
+
+    |z| >= switch = (V / M) max(1, B / A).
+
+From ``|z| = switch`` on the kernel sums over the jumps, below it over the
+segments; a sloped input keeps the segment form (its switch is inf).  V/M
+is at least 2/W, so small z never sums by parts, and where narrow segments
+stand apart the jumps cancel and the switch rises with them: 2,000 boxes
+2^-20 wide on a 2^-10 pitch switch at 4.2e6.  Under a dilation of f by a
+power of two M, and so the switch, scales by that power exactly, and under a
+scaling of its values V and M scale alike, so both symmetries of Q stay
+exact.  On ``bench`` step-scan seed 1 (1,024 pieces, 1,025 edges) V/M is
+0.458 and the switch 0.555, so 492 of the 671 points of the default grid sum
+by parts.
+
+The phase roundings are those of short lengths times z, not of
+``(x - c) z``, and they add along the sum like a random walk: on that
+step function the worst relative error of ``|fhat|`` over the default grid
+against 40 digits is 9.1e-12 (1.4e-11 with the segment form at every z),
+where the edge loop's is 2.6e-10 (seed 2: 5.9e-11 and 4.4e-11, both at
+z = 681.8, against 1.4e-10), and on a 1,601-sample trace
 (linear-roots seed 1) 6.4e-14, against 2.9e-12.  The one exception is small
 z on long runs of one gap: there the same rounded phase step multiplies the
 sum again and again, so its rounding adds up in step, to about 1e-14
@@ -117,6 +151,7 @@ closed-form paths calls it.
 import cmath
 import math
 import operator
+from functools import partial
 from typing import NamedTuple
 
 from .errors import ValidationError, require_positive
@@ -152,7 +187,8 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
 
     ``fhat(0)`` is ``complex(f.total_integral)``.  At any other z, f's one
     kernel reads its one table (``f.fourier_table``, see ``_fourier_table``):
-    the lattice sum when its segment lengths repeat, else the edge loop.  On
+    the lattice sum when its segment lengths repeat, over the segments or,
+    from a ``|z|`` on, over the jumps, else the edge loop.  On
     either path each imaginary part is odd in z and built from the same
     operations for z and -z, so ``fourier(f, -z) == fourier(f, z).conjugate()``
     holds exactly.  A z so large that a phase argument overflows is rejected.
@@ -229,18 +265,28 @@ def _edge_sum(table: tuple, z: float) -> complex:
 
 
 def _lattice_sum(table: tuple, z: float) -> complex:
-    """fhat(z) by Horner's rule over the segments, right to left.
+    """fhat(z) by Horner's rule, right to left, anchored at the leftmost edge.
 
-    One complex exponential per distinct length L gives the phase step
-    ``exp(-iu)``, ``u = L z``, and from its cos and sin, for a width, the
+    From ``|z| = switch`` on (never on a sloped input) the sum runs over the
+    jumps of f: one complex exponential per distinct gap between edges, and
+    one product and one add per edge.  Below it the sum runs over the
+    segments: one complex exponential per distinct length L gives the phase
+    step ``exp(-iu)``, ``u = L z``, and from its cos and sin, for a width, the
     piece factor ``L phi(u) = (sin u - i (1 - cos u)) / z`` and, for the
     width of a sloped segment, ``L psi(u) = L (c1 - i s1)``; below
     ``|u| = 1e-2`` both read the series of ``_piece`` (see the module
-    docstring).  The sum is anchored at the leftmost edge.
+    docstring).
     """
-    anchor, lengths, widths, sloped, rows = table
-    cutoff = _TRIG_SERIES_CUTOFF
+    anchor, lengths, widths, sloped, rows, switch, gaps, jumps = table
     mz = complex(0.0, -z)
+    if abs(z) >= switch:
+        step = [cmath.exp(gap * mz) for gap in gaps]
+        acc = 0j
+        for gap, jump in jumps:
+            acc = acc * step[gap] + jump
+        # fhat = acc / (iz) times the anchor's phase
+        return complex(acc.imag / z, -acc.real / z) * cmath.exp(anchor * mz)
+    cutoff = _TRIG_SERIES_CUTOFF
     # the argument's real part is a zero, so exp is (cos u, -sin u) to the bit
     step = [cmath.exp(length * mz) for length in lengths]
     phi, psi = [], []  # L phi(u) and L psi(u) per width
@@ -280,14 +326,16 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     consecutive left edges, and there is one edge row per edge of a nonzero
     segment.  With at least ``_LATTICE_MIN_ROWS`` rows and at most half as
     many distinct lengths, the kernel is ``_lattice_sum`` and the table
-    ``(anchor, lengths, widths, sloped, rows)``.  ``lengths`` are distinct:
-    the widths of sloped segments first (``sloped`` of them), then the other
-    widths (``widths`` in all), then the gaps that are no width.  There is
-    one row per nonzero segment, right to left: ``(gap, width, y0, dy)``,
-    with ``gap`` the index of the distance to the next left edge on the right
-    (0 on the rightmost segment) and ``width`` the index of its width.
+    ``(anchor, lengths, widths, sloped, rows, switch, gaps, jumps)``.
+    ``lengths`` are distinct: the widths of sloped segments first (``sloped``
+    of them), then the other widths (``widths`` in all), then the gaps that
+    are no width.  There is one row per nonzero segment, right to left:
+    ``(gap, width, y0, dy)``, with ``gap`` the index of the distance to the
+    next left edge on the right (0 on the rightmost segment) and ``width``
+    the index of its width.  ``switch, gaps, jumps`` are those of
+    ``_jump_rows`` on a step function and ``(inf, (), ())`` otherwise.
     ``anchor`` is the leftmost left edge, and ``reach`` the largest of
-    ``|anchor|`` and the lengths.
+    ``|anchor|`` and the lengths, which bound the gaps between edges too.
 
     Otherwise the kernel is ``_edge_sum`` and the table ``(c, rows)``, centred
     at the middle entry c of ``edges``, with one row per edge x, left to
@@ -318,7 +366,8 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
                 (0 if b is None else index[b - t0], index[t1 - t0], y0, y1 - y0)
                 for (t0, t1, y0, y1), b in zip(reversed(segments), reversed(after))
             )
-            table = starts[0], lengths, len(widths), len(sloped), rows
+            by_parts = (math.inf, (), ()) if sloped else _jump_rows(segments)
+            table = starts[0], lengths, len(widths), len(sloped), rows, *by_parts
             return _lattice_sum, max(abs(starts[0]), *lengths), table
     edges = f.edges
     centre = edges[len(edges) // 2]
@@ -337,6 +386,34 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
             wl = yl = sl = 0.0
     reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
     return _edge_sum, reach, (centre, tuple(rows))
+
+
+def _jump_rows(segments: list) -> tuple:
+    """``(switch, gaps, jumps)`` of a step function's lattice table: the
+    ``|z|`` from which the sum over its jumps has the smaller error bound
+    (see the module docstring), the distinct gaps between consecutive edges,
+    and one row ``(gap, jump)`` per edge, right to left, with ``gap`` the
+    index of the distance to the next edge on the right (0 on the rightmost).
+    """
+    xs, rises = [], []  # the edges of the nonzero segments and f's rise across each
+    for t0, t1, y0, _ in segments:
+        if xs and xs[-1] == t0:
+            rises[-1] += y0
+        else:
+            xs.append(t0)
+            rises.append(y0)
+        xs.append(t1)
+        rises.append(-y0)
+    edge_gaps = list(map(operator.sub, xs[1:], xs))
+    gaps = tuple(set(edge_gaps))
+    index = {gap: k for k, gap in enumerate(gaps)}
+    jumps = tuple(zip([0, *(index[g] for g in reversed(edge_gaps))], reversed(rises)))
+    variation = math.fsum(map(abs, rises))
+    mass = math.fsum([(t1 - t0) * abs(y0) for t0, t1, y0, _ in segments])
+    if not mass:  # every w |y| underflowed: the segment form's bound is the smaller
+        return math.inf, gaps, jumps
+    # (V / M) max(1, B / A) of the module docstring
+    return variation / mass * max(1.0, (5 * len(xs) + 8) / (5 * len(segments) + 64)), gaps, jumps
 
 
 def _nonzero_segments(f: PiecewiseFunction) -> list:
@@ -493,13 +570,18 @@ def window_bounds(f: PiecewiseFunction, z: float) -> WindowBoundReport:
     """Evaluate Sf, Cf and their comparison windows at finite z > 0."""
     require_positive("z", z)
     require_halfline_support(f)
+    return _window_bounds(f, z, partial(integrate, f, 0.0))
+
+
+def _window_bounds(f: PiecewiseFunction, z: float, integral_to) -> WindowBoundReport:
+    """:func:`window_bounds` with ``integral_to(x)`` the integral of f over [0, x]."""
     half_pi = math.pi / (2.0 * z)
     sine_value, cosine_value = _sine_cosine(f, z)
     return WindowBoundReport(
         z=z,
         sine_value=sine_value,
-        sine_narrow_rhs=integrate(f, 0.0, half_pi),
-        sine_wide_rhs=integrate(f, 0.0, math.pi / z),
+        sine_narrow_rhs=integral_to(half_pi),
+        sine_wide_rhs=integral_to(math.pi / z),
         cosine_value=cosine_value,
-        cosine_rhs=integrate(f, 0.0, 3.0 * half_pi),
+        cosine_rhs=integral_to(3.0 * half_pi),
     )

@@ -12,8 +12,8 @@ cosine loops, the two adaptive quadrature engines with their Hardy loops,
 and the Lorentz norm that ran adaptive Simpson on linear input.  The
 library must agree with them exactly, with no tolerance, except for the
 transform, which now sums centred edge phases or, on inputs whose segment
-lengths repeat, runs Horner's rule over the segments (within a derived
-rounding bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear Lorentz norm,
+lengths repeat, runs Horner's rule over the segments or the jumps (within a
+derived rounding bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear Lorentz norm,
 which is now exact (see their tests).
 """
 
@@ -35,6 +35,7 @@ from crestimate import (
     cosine_transform,
     count_crests,
     decompose,
+    default_z_grid,
     distribution,
     evaluate,
     fourier,
@@ -618,6 +619,71 @@ def test_lattice_fourier_within_its_error_bound_at_bench_scale():
         for z in zs + extra:
             exact = _mp_fourier_magnitude(f, z)
             assert abs(abs(fourier(f, z)) - exact) <= _lattice_error_bound(f, z), z
+
+
+def _by_parts_error_bound(f, z):
+    """The error bound of the sum over a step function's jumps, of the
+    ``transform`` docstring: ``(5 n_e + 2 |z| W + |a z| + 8) u V / |z|``."""
+    segments = [seg for seg in f.segments() if seg[2] != 0.0]
+    rise = defaultdict(float)
+    for t0, t1, y0, _ in segments:
+        rise[t0] += y0
+        rise[t1] -= y0
+    anchor, span = segments[0][0], segments[-1][1] - segments[0][0]
+    variation = math.fsum(map(abs, rise.values()))
+    terms = 5 * len(rise) + 2 * abs(z) * span + abs(anchor * z) + 8
+    return terms * 2.0**-53 * variation / abs(z)
+
+
+def _one_form(f, switch):
+    """f's lattice table with the sum over the jumps from ``|z| = switch`` on."""
+    table = f.fourier_table[2]
+    return table[:5] + (switch,) + table[6:]
+
+
+def test_step_lattice_fourier_on_both_sides_of_the_by_parts_switch():
+    """1,024 dyadic pieces against 40 digits at z around the switch: each
+    form within its own bound, and the sum over the jumps only where its
+    bound is no larger than the segment form's."""
+    f = _lattice_step(rng_for(54, "differential/by-parts"), 1024)
+    switch = f.fourier_table[2][5]
+    taken = set()
+    for ratio in (0.05, 0.5, 0.999, 1.001, 2.0, 10.0, 100.0, 1000.0):
+        z = ratio * switch
+        by_parts = abs(z) >= switch
+        taken.add(by_parts)
+        value = fourier(f, z)
+        assert value == _lattice_sum(_one_form(f, 0.0 if by_parts else math.inf), z)
+        bound = _lattice_error_bound(f, z)
+        if by_parts:
+            parts_bound = _by_parts_error_bound(f, z)
+            assert parts_bound <= bound, z
+            bound = parts_bound
+        assert abs(abs(value) - _mp_fourier_magnitude(f, z)) <= bound, z
+    assert taken == {True, False}
+
+
+def test_a_narrow_comb_keeps_the_segment_form_at_small_z():
+    """2,000 boxes 2^-20 wide on a 2^-10 pitch: 4,000 unit jumps that
+    cancel to |fhat| below 2,000 * 2^-20, so by parts would lose about
+    21 bits; the sum over the segments stays within its bound."""
+    pitch, width = 2.0**-10, 2.0**-20
+    f = make_step(
+        [x for k in range(2000) for x in (k * pitch, k * pitch + width)], [1.0, 0.0] * 1999 + [1.0]
+    )
+    assert f.fourier_table[0] is _lattice_sum
+    for z in (1.0, 100.0):
+        exact = _mp_fourier_magnitude(f, z)
+        assert abs(abs(fourier(f, z)) - exact) <= _lattice_error_bound(f, z), z
+
+
+def test_most_of_the_default_grid_sums_a_step_function_by_parts():
+    """The sum over the jumps is the cheaper loop; on 1,024 dyadic pieces it
+    runs at 70% of the default grid or more."""
+    f = _lattice_step(rng_for(53, "differential/bench-scale"), 1024)
+    switch = f.fourier_table[2][5]
+    zs = default_z_grid()
+    assert sum(z >= switch for z in zs) >= 0.7 * len(zs)
 
 
 # --- oracle: the decomposition that rescanned every piece per cell --------

@@ -9,14 +9,15 @@ same holds for scaling the values by 2^k.
 Translation: the transform sums phases centred at an edge c of the input,
 and for a dyadic offset every centred edge x - c has the same bits, so only
 the final factor e^(-icz) differs (see the bound below); on a lattice input
-the Horner sum reads only widths and gaps, which keep their bits, and only
-its anchor factor differs.  The rearrangement reads only widths and values,
+the Horner sum reads only widths, gaps and jumps, which keep their bits, and
+only its anchor factor differs.  The rearrangement reads only widths and values,
 so it does not change at all.  The crest count does not see a piece split
 in two.
 
 Each symmetry is checked on two kinds of input: few segments of unrelated
 widths, which take the edge loop of ``fourier``, and many segments of one to
-four lattice cells, which take its lattice sum.
+four lattice cells, which take its lattice sum, on a step function also at
+a z past the switch to its sum over the jumps.
 """
 
 import math
@@ -93,11 +94,22 @@ def test_q_is_covariant_under_dyadic_dilation(f, k, z):
     assert bound_report(g, z).q_value == bound_report(f, z / lam).q_value
 
 
+def _past_switch(f, z):
+    """A z past the switch of a step function f, where its lattice sum runs
+    over the jumps."""
+    return f.fourier_table[2][5] * (1.0 + z)
+
+
 @_settings
 @given(f=lattice_functions(), k=st.integers(-12, 12), z=_z)
 def test_q_is_covariant_under_dyadic_dilation_on_a_lattice(f, k, z):
+    """At the drawn z, and for a step function also where f, at z / lam,
+    and g, at z, both sum over their jumps."""
     assert f.fourier_table[0] is _lattice_sum
     test_q_is_covariant_under_dyadic_dilation.hypothesis.inner_test(f, k, z)
+    if isinstance(f, StepFunction):
+        z = math.ldexp(_past_switch(f, z), k)
+        test_q_is_covariant_under_dyadic_dilation.hypothesis.inner_test(f, k, z)
 
 
 def _map_values(f, fn):
@@ -154,6 +166,9 @@ def test_q_is_invariant_under_dyadic_translation(f, n, e, z):
 def test_fourier_magnitude_is_invariant_under_dyadic_translation_on_a_lattice(f, n, e, z):
     assert f.fourier_table[0] is _lattice_sum
     test_fourier_magnitude_is_invariant_under_dyadic_translation.hypothesis.inner_test(f, n, e, z)
+    if isinstance(f, StepFunction):
+        z = _past_switch(f, z)
+        test_fourier_magnitude_is_invariant_under_dyadic_translation.hypothesis.inner_test(f, n, e, z)
 
 
 def test_comb_q_is_invariant_under_a_2_to_40_translation():

@@ -59,6 +59,13 @@ def test_few_edge_rows_take_the_edge_loop():
     assert f.fourier_table[0] is _lattice_sum
 
 
+def test_a_step_lattice_whose_mass_underflows_keeps_the_segment_sum():
+    # every w |y| rounds to zero, so V / M has no value and the switch is inf
+    f = make_step([k * 2.0**-100 for k in range(17)], [2.0**-1000 * (1 + k % 2) for k in range(16)])
+    assert f.fourier_table[0] is _lattice_sum and f.fourier_table[2][5] == math.inf
+    assert fourier(f, 1.0) == 0j
+
+
 def test_fourier_at_zero_is_total_integral():
     rng = rng_for(31, "zero-frequency")
     for f in [random_step_function(rng) for _ in range(50)] + _lattice_inputs(rng):
@@ -68,17 +75,23 @@ def test_fourier_at_zero_is_total_integral():
 
 def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
     """Its one table is the lattice table, one 4-entry row per nonzero
-    segment, and no z, 0 included, takes the edge loop."""
+    segment and, on a step function, one (gap, jump) row per edge of a
+    nonzero segment; no z, 0 included, takes the edge loop."""
 
     def no_edge_loop(table, z):
         raise AssertionError("the edge loop ran")
 
     monkeypatch.setattr(transform, "_edge_sum", no_edge_loop)  # before any table is built
     for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")):
-        kernel, _, (anchor, lengths, widths, sloped, rows) = f.fourier_table
+        kernel, _, (anchor, lengths, widths, sloped, rows, switch, gaps, jumps) = f.fourier_table
         assert kernel is _lattice_sum
         segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
         assert len(rows) == len(segments) and all(len(row) == 4 for row in rows)
+        if sloped:
+            assert (switch, gaps, jumps) == (math.inf, (), ())
+        else:
+            edges = {x for t0, t1, _, _ in segments for x in (t0, t1)}
+            assert len(jumps) == len(edges) and all(len(row) == 2 for row in jumps)
         assert fourier(f, 0.0) == complex(f.total_integral)
         for z in (1e-3, 1.3, -27.0):
             fourier(f, z)
@@ -117,9 +130,12 @@ def test_conjugate_symmetry_is_exact():
         f = random_step_function(rng)
         z = log_uniform(rng, 1e-3, 1e3)
         assert fourier(f, -z) == fourier(f, z).conjugate()
-    # z from the series branch of every width to past every width's 1/z
+    # z from the series branch of every width to past every width's 1/z, and
+    # on a step function past the switch to the sum over its jumps
     for f in _lattice_inputs(rng_for(32, "conjugate/lattice")):
-        for z in (1e-4, *(log_uniform(rng, 1e-3, 1e3) for _ in range(5))):
+        switch = f.fourier_table[2][5]
+        past = () if switch == math.inf else (switch, switch * log_uniform(rng, 1.0, 1e3))
+        for z in (1e-4, *(log_uniform(rng, 1e-3, 1e3) for _ in range(5)), *past):
             assert fourier(f, -z) == fourier(f, z).conjugate()
 
 

@@ -9,7 +9,7 @@ from crestimate import verify
 from crestimate.bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from crestimate.cli import main
 from crestimate.crests import count_crests, decompose
-from crestimate.generators import random_step_function, rng_for
+from crestimate.generators import random_decreasing_step, random_step_function, rng_for
 from crestimate.piecewise import function_from_json_dict, function_to_json_dict, integrate
 from crestimate.rearrange import rearrangement
 from crestimate.transform import fourier, sine_transform, window_bounds
@@ -67,6 +67,18 @@ def test_decreasing_suite_flags_only_the_narrow_window():
     for name in ("monotone-halfline-bound", "sine-positive", "sine-window-wide", "cosine-window"):
         check = result.check(name)
         assert check.expected_to_hold and check.passed
+
+
+def test_decreasing_draws_are_their_own_rearrangement():
+    """The decreasing suite reads its integrals over [0, x] off f*: f* is f,
+    so they are integrate(f, 0.0, x) bit for bit."""
+    rng = rng_for(7, "decreasing/functions")
+    for _ in range(300):
+        f = random_decreasing_step(rng)
+        star = rearrangement(f)
+        assert star.star == f
+        for x in (*f.breakpoints, 0.3, 2.5, 100.0):
+            assert star.integral_up_to(x) == integrate(f, 0.0, x)
 
 
 def test_one_crest_suite_is_clean():
