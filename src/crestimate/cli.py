@@ -58,7 +58,7 @@ def _load_function(spec: str, csv_mode: str):
         return _function_from_json_text(spec)
     path = Path(spec)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not data
     except (FileNotFoundError, NotADirectoryError):
         raise ValidationError(f"no such input file: {spec}") from None
     except (OSError, UnicodeDecodeError) as exc:

@@ -5,9 +5,9 @@ function runs linearly from ``y0`` at ``t0`` to ``y1`` at ``t1``, and a step
 piece is a segment with ``y0 == y1``.  Each class exposes its breakpoints or
 nodes as ``edges`` and its segments through ``segments()`` and
 ``segment(i)``; every kernel that only reads segments is written once
-against that protocol.  Each function also caches ``fourier_table``, which
-:mod:`crestimate.transform` builds and reads.  The two representations
-share conventions:
+against that protocol.  Each function also keeps ``fourier_table``, a
+``functools.cached_property`` that :mod:`crestimate.transform` builds on the
+first transform and reads after.  The two representations share conventions:
 
 * Half-open evaluation.  A step function takes ``values[i]`` on
   ``[breakpoints[i], breakpoints[i+1])`` and is zero outside
@@ -33,6 +33,7 @@ of every function, sampled or built, passes one check, ``_check_data``.
 """
 
 import csv
+import functools
 import io
 import math
 import operator
@@ -102,26 +103,6 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-class _stored:
-    """A method run on first read, its value stored in the instance ``__dict__``.
-
-    The stored value then shadows this descriptor, so every later read is a
-    plain instance-dict read.  Unlike ``functools.cached_property`` on
-    Python 3.11 the first read takes no lock.
-    """
-
-    def __init__(self, build):
-        self.build = build
-        self.name = build.__name__
-        self.__doc__ = build.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
 class _Segments(_Record):
     """What both representations share, read off ``edges`` and ``segments()``.
 
@@ -148,7 +129,7 @@ class _Segments(_Record):
     def total_integral(self) -> float:
         return integrate(self, -math.inf, math.inf)
 
-    @_stored
+    @functools.cached_property
     def fourier_table(self) -> tuple:
         """The kernel of :func:`crestimate.transform.fourier` and its table, built once."""
         return transform._fourier_table(self)
@@ -258,9 +239,7 @@ class PiecewiseLinearFunction(_Segments):
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction
 
 
-def make_step(breakpoints: Sequence[float], values: Sequence[float]) -> StepFunction:
-    """Build the canonical step function with the given pieces."""
-    return StepFunction(tuple(breakpoints), tuple(values))
+make_step = StepFunction  # the canonical step function with the given pieces
 
 
 def evaluate(f: PiecewiseFunction, x: float) -> float:

@@ -23,9 +23,10 @@ an input translated by an offset that keeps every width the same float has
 the same f*, the same tail integrals and the same Q denominator.
 
 :meth:`Rearrangement.integral_up_to` reads the integral of f* over [0, t]
-off a table of whole-piece terms built with the rearrangement: one bisect,
-one partial piece and one correctly rounded sum, or the total mass, stored
-with the table, when t is past the support.
+off a table of whole-piece terms, ``_tail_table``, built on the first tail
+read (a caller that never reads a tail never builds it): one bisect, one
+partial piece and one correctly rounded sum, or the total mass, stored with
+the table, when t is past the support.
 
 :func:`lorentz_lambda_norm` is exact for both representations too: f* is
 linear on each overlap of its segments with the step weight's pieces, and
@@ -33,6 +34,7 @@ the integral of a linear function's p-th power has a closed form.  Nothing
 in this module calls quadrature.
 """
 
+import functools
 import math
 from bisect import bisect_right
 
@@ -85,13 +87,17 @@ class Rearrangement(_Record):
 
     def __init__(self, star: PiecewiseFunction):
         object.__setattr__(self, "star", star)
-        segments = tuple(star.segments())
-        # the term integrate(star, 0.0, t) forms for each piece that t covers whole
+
+    @functools.cached_property
+    def _tail_table(self) -> tuple:
+        """``(edges, segments, terms, total)`` of f*, built on the first tail read.
+
+        ``terms`` holds the term integrate(star, 0.0, t) forms for each piece
+        that t covers whole, and ``total`` their correctly rounded sum.
+        """
+        segments = tuple(self.star.segments())
         terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in segments]
-        object.__setattr__(self, "_edges", star.edges)
-        object.__setattr__(self, "_segments", segments)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_total", math.fsum(terms))
+        return self.star.edges, segments, terms, math.fsum(terms)
 
     def integral_up_to(self, t: float) -> float:
         """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t).
@@ -100,16 +106,15 @@ class Rearrangement(_Record):
         """
         if not t >= 0.0:  # inline: this runs once per z in the scan
             raise ValidationError("t must be nonnegative")
-        edges = self._edges
+        edges, segments, terms, total = self._tail_table
         k = bisect_right(edges, t) - 1  # pieces 0..k-1 end at or before t
         if k < 0:
             return 0.0
-        terms = self._terms
         if k == len(terms):  # t is past the support: the total mass
-            return self._total
+            return total
         if edges[k] == t:
             return math.fsum(terms[:k])
-        t0, t1, y0, y1 = self._segments[k]
+        t0, t1, y0, y1 = segments[k]
         return math.fsum(terms[:k] + [_segment_integral(t0, t1, y0, y1, t0, t)])
 
 

@@ -73,11 +73,15 @@ the few-piece functions of ``verify`` a typical input has 8 distinct
 lengths for 9 rows, and setting up a table per z would cost more than the
 edge loop saves, hence the rule.  For the same reason an input with fewer
 than 8 edge rows (``_LATTICE_MIN_ROWS``) takes the edge loop even
-when its lengths repeat: per call, over 50 log-uniform z in [1e-3, 1e3]
-(Python 3.11.7, 2-vCPU Xeon VM, best of 7), a box takes 3.3 us by the
-lattice sum and 2.1 us by the edge loop, 6 equal steps (7 rows) 4.5 and
-4.4 us, 7 equal steps (8 rows) 4.7 and 4.9 us, a 7-segment sampled trace
-(8 rows) 6.6 and 7.0 us, and a 10-box comb (20 rows) 4.8 and 8.3 us.
+when its lengths repeat.  Per call, with each table built by
+``_fourier_table`` under ``_LATTICE_MIN_ROWS`` 1 and 10**9 and each kernel
+timed in process over the same 50 log-uniform z in [1e-3, 1e3] (timeit,
+best of 15 repeats of 200 passes; Python 3.11.7, 2-vCPU Xeon VM), a box
+takes 1.6 us by the lattice sum and 1.0 us by the edge loop, 6 equal steps
+(7 rows) 2.1 and 2.6 us, 7 equal steps (8 rows) 2.3 and 3.4 us, a
+7-segment sampled trace (8 rows) 4.3 and 3.7 us, and a 10-box comb
+(20 rows) 3.0 and 5.4 us.  Repeated runs spread by up to a third; since the
+sum over the jumps, a step input of 6 or 7 rows is about even.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
 ``M = sum w (|y0| + |y1 - y0| / 2)`` (at least ``sum |p_j|``, as

@@ -25,6 +25,8 @@ check the lists in one call; the function's JSON is built only for a
 violation or a new largest ratio.
 """
 
+import functools
+
 from .bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
 from .generators import (
@@ -55,16 +57,15 @@ class _Trial:
     largest ratio, and shared by every payload of the trial.
     """
 
-    __slots__ = ("f", "fields", "_head")
-
     def __init__(self, f, **fields):
         self.f = f
         self.fields = fields
-        self._head = None
+
+    @functools.cached_property
+    def _head(self) -> dict:
+        return {"function": function_to_json_dict(self.f), **self.fields}
 
     def payload(self, key: str, at: float, lhs: float, rhs: float) -> dict:
-        if self._head is None:
-            self._head = {"function": function_to_json_dict(self.f), **self.fields}
         return {**self._head, key: at, "lhs": lhs, "rhs": rhs}
 
 

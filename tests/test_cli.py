@@ -97,6 +97,34 @@ def test_analyze_malformed_json(capsys):
     assert "missing field 'values'" in err
 
 
+def test_byte_order_mark_is_not_data(tmp_path, capsys):
+    """A UTF-8 byte-order mark at the start of a file is skipped, not parsed."""
+    for name, text in (("samples.csv", "0,1\n1,2\n2,0\n"), ("box.json", BOX_JSON)):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        code, expected, _ = run_cli(capsys, "rearrange", str(plain))
+        assert code == 0
+        assert run_cli(capsys, "rearrange", str(marked)) == (0, expected, "")
+    assert json.loads(expected) == json.loads(BOX_JSON)
+    code, out, _ = run_cli(capsys, "rearrange", str(tmp_path / "bom-samples.csv"))
+    assert json.loads(out)["values"] == [2.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, spaced",
+    [
+        (("analyze", BOX_JSON, "--grid", "1:2:2:lin", "--extra-z", "2.5,4"), "2.5, ,4,"),
+        (("comb", "1", "--z", "3.0,1.5"), " 3.0,,1.5 "),
+    ],
+)
+def test_float_lists_skip_blank_tokens(capsys, argv, spaced):
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv[:-1], spaced) == (0, expected, "")
+
+
 def test_analyze_zero_function(capsys):
     code, _, err = run_cli(
         capsys, "analyze", '{"type":"step","breakpoints":[0,1],"values":[0]}'
@@ -145,6 +173,9 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2", "--q", "2000"), 2, "overflow"),
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
+        (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
+        (("analyze", BOX_JSON, "--extra-z", "1.5,x2"), 1, "bad --extra-z value 'x2'"),
+        (("comb", "1", "--z", "1.5,x2"), 1, "bad --z value 'x2'"),
     ],
     ids=[
         "directory",
@@ -156,6 +187,9 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         "q-2000",
         "phase-overflow-edges",
         "phase-overflow-lattice",
+        "json-syntax",
+        "extra-z-not-a-number",
+        "z-not-a-number",
     ],
 )
 def test_failures_exit_with_one_line(argv, code, fragment, tmp_path, capsys):

@@ -986,6 +986,14 @@ def test_hardy_integrals_equal_old_loops():
         )
 
 
+def test_simpson_of_an_empty_or_reversed_interval_is_zero():
+    def never_called(x):
+        raise AssertionError(f"integrand called at {x}")
+
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        assert simpson_adaptive(never_called, a, b, 1e-8) == (0.0, 0.0)
+
+
 def test_both_engines_raise_on_budget():
     with pytest.raises(ConvergenceError, match="panel"):
         simpson_adaptive(_kinked, 0.0, 2.0, 1e-14, max_panels=16)

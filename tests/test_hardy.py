@@ -88,6 +88,10 @@ def test_fourier_weighted_norm_frozen_value():
     assert math.isclose(value, BOX_WEIGHTED_NORM, rel_tol=1e-6)
 
 
+def test_fourier_weighted_norm_of_the_zero_function():
+    assert fourier_weighted_norm(make_step([0, 1], [0]), make_step([0, 1], [1]), 2.0) == 0.0
+
+
 def test_fourier_weighted_norm_localization():
     # a narrow weight picks out |fhat(a)| * eps^(1/q)
     eps = 1e-4

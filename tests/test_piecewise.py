@@ -278,3 +278,14 @@ def test_csv_parsing_errors():
         samples_from_csv_text("x,y\n")
     with pytest.raises(ValidationError, match="line 2"):
         samples_from_csv_text("0,1\nfoo,bar\n")
+
+
+def test_csv_parsing_skips_blank_rows():
+    assert samples_from_csv_text("0,1\n\n , \n1,2\n") == ([0.0, 1.0], [1.0, 2.0])
+
+
+def test_constructors_reject_missing_or_mismatched_values():
+    with pytest.raises(ValidationError, match="a step function needs at least one piece"):
+        make_step([0.0], [])
+    with pytest.raises(ValidationError, match=r"len\(nodes\) == len\(node_values\), got 2 != 1"):
+        PiecewiseLinearFunction([0, 1], [1])

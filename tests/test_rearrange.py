@@ -221,6 +221,10 @@ def test_lorentz_norm_comb():
     assert lorentz_lambda_norm(comb_example(1), make_step([0, 5], [1]), 1.0) == 5.0
 
 
+def test_lorentz_norm_of_the_zero_function():
+    assert lorentz_lambda_norm(make_step([0, 1], [0]), make_step([0, 5], [1]), 2.0) == 0.0
+
+
 def test_lorentz_norm_validation():
     box = make_step([0, 1], [1])
     for bad_p in (0.0, math.nan, math.inf):

@@ -73,6 +73,11 @@ def test_fourier_at_zero_is_total_integral():
         assert fourier(f, -0.0) == complex(f.total_integral)
 
 
+def test_quadrature_oracle_of_the_zero_function():
+    value = fourier_quadrature_oracle(make_step([0, 1], [0]), 2.0, 1e-9)
+    assert type(value) is complex and value == 0j
+
+
 def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
     """Its one table is the lattice table, one 4-entry row per nonzero
     segment and, on a step function, one (gap, jump) row per edge of a

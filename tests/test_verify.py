@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from crestimate import ValidationError, run_suite
+from crestimate import ValidationError, make_step, run_suite
 from crestimate import verify
 from crestimate.bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
 from crestimate.cli import main
@@ -47,6 +47,26 @@ def test_unknown_family_and_bad_trials():
         run_suite("smooth", 10, 0)
     with pytest.raises(ValidationError, match="trials"):
         run_suite("step", 0, 0)
+
+
+def test_suite_check_by_unknown_name():
+    with pytest.raises(KeyError, match="sine-positive"):
+        run_suite("one-crest", 1, 1).check("sine-positive")
+
+
+def test_record_positive_reports_each_nonpositive_value():
+    f = make_step([0, 1], [1])
+    check = verify.CheckResult("sine-positive", 0.0)
+    check.record_positive([0.5, 0.0, -1e-3], verify._Trial(f, note=1), [1.0, 2.0, 3.0])
+    assert check.comparisons == 3
+    assert check.max_ratio == 0.0 and check.max_ratio_witness is None
+    head = {"function": function_to_json_dict(f), "note": 1}
+    assert check.violations == [
+        {**head, "z": 2.0, "lhs": 0.0, "rhs": 0.0},
+        {**head, "z": 3.0, "lhs": -1e-3, "rhs": 0.0},
+    ]
+    # the function is serialized once and shared by the trial's payloads
+    assert check.violations[0]["function"] is check.violations[1]["function"]
 
 
 def test_step_suite_is_clean():
