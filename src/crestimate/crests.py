@@ -24,13 +24,7 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .piecewise import (
-    PiecewiseFunction,
-    PiecewiseLinearFunction,
-    StepFunction,
-    make_step,
-    require_nonzero,
-)
+from .piecewise import PiecewiseFunction, StepFunction, require_nonzero
 
 __all__ = [
     "CrestReport",
@@ -111,18 +105,16 @@ def _split(f: PiecewiseFunction, cuts) -> tuple[PiecewiseFunction, ...]:
 
     Each cut is bisected into ``f.edges``, so a cell reads only its own
     pieces: O(pieces + cuts log pieces).  A cut is an edge or lies inside a
-    zero run, so a linear cell's end values are node values too.
+    zero run, so a linear cell's end values are node values too, and a cell
+    of either representation is built from its edges and ``_shift`` more
+    values than segments.
     """
     edges = f.edges
     bounds = [edges[0], *cuts, edges[-1]]
     out = []
     for lo, hi in zip(bounds, bounds[1:]):
         i, j = bisect_right(edges, lo), bisect_left(edges, hi)
-        xs = (lo, *edges[i:j], hi)
-        if isinstance(f, StepFunction):
-            out.append(make_step(xs, f.values[i - 1 : j]))
-        else:
-            out.append(PiecewiseLinearFunction(xs, f.node_values[i - 1 : j + 1]))
+        out.append(type(f)((lo, *edges[i:j], hi), f._ys[i - 1 : j + f._shift]))
     return tuple(out)
 
 

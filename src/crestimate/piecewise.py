@@ -2,10 +2,16 @@
 
 Both representations are lists of segments ``(t0, t1, y0, y1)``: the
 function runs linearly from ``y0`` at ``t0`` to ``y1`` at ``t1``, and a step
-piece is a segment with ``y0 == y1``.  Each class exposes its breakpoints or
-nodes as ``edges`` and its segments through ``segments()`` and
-``segment(i)``; every kernel that only reads segments is written once
-against that protocol.  Each function also keeps ``fourier_table``, a
+piece is a segment with ``y0 == y1``.  A representation is four things: its
+``_fields`` (the JSON field names, in order), its JSON type tag ``_kind``,
+its ``_shift`` and its constructor's rules.  The constructor stores the
+breakpoints or nodes as ``edges`` and the value tuple as ``_ys``, and
+segment ``i`` runs from ``_ys[i]`` to ``_ys[i + _shift]``: ``_shift`` is 0
+for a step function, whose pieces are flat, and 1 for a piecewise-linear
+one, whose neighbouring segments share a node.  Everything else, from
+``segments()`` and ``segment(i)`` to the JSON format, is written once
+against that protocol; only the rearrangement algorithm still tells the two
+apart.  Each function also keeps ``fourier_table``, a
 ``functools.cached_property`` that :mod:`crestimate.transform` builds on the
 first transform and reads after.  The two representations share conventions:
 
@@ -104,11 +110,35 @@ class _Record:
 
 
 class _Segments(_Record):
-    """What both representations share, read off ``edges`` and ``segments()``.
+    """What both representations share, read off ``edges`` and ``_ys``.
 
-    A subclass provides ``edges`` (its breakpoints or nodes), ``segments()``
-    yielding ``(t0, t1, y0, y1)`` left to right, and ``segment(i)``.
+    A subclass declares ``_fields`` (its edge and value field names),
+    ``_kind`` (its JSON type tag) and ``_shift``, and its constructor applies
+    its own rules and then calls ``_store``.  Segment ``i`` runs from
+    ``_ys[i]`` at ``edges[i]`` to ``_ys[i + _shift]`` at ``edges[i + 1]``.
     """
+
+    _kind: str
+    _shift: int
+    edges: tuple[float, ...]
+    _ys: tuple[float, ...]
+
+    def _store(self, edges: tuple[float, ...], ys: tuple[float, ...]) -> None:
+        """Set the two fields, and ``edges`` and ``_ys`` to the same tuples."""
+        edge_name, ys_name = self._fields
+        object.__setattr__(self, edge_name, edges)
+        object.__setattr__(self, ys_name, ys)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_ys", ys)
+
+    def segments(self) -> Iterator[tuple[float, float, float, float]]:
+        """Yield (left, right, left_value, right_value) for each segment."""
+        edges, ys = self.edges, self._ys
+        return zip(edges, edges[1:], ys, ys[self._shift :])
+
+    def segment(self, i: int) -> tuple[float, float, float, float]:
+        edges, ys = self.edges, self._ys
+        return edges[i], edges[i + 1], ys[i], ys[i + self._shift]
 
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
@@ -139,6 +169,8 @@ class StepFunction(_Segments):
     """Nonnegative step function, canonical and zero outside its breakpoints."""
 
     _fields = ("breakpoints", "values")
+    _kind = "step"
+    _shift = 0
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -153,27 +185,12 @@ class StepFunction(_Segments):
         if not vals:
             raise ValidationError("a step function needs at least one piece")
         _check_data("breakpoints", bp, "values", vals)
-        bp, vals = _canonical_step(bp, vals)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def edges(self) -> tuple[float, ...]:
-        return self.breakpoints
+        self._store(*_canonical_step(bp, vals))
 
     def pieces(self) -> Iterator[tuple[float, float, float]]:
         """Yield (left, right, value) for each piece."""
         bp = self.breakpoints
         return zip(bp, bp[1:], self.values)
-
-    def segments(self) -> Iterator[tuple[float, float, float, float]]:
-        """Yield (left, right, value, value) for each piece."""
-        bp, vals = self.breakpoints, self.values
-        return zip(bp, bp[1:], vals, vals)
-
-    def segment(self, i: int) -> tuple[float, float, float, float]:
-        v = self.values[i]
-        return self.breakpoints[i], self.breakpoints[i + 1], v, v
 
 
 def _canonical_step(bp, vals):
@@ -206,6 +223,8 @@ class PiecewiseLinearFunction(_Segments):
     """
 
     _fields = ("nodes", "node_values")
+    _kind = "linear"
+    _shift = 1
     nodes: tuple[float, ...]
     node_values: tuple[float, ...]
 
@@ -219,21 +238,7 @@ class PiecewiseLinearFunction(_Segments):
         if len(nd) < 2:
             raise ValidationError("a piecewise-linear function needs at least two nodes")
         _check_data("nodes", nd, "node_values", vals)
-        object.__setattr__(self, "nodes", nd)
-        object.__setattr__(self, "node_values", vals)
-
-    @property
-    def edges(self) -> tuple[float, ...]:
-        return self.nodes
-
-    def segments(self) -> Iterator[tuple[float, float, float, float]]:
-        """Yield (left, right, left_value, right_value) for each segment."""
-        nd, vals = self.nodes, self.node_values
-        return zip(nd, nd[1:], vals, vals[1:])
-
-    def segment(self, i: int) -> tuple[float, float, float, float]:
-        nd, vals = self.nodes, self.node_values
-        return nd[i], nd[i + 1], vals[i], vals[i + 1]
+        self._store(nd, vals)
 
 
 PiecewiseFunction = StepFunction | PiecewiseLinearFunction
@@ -369,17 +374,10 @@ def require_weight(w: PiecewiseFunction, name: str) -> None:
 # interchange formats
 
 def function_to_json_dict(f: PiecewiseFunction) -> dict:
-    if isinstance(f, StepFunction):
-        return {
-            "type": "step",
-            "breakpoints": list(f.breakpoints),
-            "values": list(f.values),
-        }
-    return {
-        "type": "linear",
-        "nodes": list(f.nodes),
-        "node_values": list(f.node_values),
-    }
+    return {"type": f._kind, **{name: list(getattr(f, name)) for name in f._fields}}
+
+
+_BY_KIND = {cls._kind: cls for cls in (StepFunction, PiecewiseLinearFunction)}
 
 
 def function_from_json_dict(obj: object) -> PiecewiseFunction:
@@ -388,19 +386,13 @@ def function_from_json_dict(obj: object) -> PiecewiseFunction:
     if "type" not in obj:
         raise ValidationError("function JSON is missing field 'type'")
     kind = obj["type"]
-    if kind == "step":
-        for field in ("breakpoints", "values"):
-            if field not in obj:
-                raise ValidationError(f"step function JSON is missing field '{field}'")
-        return make_step(_number_list(obj, "breakpoints"), _number_list(obj, "values"))
-    if kind == "linear":
-        for field in ("nodes", "node_values"):
-            if field not in obj:
-                raise ValidationError(f"linear function JSON is missing field '{field}'")
-        return PiecewiseLinearFunction(
-            tuple(_number_list(obj, "nodes")), tuple(_number_list(obj, "node_values"))
-        )
-    raise ValidationError(f"unknown function type {kind!r} (use 'step' or 'linear')")
+    cls = _BY_KIND.get(kind) if isinstance(kind, str) else None  # a list or dict is unhashable
+    if cls is None:
+        raise ValidationError(f"unknown function type {kind!r} (use 'step' or 'linear')")
+    for field in cls._fields:
+        if field not in obj:
+            raise ValidationError(f"{kind} function JSON is missing field '{field}'")
+    return cls(*(_number_list(obj, field) for field in cls._fields))
 
 
 def _number_list(obj: dict, field: str) -> list[float]:

@@ -233,23 +233,31 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
 
     v must be a nonzero step function supported in [0, oo).  f* is linear on
     each overlap of its segments with the weight's pieces, so each term is a
-    closed form (:func:`_mean_power`); one fsum adds them.
+    closed form (:func:`_mean_power`); one fsum adds them.  Both lists are
+    sorted, so one pass with two pointers finds the overlaps, segment by
+    segment: O(n + m) for n segments of f* and m pieces of v.
     """
     require_positive("p", p)
     require_weight(v, "v")
+    pieces = [piece for piece in v.pieces() if piece[2] > 0.0]
+    k = 0  # the pieces before k end at or before the current segment
     terms = []
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
         if y0 == 0.0 and y1 == 0.0:
             continue
         slope = (y1 - y0) / (t1 - t0)
-        for c, d, wv in v.pieces():
+        while k < len(pieces) and pieces[k][1] <= t0:
+            k += 1
+        for j in range(k, len(pieces)):
+            c, d, wv = pieces[j]
+            if c >= t1:
+                break
             lo, hi = max(t0, c), min(t1, d)
-            if wv > 0.0 and hi > lo:
-                # exact node values at the segment's ends; in between, a
-                # rounded interpolant must not dip below 0 before ** p
-                a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
-                b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
-                terms.append(_mean_power(a, b, p) * wv * (hi - lo))
+            # exact node values at the segment's ends; in between, a
+            # rounded interpolant must not dip below 0 before ** p
+            a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
+            b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
+            terms.append(_mean_power(a, b, p) * wv * (hi - lo))
     return math.fsum(terms) ** (1.0 / p)
 
 

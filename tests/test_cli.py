@@ -397,6 +397,37 @@ def test_bound_roots_report_is_the_certificate_without_its_grid(capsys):
     assert out == json.dumps(expected, separators=(",", ":")) + "\n"
 
 
+def test_bound_roots_csv_grid_holds_the_reported_best_q(tmp_path, capsys):
+    # the JSON report leaves its grid out; the CSV format is that grid
+    ys = [math.sin(math.pi * k / 16) ** 2 if k % 32 < 16 else 0.0 for k in range(257)]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{k / 64},{y}\n" for k, y in enumerate(ys)))
+    scan = ("bound-roots", str(trace), "--csv-mode", "linear", "--refine-depth", "2")
+    code, out, _ = run_cli(capsys, *scan)
+    assert code == 0
+    report = json.loads(out)
+    code, csv_out, err = run_cli(capsys, *scan, "--format", "csv")
+    assert code == 0 and not err
+    header, *lines = csv_out.splitlines()
+    assert header == "z,abs_fhat,tail_integral,bound,q"
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    assert len(rows) > 64
+    best = max(rows, key=lambda row: row[4])
+    assert best[4] == report["best_q"] > 1.0
+    assert best[0] == report["best_z"]
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["step"], {"type": "step"}])
+def test_a_function_type_that_is_no_string_is_unknown(kind, capsys):
+    function = {"type": kind, "breakpoints": [0, 1], "values": [1]}
+    with pytest.raises(ValidationError, match="unknown function type"):
+        function_from_json_dict(function)
+    code, out, err = run_cli(capsys, "analyze", json.dumps(function))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "unknown function type" in err
+
+
 def test_bound_roots_rejects_step_input(capsys):
     code, _, err = run_cli(capsys, "bound-roots", BOX_JSON)
     assert code == 1

@@ -9,7 +9,8 @@ distribution, tail table, crest cuts and crest locations that the segment
 model replaced, the crest count over the collapsed value profile, the
 decomposition that rescanned every piece per cell, the separate sine and
 cosine loops, the two adaptive quadrature engines with their Hardy loops,
-and the Lorentz norm that ran adaptive Simpson on linear input.  The
+the Lorentz norm that ran adaptive Simpson on linear input, and the exact
+Lorentz norm that visited every weight piece per segment of f*.  The
 library must agree with them exactly, with no tolerance, except for the
 transform, which now sums centred edge phases or, on inputs whose segment
 lengths repeat, runs Horner's rule over the segments or the jumps (within a
@@ -61,6 +62,7 @@ from crestimate.hardy import (
     _hardy_lhs_with_error,
 )
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
+from crestimate.rearrange import _mean_power
 from crestimate.transform import PHASE_SERIES_CUTOFF, _lattice_sum, _piece
 
 # --- oracle: the per-level linear rearrangement --------------------------
@@ -1120,3 +1122,48 @@ def test_step_lorentz_equals_product_kernel():
         v = random_weight(rng, min_start_units=0, max_pieces=5)
         p = LORENTZ_P[i % len(LORENTZ_P)]
         assert lorentz_lambda_norm(f, v, p) == _oracle_lorentz(f, v, p)
+
+
+# --- oracle: the exact Lorentz norm as a nested loop, O(n * m) -------------
+
+
+def _oracle_nested_lorentz(f, v, p):
+    terms = []
+    for t0, t1, y0, y1 in rearrangement(f).star.segments():
+        if y0 == 0.0 and y1 == 0.0:
+            continue
+        slope = (y1 - y0) / (t1 - t0)
+        for c, d, wv in v.pieces():
+            lo, hi = max(t0, c), min(t1, d)
+            if wv > 0.0 and hi > lo:
+                # exact node values at the segment's ends; in between, a
+                # rounded interpolant must not dip below 0 before ** p
+                a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
+                b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
+                terms.append(_mean_power(a, b, p) * wv * (hi - lo))
+    return math.fsum(terms) ** (1.0 / p)
+
+
+def _weight_with_interior_zeros(rng):
+    """A step weight on [0, oo) of 3 to 24 pieces, at least one interior piece zero."""
+    n = rng.randint(3, 24)
+    dyadic = rng.random() < 0.5
+    x = 0.0 if rng.random() < 0.5 else rng.uniform(0.0, 4.0)
+    breakpoints = [x]
+    for _ in range(n):
+        x += rng.randint(1, 32) / 16 if dyadic else rng.uniform(1e-3, 1.5)
+        breakpoints.append(x)
+    values = [0.0 if rng.random() < 0.3 else rng.randint(1, 64) / 16 for _ in range(n)]
+    values[0] = values[-1] = 1.0 + rng.randint(0, 8) / 4
+    values[rng.randint(1, n - 2)] = 0.0
+    return make_step(breakpoints, values)
+
+
+def test_lorentz_norm_equals_nested_loop():
+    rng = rng_for(59, "differential/lorentz/nested")
+    functions = [f for f in STEP_FAMILY[:400] + LINEAR_FAMILY[:400] if not f.is_zero]
+    for i, f in enumerate(functions):
+        v = _weight_with_interior_zeros(rng)
+        assert 0.0 in v.values[1:-1]
+        p = LORENTZ_P[i % len(LORENTZ_P)]
+        assert lorentz_lambda_norm(f, v, p) == _oracle_nested_lorentz(f, v, p)

@@ -6,6 +6,7 @@ from crestimate import (
     PiecewiseLinearFunction,
     ValidationError,
     ZeroFunctionError,
+    fourier,
     fourier_weighted_norm,
     hardy_chain_report,
     hardy_lhs,
@@ -13,6 +14,7 @@ from crestimate import (
     lorentz_lambda_norm,
     make_step,
 )
+from crestimate import hardy
 from crestimate.generators import random_decreasing_step, random_weight, rng_for
 
 BOX = make_step([0, 1], [1])
@@ -176,3 +178,21 @@ def test_report_serializes_every_field():
         "hardy_quadrature_error",
     ):
         assert key in payload
+
+
+def test_a_zero_piece_of_the_weight_adds_nothing_and_is_never_sampled(monkeypatch):
+    f = make_step([0, 1, 3], [2, 1])
+    u = make_step([0.5, 1, 2, 3], [1, 0, 2])
+    assert u.values == (1.0, 0.0, 2.0)
+    left, right = make_step([0.5, 1], [1]), make_step([2, 3], [2])
+    sampled = []
+
+    def recording(g, z):
+        sampled.append(z)
+        return fourier(g, z)
+
+    monkeypatch.setattr(hardy, "fourier", recording)
+    whole = fourier_weighted_norm(f, u, 1.0)
+    assert sampled and not any(1.0 < z < 2.0 for z in sampled)
+    assert whole == fourier_weighted_norm(f, left, 1.0) + fourier_weighted_norm(f, right, 1.0)
+    assert hardy_lhs(f, u, 1.0) == hardy_lhs(f, left, 1.0) + hardy_lhs(f, right, 1.0)

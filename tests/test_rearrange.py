@@ -5,6 +5,7 @@ import pytest
 
 from crestimate import (
     PiecewiseLinearFunction,
+    Rearrangement,
     StepFunction,
     ValidationError,
     comb_example,
@@ -152,6 +153,18 @@ def test_rearrangement_integral_saturates_to_total():
         f = _random_linear(rng, 2.0**30)
         assert integrate(f, -math.inf, math.inf) == f.total_integral
         assert rearrangement_integral(f, math.inf) == rearrangement(f).star.total_integral
+
+
+def test_tail_before_a_star_that_starts_after_zero_is_zero():
+    # rearrangement() always starts f* at 0; a star built by hand need not
+    step = Rearrangement(make_step([1, 2], [3]))
+    linear = Rearrangement(PiecewiseLinearFunction((1.0, 3.0), (2.0, 0.0)))
+    for tails in (step, linear):
+        assert tails.integral_up_to(0.0) == 0.0
+        assert tails.integral_up_to(0.5) == 0.0
+        assert tails.integral_up_to(1.0) == 0.0
+    assert step.integral_up_to(1.5) == 1.5
+    assert linear.integral_up_to(2.0) == 1.5
 
 
 def test_rearrangement_integral_triangle():
