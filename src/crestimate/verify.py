@@ -207,7 +207,7 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
             trial,
             zs,
         )
-        reports = [_window_bounds(f, z, integral_to) for z in zs]
+        reports = _window_bounds(f, zs, integral_to)
         sines = [wb.sine_value for wb in reports]
         positive.record_positive(sines, trial, zs)
         narrow.record(sines, [wb.sine_narrow_rhs for wb in reports], trial, zs)

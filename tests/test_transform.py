@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import pytest
@@ -79,28 +80,104 @@ def test_quadrature_oracle_of_the_zero_function():
 
 
 def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
-    """Its one table is the lattice table, one 4-entry row per nonzero
-    segment and, on a step function, one (gap, jump) row per edge of a
-    nonzero segment; no z, 0 included, takes the edge loop."""
+    """Its one table is the lattice table.  On a step function that is one
+    ``(gap, width, y0)`` row per nonzero segment and one ``(gap, jump)`` row
+    per edge of a nonzero segment; on a piecewise-linear function one row per
+    nonzero node, ``(gap, y)`` when every hat has the same shape and
+    ``(gap, shape, y)`` otherwise, and no jump rows.  No z, 0 included,
+    takes the edge loop."""
 
     def no_edge_loop(table, z):
         raise AssertionError("the edge loop ran")
 
     monkeypatch.setattr(transform, "_edge_sum", no_edge_loop)  # before any table is built
-    for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")):
-        kernel, _, (anchor, lengths, widths, sloped, rows, switch, gaps, jumps) = f.fourier_table
+    kinds = set()
+    for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")) + _hat_inputs():
+        kernel, _, (anchor, lengths, widths, shapes, rows, switch, gaps, jumps) = f.fourier_table
         assert kernel is _lattice_sum
         segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
-        assert len(rows) == len(segments) and all(len(row) == 4 for row in rows)
-        if sloped:
-            assert (switch, gaps, jumps) == (math.inf, (), ())
-        else:
+        assert anchor == segments[0][0]
+        if shapes is None:
+            kinds.add("step")
+            assert len(rows) == len(segments) and all(len(row) == 3 for row in rows)
             edges = {x for t0, t1, _, _ in segments for x in (t0, t1)}
             assert len(jumps) == len(edges) and all(len(row) == 2 for row in jumps)
+        else:
+            kinds.add(len(shapes) == 1)
+            nodes = [y for y in f.node_values if y]
+            assert [row[-1] for row in rows] == nodes[::-1]
+            assert all(len(row) == (2 if len(shapes) == 1 else 3) for row in rows)
+            assert (switch, gaps, jumps) == (math.inf, (), ())
         assert fourier(f, 0.0) == complex(f.total_integral)
         for z in (1e-3, 1.3, -27.0):
             fourier(f, z)
+    assert kinds == {"step", True, False}  # boxes, one hat shape and many
     assert make_step([0, 1], [1]).fourier_table[0] is no_edge_loop  # the patch was in effect
+
+
+def _hat_inputs():
+    """Piecewise-linear inputs that take the lattice sum in the hat basis.
+
+    Nodes 1/64 apart with runs of zeros between bumps (one shape); nodes 1 to
+    4 cells of 1/32 apart with nonzero end values (one-sided hats), interior
+    zero runs and isolated nonzero nodes (many shapes); and isolated nonzero
+    nodes 1/32 apart, the first node nonzero (two shapes).  Each starts at 3
+    or beyond, so its phase reach exceeds 2.
+    """
+    rng = rng_for(38, "hat-inputs")
+    even = [0.0] * 97
+    for start in (3, 30, 61):
+        for j in range(1, 12):
+            even[start + j] = rng.randint(1, 1024) / 256
+    xs = [3.0 + rng.randint(0, 64) / 32]
+    for _ in range(79):
+        xs.append(xs[-1] + rng.randint(1, 4) / 32)
+    uneven = [0.0 if rng.random() < 0.3 else rng.randint(1, 1024) / 256 for _ in xs]
+    uneven[0], uneven[-1] = 1.5, 0.75
+    uneven[40:45] = [0.0, 0.0, 2.0, 0.0, 0.0]
+    isolated = [0.0] * 41
+    isolated[0] = 1.0
+    isolated[4:40:5] = [rng.randint(1, 1024) / 256 for _ in range(4, 40, 5)]
+    return [
+        PiecewiseLinearFunction([3.0 + k / 64 for k in range(97)], even),
+        PiecewiseLinearFunction(xs, uneven),
+        PiecewiseLinearFunction([3.0 + k / 32 for k in range(41)], isolated),
+    ]
+
+
+def _mp_fourier(f, z):
+    """fhat(z) to 40 digits, the sum of its segments' transforms."""
+    with mpmath.workdps(40):
+        return sum(_mp_segment_fourier(*seg, z) for seg in f.segments() if seg[2] or seg[3])
+
+
+def test_hat_sum_within_its_error_bound_against_40_digits():
+    """Each input against 40 digits within the lattice sum's bound of the
+    ``transform`` docstring, from z with every width on the series branch
+    of ``_piece`` (``|u| < 1e-2``), through ``s1``'s series (``|u| < 0.5``),
+    to 1e8, with ``fourier(f, -z)`` the exact conjugate; and at half the
+    largest z whose phase arguments stay finite a finite value of the same
+    symmetry, no larger than the mass, and twice that largest z rejected."""
+    for f in _hat_inputs():
+        assert f.fourier_table[0] is _lattice_sum
+        segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+        anchor, span = segments[0][0], segments[-1][1] - segments[0][0]
+        mass = math.fsum((t1 - t0) * (abs(y0) + abs(y1 - y0) / 2) for t0, t1, y0, y1 in segments)
+        widths = {t1 - t0 for t0, t1, _, _ in segments}
+        zs = [10.0 ** (k / 4) for k in range(-16, 33)]
+        assert any(max(widths) * z < _TRIG_SERIES_CUTOFF for z in zs)
+        assert any(_TRIG_SERIES_CUTOFF <= w * z < _S1_SERIES_CUTOFF for w in widths for z in zs)
+        for z in zs:
+            value = fourier(f, z)
+            bound = (5 * len(segments) + 2 * z * span + abs(anchor * z) + 64) * 2.0**-53 * mass
+            assert abs(value - complex(_mp_fourier(f, z))) <= bound, z
+            assert fourier(f, -z) == value.conjugate()
+        z = 0.5 * sys.float_info.max / f.fourier_table[1]
+        value = fourier(f, z)
+        assert abs(value) <= f.total_integral * (1.0 + 1e-12)
+        assert fourier(f, -z) == value.conjugate()
+        with pytest.raises(ValidationError, match="too large"):
+            fourier(f, 4.0 * z)
 
 
 def test_fourier_box_at_pi():
