@@ -4,45 +4,62 @@ The transform convention is ``fhat(z) = integral f(x) exp(-i x z) dx``.
 Every kernel here reads the segments ``(t0, t1, y0, y1)`` of
 :mod:`crestimate.piecewise`, so each formula is written once; a step piece
 is a segment with ``y1 = y0``.  :func:`fourier` runs one kernel per
-function on one table built once for it (``_fourier_table``): the edge loop
-or the lattice sum.  At z = 0 it runs neither: ``fhat(0)`` is the total
-integral, the correctly rounded sum of the segment integrals.
+function on one table built once for it (``_fourier_table``): the segment
+loop or the lattice sum.  At z = 0 it runs neither: ``fhat(0)`` is the
+total integral, the correctly rounded sum of the segment integrals.
 
-The edge loop takes the phases relative to an edge c of the input (the
-middle entry of ``edges``), ``E_k = exp(-i (x_k - c) z)``, one cos and one
-sin per edge, and returns ``exp(-icz)`` times the centred sum.  A segment
-of width w, slope ``s = (y1 - y0) / w`` and edge phases E0, E1 contributes
+The segment loop takes each nonzero segment about its midpoint m, where
+``f = y + (r / h) (x - m)``, h its half-width, y its mean value and r its
+half-rise ``(y1 - y0) / 2``.  As exp(-ixz) integrates to ``2 sin(v) / z``
+and ``x exp(-ixz)`` to ``-2i h^2 s1(v)`` over [-h, h], ``v = h z``, its
+transform is
 
-* if it is wide, ``|z| w >= 1``, by parts:
-  ``(y0 E0 - y1 E1) / (iz) + s (E1 - E0) / z^2``, which summed over
-  segments folds into ``sum_k E_k (J_k / (iz) + K_k / z^2)``, ``J_k`` the
-  jump of f and ``K_k`` the kink (slope on the left minus slope on the
-  right) at edge k;
-* if it is narrow, ``|z| w < 1``, its piece form
-  ``w E0 (y0 phi(u) + (y1 - y0) psi(u))``, ``u = w z``, where
+    (2 / z) exp(-imz) (y sin v - i r v s1(v)),   s1(v) = (sin v - v cos v) / v^2,
 
-      phi(u) = (1 - exp(-iu)) / (iu)       = sum_k (-iu)^k / (k+1)!
-      psi(u) = (phi(u) - exp(-iu)) / (iu)  = sum_k (-iu)^k / (k! (k+2))
+the sinc form behind Filon's rule (Filon, Proc. Roy. Soc. Edinburgh 49,
+1928).  It subtracts no phases, so no segment is too narrow or too wide for
+it.  A row is ``(d, h, y, r)``, ``d = (t0 - c) + h`` the midpoint less c,
+the middle entry of ``edges``.  Per row the loop takes cos t and sin t,
+``t = d z``, and sin v; a sloped row also takes ``v s1(v)``, from ``|v| =
+1e-2`` (``_TRIG_SERIES_CUTOFF``) on as ``(sin v - v cos v) / v``, one more
+cos, and below it as the series ``v^2 (1/3 - v^2/30 + v^4/840)`` of
+``_piece`` (first dropped term below 7e-17 of it).  The sum is scaled by
+2/z once and turned by ``exp(-icz)``.
 
-  whose closed form takes ``1 - cos u`` as ``sin^2 u / (1 + cos u)``, as
-  ``_piece`` does: with ``|u| < 1`` only ``sin(u) / u - cos(u)`` cancels,
-  at right angles to the piece term (on 300 single linear segments with |u|
-  log-uniform in [1e-4, 0.9] ``|fhat|`` is within 5.6e-16 of 40 digits).
-  Below ``|u| = 1e-4`` phi and psi are ``c0 - i s0`` and ``c1 - i s1``,
-  the real kernels of ``_piece``, even and odd in u bit for bit.
+With u = 2^-53, n rows, ``T = max(|y0|, |y1|) max(w, 1 / |z|)`` per
+segment (a term is at most T, as ``|v s1(v)| <= min(|v| / 2, 1.1)``) and R
+the reach, the larger of |c| and the largest ``|d| + h`` (at most twice the
+largest |edge| X), the value is within ``(2n + 5R|z| + 30) u sum T <=
+(2n + 10X|z| + 30) u sum T`` of fhat:
 
-The edge form subtracts two phases each rounded on its own, so on one
-segment its rounding error is about ``1 / (|z| w)`` times that of the piece
-form; ``|z| w >= 1`` keeps that factor at most 1.  A phase argument rounds
-by ``2^-53 |x - c| |z|``, ``|x - c|`` at most the support width, and a
-translation keeping every ``x - c`` exact keeps the centred sum's bits.
+* t is within 4uR|z| (``t0 - c``, the width, the sum and the product round
+  once each) and c z within uR|z|, so with cos and sin within an ulp the
+  phases are within ``(4R|z| + 1.5) u`` and ``(R|z| + 1.5) u``;
+* y and r round by u and v by 2u|v|, which moves a term by at most 4u T
+  (the slopes of sin v and ``v s1(v)`` are at most 1 and 1.5, and
+  ``2 |v| / |z| = w``);
+* the closed form cancels down to ``v^2 / 3`` but stays within ``u (|sin v /
+  v| + 2 |cos v| + 2.2) <= 5.2u`` of ``v s1(v)`` (about u / |v| relative,
+  at most 100u from the cutoff on), so with the product by r within 14u T
+  after the 2/z, the largest evaluation error; sin v and the series take
+  less;
+* the products entering a row add 3u of its term, the two running sums
+  ``sqrt(2) n u sum T``, and the scaling and the turn ``(1 + sqrt(5)) u``
+  of the sum, itself at most sum T.
+
+Two symmetries stay exact.  cos is even, sin odd, t, v and the series odd
+or even in z bit for bit and ``(-a) / (-b) = a / b``, so ``fourier(f, -z)``
+is the conjugate of ``fourier(f, z)``; a dyadic translation keeping every
+``t0 - c`` keeps every row, so only ``exp(-icz)`` differs.  Where some
+``h |z|`` would be subnormal, dividing by z would carry the bits v lost, so
+a segment is weighed by h instead: ``2h exp(-itz) (y c0(v) - i r s1(v))``.
 
 Inputs whose nonzero segments repeat their lengths take a lattice sum
 instead: sampled traces on an evenly spaced grid whose steps are exact
 floats, and step functions on a coarse dyadic lattice.  The lengths are the
 widths of the nonzero segments and the gaps between consecutive left edges;
-when there are at least 8 edge rows (one per edge of a nonzero segment)
-and at most half as many distinct lengths, fhat is a sum of terms ``c_k``
+when the nonzero segments have at least 8 edges and at most half as many
+distinct lengths, fhat is a sum of terms ``c_k``
 at left edges of nonzero segments, from the leftmost, a, by Horner's rule:
 
     fhat(z) = exp(-iaz) S_0,   S_k = S_(k+1) exp(-i g_k z) + c_k,
@@ -67,16 +84,18 @@ exp(-i a_k z) H(a_k, b_k; z)``: one row per nonzero node, one factor per
 distinct (a_k, b_k), an absent side being a width of factors 0.  When all
 nonzero nodes share one (a_k, b_k), as on an even grid with zero end
 values, the factor multiplies once after the sum of the ``y_k``.  A table
-per z costs more than the edge loop saves on the few-piece functions of
-``verify`` (8 distinct lengths for 9 rows is typical), hence the rule and
-the edge loop below 8 edge rows (``_LATTICE_MIN_ROWS``).  Per call, with
+per z costs more than the segment loop saves on the few-piece functions of
+``verify`` (8 distinct lengths for 9 edges is typical), hence the rule and
+the segment loop below 8 edges (``_LATTICE_MIN_ROWS``).  Per call, with
 tables built by ``_fourier_table`` under ``_LATTICE_MIN_ROWS`` 1 and 10**9
 and the kernels timed in process over the same 50 log-uniform z in
 [1e-3, 1e3] (best of 40 interleaved repeats of 100 passes; Python 3.11.7,
-2-vCPU Xeon VM), a box takes 1.6 us by the lattice sum and 1.0 us by the
-edge loop, 6 equal steps (7 rows) 2.1 and 2.5 us, 7 equal steps (8 rows)
-2.2 and 2.8 us, a 7-segment sampled trace (8 rows) 3.0 and 3.5 us, and a
-10-box comb (20 rows) 2.3 and 3.0 us.
+2-vCPU Xeon VM), a box takes 1.6 us by the lattice sum and 0.7 us by the
+segment loop, 6 equal steps (7 edges) 2.1 and 1.7 us, 7 equal steps (8
+edges) 2.2 and 1.8 us, a 7-segment sampled trace (8 edges) 3.1 and 3.1 us,
+and a 10-box comb (20 edges) 2.9 and 2.4 us.  So on step inputs this small
+the segment loop is the faster kernel even at 8 edges and more; the
+threshold stays at 8, as moving it changes which rounding such inputs get.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
 ``M = sum w (|y0| + |y1 - y0| / 2)`` over them and W the span from a to the
@@ -132,18 +151,22 @@ exact.  On ``bench`` step-scan seed 1 (1,024 pieces, 1,025 edges) V/M is
 The phase roundings are those of short lengths times z, not of
 ``(x - c) z``, and they add along the sum like a random walk: on that step
 function the worst relative error of ``|fhat|`` over the default grid
-against 40 digits is 9.1e-12 (1.4e-11 by boxes at every z), where the edge
-loop's is 2.6e-10 (seed 2: 5.9e-11 and 4.4e-11, both at z = 681.8, against
-1.4e-10), and on a 1,601-sample trace (linear-roots seed 1) 5.9e-14 by hats
-(6.4e-14 by segments) against 2.9e-12.  The exception is small z on long
-runs of one gap, where the same rounded phase step multiplies the sum again
-and again, so its rounding adds up in step: 1.1e-14 relative on that trace
-at z = 0.01-0.7, where the edge loop gives 2e-15.
+against 40 digits is 9.1e-12 (1.4e-11 by boxes at every z), where the
+segment loop's is 2.1e-10 (seed 2: 5.9e-11 and 4.4e-11, both at z = 681.8,
+against 4.9e-10), and on a 1,601-sample trace (linear-roots seed 1)
+5.9e-14 by hats (6.4e-14 by segments) against 3.9e-12.  The exception is
+small z on long runs of one gap, where the same rounded phase step
+multiplies the sum again and again, so its rounding adds up in step:
+1.1e-14 relative on that trace at z = 0.01-0.7, where the segment loop
+gives 1.6e-15.
 
 The sine and cosine transforms are computed together from separate real
-closed forms, so ``fhat = Cf - i Sf`` is a genuine cross-check of
-:func:`fourier`; so is an adaptive Gauss-Kronrod oracle with
-oscillation-aware panels, which nothing in the closed-form paths calls.
+closed forms: per piece, phases at its uncentred left edge and the four
+kernels of ``_piece`` (four trig calls), kept so on purpose.  Their
+rounding is not the segment loop's, so ``fhat = Cf - i Sf`` is a genuine
+cross-check of :func:`fourier`; so is an adaptive Gauss-Kronrod oracle
+with oscillation-aware panels, which nothing in the closed-form paths
+calls.
 """
 
 import cmath
@@ -164,10 +187,8 @@ __all__ = [
     "WindowBoundReport",
 ]
 
-# |z| * width below this reads phi/psi off the real kernels' series (keeps
-# the cancellation error of each piece term below ~1e-10 relative).
-PHASE_SERIES_CUTOFF = 1e-4
-# the real trig kernels cancel at order u^2, so they switch earlier
+# below this |u| the real trig kernels, which cancel at order u^2, and the
+# segment loop's v s1(v) read their power series
 _TRIG_SERIES_CUTOFF = 1e-2
 # s1's closed form cancels by 1/u^2, so it keeps its series up to here;
 # the coefficients of u^15, u^13, ..., u^1, highest first
@@ -185,8 +206,8 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
 
     At any other z, f's one kernel reads its one table (``f.fourier_table``,
     see ``_fourier_table``): the lattice sum over boxes or hats or, from a
-    ``|z|`` on, over the jumps, or else the edge loop.  Each imaginary part is
-    odd in z and built from the same operations for z and -z, so
+    ``|z|`` on, over the jumps, or else the segment loop.  Each imaginary
+    part is odd in z and built from the same operations for z and -z, so
     ``fourier(f, -z) == fourier(f, z).conjugate()`` holds exactly.  A z so
     large that a phase argument overflows is rejected.
     """
@@ -198,65 +219,47 @@ def fourier(f: PiecewiseFunction, z: float) -> complex:
     return kernel(table, z)
 
 
-def _edge_sum(table: tuple, z: float) -> complex:
-    """fhat(z), z != 0, by one pass over the edge rows: one cos and one sin
-    per edge for its centred phase ``E = cos t - i sin t``, ``t = (x - c) z``;
-    wide segments enter through their edges' jumps and kinks, narrow ones
-    through their piece form at their left edge."""
-    centre, rows = table
-    wide = 1.0 / abs(z)  # segments at least this wide are wide
-    cutoff = PHASE_SERIES_CUTOFF
+def _segment_sum(table: tuple, z: float) -> complex:
+    """fhat(z), z != 0, by one pass over the segment rows ``(d, h, y, r)``:
+    per segment, the phase of its midpoint ``t = d z`` and ``sin v``,
+    ``v = h z``, and on a sloped one ``v s1(v)`` (see the module docstring)."""
+    centre, floor, rows = table
+    if -floor < z < floor:
+        return _tiny_segment_sum(centre, rows, z)
+    cutoff = _TRIG_SERIES_CUTOFF
     cos, sin = math.cos, math.sin
-    # z * (a - i b) + (kc - i ks) collects the jump, kink and closed-form
-    # piece terms, which all carry 1/z^2; re, im the series pieces, which do not
-    a = b = kc = ks = 0.0
-    re = im = 0.0
-    for d, jump, kink, width, wl, yl, sl, w, y0, dy, s in rows:
+    re = im = 0.0  # the centred sum is (2 / z) (re - i im)
+    for d, h, y, r in rows:
         t = d * z
+        v = h * z
+        sv = sin(v)
+        p = y * sv
         co = cos(t)
         si = sin(t)
-        if width >= wide:
-            a -= jump * si
-            b += jump * co
-            if kink:  # never on step input
-                kc += kink * co
-                ks += kink * si
-            continue
-        if wl >= wide:
-            a += yl * si
-            b -= yl * co
-            kc += sl * co
-            ks += sl * si
-        if w >= wide:
-            a -= y0 * si
-            b += y0 * co
-            kc -= s * co
-            ks -= s * si
-        elif w:
-            u = w * z
-            if -cutoff < u < cutoff:
-                # y0 phi + dy psi = p - i q, phi = c0 - i s0, psi = c1 - i s1
-                c0, s0, c1, s1 = _piece(u)
-                p = y0 * c0 + dy * c1
-                q = y0 * s0 + dy * s1
-                re += w * (co * p - si * q)
-                im -= w * (co * q + si * p)
-                continue
-            cu = cos(u)
-            su = sin(u)
-            om = su * su / (1.0 + cu)  # 1 - cos u without cancellation; |u| < 1
-            # z w (y0 phi + dy psi) = p - i q
-            p = y0 * su
-            q = y0 * om
-            if dy:
-                p += dy * (su - om / u)
-                q += dy * (su / u - cu)
-            a += co * p - si * q
-            b += co * q + si * p
-    re += (a + kc / z) / z
-    im -= (b + ks / z) / z
+        if r:  # never on step input
+            if -cutoff < v < cutoff:
+                v2 = v * v
+                q = r * (v2 * (1.0 / 3.0 - v2 / 30.0 + v2 * v2 / 840.0))
+            else:
+                q = r * ((sv - v * cos(v)) / v)
+            re += co * p - si * q
+            im += si * p + co * q
+        else:
+            re += co * p
+            im += si * p
+    re = 2.0 * re / z
+    im = -2.0 * im / z
     pc, ps = cos(centre * z), sin(centre * z)
     return complex(re * pc + im * ps, im * pc - re * ps)
+
+
+def _tiny_segment_sum(centre: float, rows: tuple, z: float) -> complex:
+    """fhat(z) with each segment weighed by h, not divided by z (see the module docstring)."""
+    acc = 0j
+    for d, h, y, r in rows:
+        c0, _, _, s1 = _piece(h * z)
+        acc += _phase(d * z) * complex(2.0 * h * y * c0, -2.0 * h * r * s1)
+    return acc * _phase(centre * z)
 
 
 def _horner(rows: tuple, step: list) -> complex:
@@ -306,7 +309,7 @@ def _lattice_sum(table: tuple, z: float) -> complex:
     return acc * cmath.exp(anchor * mz)
 
 
-_LATTICE_MIN_ROWS = 8  # fewer edge rows take the edge loop (see the module docstring)
+_LATTICE_MIN_ROWS = 8  # fewer edges take the segment loop (see the module docstring)
 
 
 def _fourier_table(f: PiecewiseFunction) -> tuple:
@@ -314,10 +317,10 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     ``reach |z|`` on its phase arguments, and the table the kernel reads,
     plain tuples built once per function (``f.fourier_table``).
 
-    With at least ``_LATTICE_MIN_ROWS`` edge rows (one per edge of a nonzero
-    segment) and at most half as many distinct lengths (the widths of the
-    nonzero segments and the gaps between consecutive left edges) the kernel
-    is ``_lattice_sum`` and the table ``(anchor, lengths, widths, shapes,
+    With at least ``_LATTICE_MIN_ROWS`` edges of nonzero segments and at
+    most half as many distinct lengths (the widths of the nonzero segments
+    and the gaps between consecutive left edges) the kernel is
+    ``_lattice_sum`` and the table ``(anchor, lengths, widths, shapes,
     rows, switch, gaps, jumps)``: ``lengths`` distinct, the ``widths`` first.
     A step function has one row ``(gap, width, y0)`` per nonzero segment,
     right to left, ``gap`` the index of the distance to the next left edge
@@ -326,20 +329,18 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     ``anchor`` is the leftmost left edge and ``reach`` the largest of
     ``|anchor|`` and the lengths, which bound the gaps between edges too.
 
-    Otherwise the kernel is ``_edge_sum`` and the table ``(c, rows)``, centred
-    at the middle entry c of ``edges``, one row per edge x, left to right:
-    ``(x - c, jump, kink, width, wl, yl, sl, wr, yr, dyr, sr)``, the rise of
-    f across x, the slope just left of x minus the slope just right, the
-    narrower of the nonzero segments meeting there, the width, end value and
-    slope of the one ending at x, and the width, start value, rise and slope
-    of the one starting there (zeros for an absent side).  ``reach`` is the
-    largest ``|x - c|`` and ``|c|``.
+    Otherwise the kernel is ``_segment_sum`` and the table ``(c, floor,
+    rows)``: c the middle entry of ``edges``, one row ``(d, h, y, r)`` per
+    nonzero segment, left to right, its midpoint less c, half-width, mean
+    value and half-rise, and ``floor`` the ``|z|`` below which some ``h |z|``
+    is subnormal.  ``reach`` is the largest of ``|c|`` and ``|d| + h`` on the
+    first and last rows, which bound every phase argument.
     """
     segments = _nonzero_segments(f)
     starts = [seg[0] for seg in segments]
     ends = [seg[1] for seg in segments]
     after = starts[1:] + [None]  # the next left edge
-    # an edge row per left edge, and per right edge that is no left edge
+    # the edges: every left edge, and every right edge that is no left edge
     count = len(segments) + sum(map(operator.ne, ends, after))
     if count >= _LATTICE_MIN_ROWS:
         widths = set(map(operator.sub, ends, starts))
@@ -359,20 +360,13 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     edges = f.edges
     centre = edges[len(edges) // 2]
     rows = []
-    wl = yl = sl = 0.0  # width, end value and slope of the segment ending here
-    for (t0, t1, y0, y1), b in zip(segments, after):
-        w = t1 - t0
-        dy = y1 - y0
-        s = dy / w
-        width = wl if 0.0 < wl < w else w
-        rows.append((t0 - centre, y0 - yl, sl - s, width, wl, yl, sl, w, y0, dy, s))
-        if b == t1:
-            wl, yl, sl = w, y1, s
-        else:  # nothing starts at t1; 0.0 - y1 keeps a zero jump +0.0
-            rows.append((t1 - centre, 0.0 - y1, s, w, w, y1, s, 0.0, 0.0, 0.0, 0.0))
-            wl = yl = sl = 0.0
-    reach = max([abs(centre)] + [abs(row[0]) for row in rows[:1] + rows[-1:]])
-    return _edge_sum, reach, (centre, tuple(rows))
+    for t0, t1, y0, y1 in segments:
+        h = (t1 - t0) * 0.5
+        rows.append(((t0 - centre) + h, h, (y0 + y1) * 0.5, (y1 - y0) * 0.5))
+    reach = max([abs(centre)] + [abs(d) + h for d, h, _, _ in rows[:1] + rows[-1:]])
+    least = min([h for _, h, _, _ in rows], default=1.0)
+    floor = 2.0**-1021 / least if least else math.inf  # below it some h |z| is subnormal
+    return _segment_sum, reach, (centre, floor, tuple(rows))
 
 
 def _hat_rows(f: PiecewiseFunction) -> tuple:

@@ -157,7 +157,7 @@ def test_inline_json_longer_than_a_file_name(tmp_path, capsys):
 HOT_BOX = '{"type":"step","breakpoints":[0,1],"values":[3]}'
 HOT_WEIGHT = '{"type":"step","breakpoints":[0.5,2],"values":[3]}'
 HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "]}"
-# its lengths do not repeat, so fourier takes the edge loop; the comb's do
+# its lengths do not repeat, so fourier takes the segment loop; the comb's do
 TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
 
 

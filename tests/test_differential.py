@@ -12,8 +12,8 @@ cosine loops, the two adaptive quadrature engines with their Hardy loops,
 the Lorentz norm that ran adaptive Simpson on linear input, and the exact
 Lorentz norm that visited every weight piece per segment of f*.  The
 library must agree with them exactly, with no tolerance, except for the
-transform, which now sums centred edge phases or, on inputs whose segment
-lengths repeat, runs Horner's rule over the segments or the jumps (within a
+transform, which now sums each segment's centred midpoint phase or, on
+inputs whose segment lengths repeat, runs Horner's rule over the segments or the jumps (within a
 derived rounding bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear Lorentz norm,
 which is now exact (see their tests).
 """
@@ -63,7 +63,7 @@ from crestimate.hardy import (
 )
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
 from crestimate.rearrange import _mean_power
-from crestimate.transform import PHASE_SERIES_CUTOFF, _lattice_sum, _piece
+from crestimate.transform import _TRIG_SERIES_CUTOFF, _lattice_sum, _piece
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -115,6 +115,10 @@ def _oracle_linear_star(f):
 
 
 # --- oracle: the per-segment transform kernel ----------------------------
+
+# |z| * width below this reads phi/psi off their power series (keeps the
+# cancellation error of each piece term below ~1e-10 relative)
+PHASE_SERIES_CUTOFF = 1e-4
 
 
 def _oracle_phi(u):
@@ -318,35 +322,22 @@ def test_linear_star_equals_per_level_oracle():
 
 
 def _fourier_rounding_bound(f, z):
-    """How far the edge-phase kernel may round away from the per-segment one.
+    """How far the segment loop may round away from the per-segment oracle.
 
-    With u = 2^-53, n nonzero segments, X the largest |edge| (so |c| <= X
-    and |x - c| <= 2X) and T_j = Y_j max(w_j, 1/|z|), Y_j = max(|y0|, |y1|),
-    every term either kernel adds for segment j is at most 4 T_j in all: a
-    piece term is at most (|y0| + |dy|/2) w <= 1.5 Y w, and a wide
-    segment's jump and kink terms at most (|y0| + |y1|)/|z| + 2|s|/z^2 <=
-    4 Y/|z|, since |s|/|z| = |dy|/(w|z|) <= Y there.  The two differ by:
-
-    * phase arguments: t0 z rounds by u X|z| (old); x - c and (x - c) z
-      round by 4u X|z| and c z by u X|z| on a sum of at most 4 sum T (new):
-      at most 22 u X|z| sum T together;
-    * cos and sin within an ulp, so |dE| <= sqrt(2) u per phase; the
-      closed forms of phi and psi on a wide piece, where |w z| >= 1, and
-      the products of each term: at most 96 u sum T;
-    * summation: n terms in one sum (old), at most 4 n terms in each
-      accumulator (new, two edges per segment and two terms per edge):
-      at most (1.5 + 16) n u sum T.
-
-    A narrow piece (|w z| < 1) goes through the same floats cos(w z),
-    sin(w z) and the numerators of phi, psi in both kernels, so their
-    cancellation error near |w z| = 1e-4 is common to both and drops out.
-    Below 1e-4 both evaluate the same truncated series, the old kernel in
-    complex Horner form and the new one through the real kernels c0, s0,
-    c1, s1.  Each rounds phi and psi within a few u of that series (the
-    two differ by at most 1u over 2 x 10^5 draws of u), so the piece terms
-    differ by at most about 8u T_j, no more than the share of the 96 u a
-    wide piece's closed forms take.
-    At z = 0 both kernels add w (y0 + dy/2) in the same order.
+    With u = 2^-53, n nonzero segments, X the largest |edge| and T_j =
+    Y_j max(w_j, 1/|z|), Y_j = max(|y0|, |y1|), every term either kernel
+    adds for segment j is at most 1.5 T_j: a piece term is at most
+    (|y0| + |dy|/2) w <= 1.5 Y w, and a midpoint term at most T_j (the
+    ``transform`` docstring).  The segment loop is within (2n + 10 X|z| +
+    30) u sum T of fhat (its reach is at most 2X), as that docstring
+    proves.  The oracle rounds t0 z by u X|z|.  Where psi's closed form
+    cancels (from |w z| = 1e-4 up) it loses a few u / |w z| of w |dy|, a
+    few u T_j as T_j >= Y_j / |z|, so with cos, sin and the products its
+    terms are within a few tens of u T_j, and its one sum of n terms adds
+    1.5 n u sum T.  Both stay well inside the bound below, which was set
+    for the edge loop before the segment loop (4 T_j per segment, phases
+    centred at an edge, four terms per edge) and is kept as it was.  At
+    z = 0 both kernels add w (y0 + dy/2) in the same order.
     """
     segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
     reach = 1.0 / abs(z)
@@ -355,39 +346,42 @@ def _fourier_rounding_bound(f, z):
     return (18 * len(segments) + 22 * x_max * abs(z) + 96) * 2.0**-53 * size
 
 
-def _branch_zs(widths):
-    """z values putting every segment on the series, closed-form and wide branch."""
-    narrow, wide = min(widths), max(widths)
-    zs = [0.5 * PHASE_SERIES_CUTOFF / wide, 2.0 / narrow]
-    if PHASE_SERIES_CUTOFF / narrow < 0.5 / wide:
-        zs.append(math.sqrt(PHASE_SERIES_CUTOFF / narrow * 0.5 / wide))
+def _branch_zs(halves):
+    """z values putting every segment's ``v = h z``, h its half-width, on the
+    series of ``v s1(v)`` (``|v| < 1e-2``), its closed form and past 1."""
+    narrow, wide = min(halves), max(halves)
+    zs = [0.5 * _TRIG_SERIES_CUTOFF / wide, 2.0 / narrow]
+    if _TRIG_SERIES_CUTOFF / narrow < 0.5 / wide:
+        zs.append(math.sqrt(_TRIG_SERIES_CUTOFF / narrow * 0.5 / wide))
     return zs
 
 
-def _branches(widths, z):
-    """Which of series, closed-form piece and wide edge form the segments take."""
+def _branches(halves, z):
+    """Which of the series, the closed form below ``|v| = 1`` and the closed
+    form from 1 on the segments take, v = h z."""
     return (
-        any(abs(w * z) < PHASE_SERIES_CUTOFF for w in widths),
-        any(PHASE_SERIES_CUTOFF <= abs(w * z) and w < 1.0 / abs(z) for w in widths),
-        any(w >= 1.0 / abs(z) for w in widths),
+        any(abs(h * z) < _TRIG_SERIES_CUTOFF for h in halves),
+        any(_TRIG_SERIES_CUTOFF <= abs(h * z) < 1.0 for h in halves),
+        any(abs(h * z) >= 1.0 for h in halves),
     )
 
 
 def _check_fourier_family(family, rng):
-    """Counts of z taking only the series, closed-form or wide branch, then
-    of functions taking the edge loop and the lattice sum."""
+    """Counts of z taking only the series, the closed form below 1 or the
+    closed form from 1 (``_branches``), then of functions taking the segment
+    loop and the lattice sum."""
     every = [0, 0, 0, 0, 0]
     for f in family:
-        widths = [t1 - t0 for t0, t1, y0, y1 in f.segments() if y0 != 0.0 or y1 != 0.0]
-        if not widths:
+        halves = [(t1 - t0) * 0.5 for t0, t1, y0, y1 in f.segments() if y0 != 0.0 or y1 != 0.0]
+        if not halves:
             assert fourier(f, 1.0) == 0.0 == _oracle_fourier(f, 1.0)
             continue
         every[4 if f.fourier_table[0] is _lattice_sum else 3] += 1
-        zs = [log_uniform(rng, 1e-3, 1e3), -log_uniform(rng, 1e-3, 1e3), *_branch_zs(widths)]
+        zs = [log_uniform(rng, 1e-3, 1e3), -log_uniform(rng, 1e-3, 1e3), *_branch_zs(halves)]
         for z in zs + [-z for z in zs[2:]]:
             value = fourier(f, z)
             assert abs(value - _oracle_fourier(f, z)) <= _fourier_rounding_bound(f, z)
-            hits = _branches(widths, z)
+            hits = _branches(halves, z)
             if sum(hits) == 1:
                 every[hits.index(True)] += 1
         # fhat(0) is the correctly rounded sum of the segment integrals

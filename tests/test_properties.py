@@ -7,15 +7,15 @@ kernels, so the two values must be the same float, not merely close.  The
 same holds for scaling the values by 2^k.
 
 Translation: the transform sums phases centred at an edge c of the input,
-and for a dyadic offset every centred edge x - c has the same bits, so only
-the final factor e^(-icz) differs (see the bound below); on a lattice input
+and for a dyadic offset every centred edge x - c, so every centred midpoint,
+has the same bits, so only the final factor e^(-icz) differs (see the bound below); on a lattice input
 the Horner sum reads only widths, gaps and jumps, which keep their bits, and
 only its anchor factor differs.  The rearrangement reads only widths and values,
 so it does not change at all.  The crest count does not see a piece split
 in two.
 
 Each symmetry is checked on two kinds of input: few segments of unrelated
-widths, which take the edge loop of ``fourier``, and many segments of one to
+widths, which take the segment loop of ``fourier``, and many segments of one to
 four lattice cells, which take its lattice sum, on a step function also at
 a z past the switch to its sum over the jumps.
 """

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -28,9 +29,9 @@ from crestimate import transform
 from crestimate.transform import (
     _S1_SERIES_CUTOFF,
     _TRIG_SERIES_CUTOFF,
-    _edge_sum,
     _lattice_sum,
     _piece,
+    _segment_sum,
 )
 
 BOX = make_step([0, 1], [1])
@@ -52,10 +53,10 @@ def _lattice_inputs(rng):
     return inputs
 
 
-def test_few_edge_rows_take_the_edge_loop():
-    # below 8 edge rows the lattice sum's set-up costs more than it saves
+def test_few_edges_take_the_segment_loop():
+    # below 8 edges of nonzero segments the lattice sum is not tried
     for f in (BOX, make_step([0, 1.5], [1]), make_step([0, 1, 2, 3], [1, 2, 1]), TRIANGLE):
-        assert f.fourier_table[0] is _edge_sum
+        assert f.fourier_table[0] is _segment_sum
     f = make_step([k * 1.5 for k in range(8)], [1 + k % 2 for k in range(7)])
     assert f.fourier_table[0] is _lattice_sum
 
@@ -79,18 +80,18 @@ def test_quadrature_oracle_of_the_zero_function():
     assert type(value) is complex and value == 0j
 
 
-def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
+def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
     """Its one table is the lattice table.  On a step function that is one
     ``(gap, width, y0)`` row per nonzero segment and one ``(gap, jump)`` row
     per edge of a nonzero segment; on a piecewise-linear function one row per
     nonzero node, ``(gap, y)`` when every hat has the same shape and
     ``(gap, shape, y)`` otherwise, and no jump rows.  No z, 0 included,
-    takes the edge loop."""
+    takes the segment loop."""
 
-    def no_edge_loop(table, z):
-        raise AssertionError("the edge loop ran")
+    def no_segment_loop(table, z):
+        raise AssertionError("the segment loop ran")
 
-    monkeypatch.setattr(transform, "_edge_sum", no_edge_loop)  # before any table is built
+    monkeypatch.setattr(transform, "_segment_sum", no_segment_loop)  # before any table is built
     kinds = set()
     for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")) + _hat_inputs():
         kernel, _, (anchor, lengths, widths, shapes, rows, switch, gaps, jumps) = f.fourier_table
@@ -112,7 +113,7 @@ def test_a_lattice_function_builds_no_edge_rows(monkeypatch):
         for z in (1e-3, 1.3, -27.0):
             fourier(f, z)
     assert kinds == {"step", True, False}  # boxes, one hat shape and many
-    assert make_step([0, 1], [1]).fourier_table[0] is no_edge_loop  # the patch was in effect
+    assert make_step([0, 1], [1]).fourier_table[0] is no_segment_loop  # the patch was in effect
 
 
 def _hat_inputs():
@@ -250,11 +251,19 @@ def test_transform_magnitude_bounded_by_mass():
 def test_small_phase_series_branch_agrees_with_stable_form():
     # reference: for the unit box, fhat(z) = exp(-iz/2) * sin(z/2)/(z/2),
     # which stays accurate for small z (no cancellation); the naive
-    # (1 - exp(-iz))/(iz) loses ~5 digits at z = 1e-6.
-    f = make_step([0, 1], [1])
-    for z in (9e-5, 1.1e-4, 1e-6, 1e-8):
-        value = fourier(f, z)
+    # (1 - exp(-iz))/(iz) loses ~5 digits at z = 1e-6.  The unit ramp adds
+    # -i exp(-iz/2) s1(z/2) / 2 to half of it, s1 by its series below
+    # v = z/2 = 1e-2 and by its closed form above; 40 digits stand for it.
+    box = make_step([0, 1], [1])
+    ramp = PiecewiseLinearFunction((0.0, 1.0), (0.0, 1.0))
+    zs = (1.8e-2, 2.2e-2, 9e-5, 1.1e-4, 1e-6, 1e-8)
+    assert 0.5 * zs[0] < _TRIG_SERIES_CUTOFF < 0.5 * zs[1]
+    for z in zs:
+        value = fourier(box, z)
         stable = cmath.exp(-0.5j * z) * (math.sin(0.5 * z) / (0.5 * z))
+        assert abs(value - stable) <= 1e-12 * abs(stable)
+        value = fourier(ramp, z)
+        stable = complex(_mp_segment_fourier(0.0, 1.0, 0.0, 1.0, z))
         assert abs(value - stable) <= 1e-12 * abs(stable)
 
 
@@ -270,17 +279,173 @@ def _mp_segment_fourier(t0, t1, y0, y1, z):
         return w * mpmath.exp(-1j * t0 * z) * (y0 * phi + (y1 - y0) * psi)
 
 
-@pytest.mark.parametrize("u", [1.01e-4, 1.5e-4, 3e-4, 1e-3, 0.3])
+@pytest.mark.parametrize("u", [1.01e-4, 1.5e-4, 3e-4, 1e-3, 0.3, 1.01e-2, 1.5e-2, 3e-2])
 def test_narrow_ramp_just_above_series_cutoff(u):
-    # the narrow closed form takes 1 - cos u as sin^2 u / (1 + cos u); as
-    # 1.0 - cos(u) it carried the rounding of cos u / u into the ramp term,
-    # a relative error near 1e-8 at u = 1e-4
+    # u = h z, h the half-width: from 1e-2 on a ramp's v s1(v) is its closed
+    # form (sin v - v cos v) / v, which cancels down to v^2 / 3 but at right
+    # angles to the mean-value term y sin v; below it, its series
     for t0, width in ((0.0, 1.0), (3.0, 1 / 32), (-0.5, 0.3)):
-        z = u / width
+        z = u / (0.5 * width)
         for y0, y1 in ((0.25, 1.0), (2.0, 0.5), (0.0, 1.0)):
             f = PiecewiseLinearFunction((t0, t0 + width), (y0, y1))
+            (_, h, _, _), = f.fourier_table[2][2]
+            assert (h * z >= _TRIG_SERIES_CUTOFF) == (u > 1e-2)
             exact = abs(_mp_segment_fourier(t0, t0 + width, y0, y1, z))
             assert abs(abs(fourier(f, z)) - float(exact)) <= 1e-11 * float(exact)
+
+
+def _segment_inputs():
+    """Inputs that take the segment loop, each with ``(f, far)``, far true
+    when some segment lies far from the centre c: irregular steps; a
+    piecewise-linear f with nonzero end values, a plateau, a run of zeros
+    and ramps up and down; 40 ramps of unrelated widths; two steps 2^20 on
+    either side of 0; and two ramps with a long one between, 10^6 apart."""
+    rng = rng_for(39, "segment-inputs")
+    xs = [rng.uniform(-1.0, 1.0)]
+    for _ in range(40):
+        xs.append(xs[-1] + log_uniform(rng, 1e-3, 1.0))
+    return [
+        (make_step([-0.3, 0.1, 1.7, 2.0, 4.5], [1.5, 0.25, 3.0, 0.5]), False),
+        (
+            PiecewiseLinearFunction(
+                (0.5, 0.9, 2.4, 2.6, 3.7, 5.0), (1.25, 3.0, 3.0, 0.0, 0.0, 0.75)
+            ),
+            False,
+        ),
+        (PiecewiseLinearFunction(xs, [rng.uniform(0.0, 4.0) for _ in xs]), False),
+        (make_step([-(2.0**20) - 0.75, -(2.0**20), 2.0**20, 2.0**20 + 0.375], [2, 0, 1]), True),
+        (PiecewiseLinearFunction((-3e5, -3e5 + 0.6, 7e5, 7e5 + 1.1), (0.5, 2.0, 0.0, 1.5)), True),
+    ]
+
+
+def test_segment_loop_within_its_error_bound_against_40_digits():
+    """Each input against 40 digits within the segment loop's bound of the
+    ``transform`` docstring, ``(2n + 5R|z| + 30) u sum_j T_j``, at z putting
+    each of its half-widths h at ``|h z|`` from 1e-12 through both sides of
+    1e-2 to 1e4, with ``fourier(f, -z)`` the exact conjugate; and at half
+    the largest z whose phase arguments stay finite a finite value of the
+    same symmetry, no larger than the mass, and twice that largest z
+    rejected."""
+    hit = set()
+    for f, far in _segment_inputs():
+        kernel, reach, (_, _, rows) = f.fourier_table
+        assert kernel is _segment_sum and (reach > 1e5) == far
+        segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+        assert len(rows) == len(segments)
+        halves = sorted({(t1 - t0) * 0.5 for t0, t1, _, _ in segments})
+        targets = (1e-12, 5e-3, 0.99e-2, 1.01e-2, 0.3, 1.0, 1e3, 1e4)
+        for z in sorted({v / h for h in halves[:3] + halves[-2:] for v in targets}):
+            for t0, t1, y0, y1 in segments:
+                hit.add((y0 != y1, abs((t1 - t0) * 0.5 * z) >= _TRIG_SERIES_CUTOFF))
+            size = math.fsum(
+                max(abs(y0), abs(y1)) * max(t1 - t0, 1.0 / z) for t0, t1, y0, y1 in segments
+            )
+            bound = (2 * len(segments) + 5 * reach * z + 30) * 2.0**-53 * size
+            value = fourier(f, z)
+            assert abs(value - complex(_mp_fourier(f, z))) <= bound, z
+            assert fourier(f, -z) == value.conjugate()
+        z = 0.5 * sys.float_info.max / reach
+        value = fourier(f, z)
+        assert abs(value) <= f.total_integral * (1.0 + 1e-12)
+        assert fourier(f, -z) == value.conjugate()
+        with pytest.raises(ValidationError, match="too large"):
+            fourier(f, 4.0 * z)
+    assert hit == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_a_z_whose_h_z_is_subnormal_weighs_each_segment_by_h():
+    """Below ``floor`` some ``h |z|`` is subnormal, and dividing by z would
+    carry the bits it lost: each input is within ``(n + 10) u sum w
+    max(|y0|, |y1|)`` of ``integral f - iz integral x f`` (the rest is below
+    ``(z X)^2`` of the mass) down to the smallest float, with the exact
+    conjugate at -z, and the unit box's fhat is 1 there."""
+    for f in [f for f, _ in _segment_inputs()] + [BOX, TRIANGLE]:
+        _, _, (_, floor, rows) = f.fourier_table
+        segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+        mass = math.fsum((t1 - t0) * max(abs(y0), abs(y1)) for t0, t1, y0, y1 in segments)
+        exact = [[Fraction(t) for t in seg] for seg in segments]
+        total = sum((t1 - t0) * (y0 + y1) / 2 for t0, t1, y0, y1 in exact)
+        moment = sum(
+            (t1 - t0) * (t0 * (2 * y0 + y1) + t1 * (y0 + 2 * y1)) / 6 for t0, t1, y0, y1 in exact
+        )
+        for z in (5e-324, 1e-310, 0.5 * floor, floor):
+            value = fourier(f, z)
+            reference = complex(float(total), float(-Fraction(z) * moment))
+            assert abs(value - reference) <= (len(rows) + 10) * 2.0**-53 * mass
+            assert fourier(f, -z) == value.conjugate()
+    assert fourier(BOX, 5e-324).real == 1.0
+    # a segment 2^-1000 wide puts floor near 1e-6, where the other segments'
+    # terms, ramps included, are far from subnormal and 40 digits stand for them
+    f = PiecewiseLinearFunction((0.0, 2.0**-1000, 0.75, 2.0), (0.5, 1.0, 3.0, 0.25))
+    _, _, (_, floor, rows) = f.fourier_table
+    mass = math.fsum((t1 - t0) * max(y0, y1) for t0, t1, y0, y1 in f.segments())
+    assert 1e-7 < floor < 1e-5
+    for z in (0.5 * floor, -0.9 * floor):
+        value = fourier(f, z)
+        assert abs(value - complex(_mp_fourier(f, z))) <= (len(rows) + 10) * 2.0**-53 * mass
+
+
+def test_segment_rows_keep_their_bits_under_a_dyadic_translation():
+    """Edges on 1/64 translated by a multiple of 2^-6 up to 2^40: every
+    ``x - c``, so every row, keeps its bits, and only the factor
+    ``exp(-icz)`` differs (the bound of ``tests/test_properties.py``)."""
+    rng = rng_for(40, "segment-translation")
+    for _ in range(50):
+        xs = [rng.randint(-640, 640) / 64]
+        for _ in range(rng.randint(1, 6)):
+            xs.append(xs[-1] + rng.randint(1, 200) / 64)
+        ys = [rng.randint(0, 1024) / 256 for _ in xs]
+        f = PiecewiseLinearFunction(xs, ys) if rng.random() < 0.5 else make_step(xs, ys[1:])
+        offset = math.ldexp(rng.randint(-64, 64), rng.randint(-6, 40))
+        g = type(f)([x + offset for x in f.edges], f._ys)
+        assert f.fourier_table[0] is g.fourier_table[0] is _segment_sum
+        assert g.fourier_table[2][2] == f.fourier_table[2][2]
+        for z in (log_uniform(rng, 1e-3, 1e3) for _ in range(5)):
+            m_f, m_g = abs(fourier(f, z)), abs(fourier(g, z))
+            assert abs(m_g - m_f) <= 12 * 2.0**-53 * m_f
+
+
+def test_each_kernel_keeps_its_trig_budget(monkeypatch):
+    """Per call at z != 0 the segment loop takes one cos and one sin for the
+    centre's phase, then per nonzero segment a cos and a sin for its phase
+    and sin v, v = h z, and on a sloped one from ``|v| = 1e-2`` on one more
+    cos; the lattice sum takes no cos or sin at all and one ``cmath.exp``
+    per distinct length (per distinct gap on the sum over the jumps) and one
+    for its anchor, however many rows it has."""
+    trig = []
+    exps = []
+    for module, name, calls in ((math, "cos", trig), (math, "sin", trig), (cmath, "exp", exps)):
+
+        def counted(x, real=getattr(module, name), calls=calls):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(module, name, counted)
+    loop = [f for f, _ in _segment_inputs()] + [BOX, TRIANGLE]
+    lattice = _lattice_inputs(rng_for(35, "trig-budget")) + _hat_inputs()
+    for f in loop + lattice:
+        f.fourier_table  # built before counting
+    for z in (1e-9, 1e-3, 0.7, 30.0, -4e3):
+        for f in loop:
+            segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+            sloped = [
+                abs((t1 - t0) * 0.5 * z) >= _TRIG_SERIES_CUTOFF
+                for t0, t1, y0, y1 in segments
+                if y0 != y1
+            ]
+            del trig[:], exps[:]
+            fourier(f, z)
+            assert (len(trig), len(exps)) == (2 + 3 * len(segments) + sum(sloped), 0)
+        for f in lattice:
+            _, _, (_, lengths, _, _, _, switch, gaps, _) = f.fourier_table
+            del trig[:], exps[:]
+            fourier(f, z)
+            assert not trig
+            assert len(exps) == 1 + len(gaps if abs(z) >= switch else lengths)
+    del trig[:], exps[:]
+    for f in loop + lattice:
+        fourier(f, 0.0)
+    assert not trig and not exps
 
 
 def _mp_piece(u):
