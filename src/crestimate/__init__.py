@@ -8,114 +8,73 @@ closed-form transforms with independent quadrature oracles, the bound
 crest/root certificate, and weighted running-integral estimates.
 """
 
-from .bounds import (
-    HALF_PI_SQRT_10,
-    PI_SQRT_10,
-    BoundCertificate,
-    CombResonance,
-    QReport,
-    bound_report,
-    check_decreasing_bound,
-    check_one_crest_bound,
-    comb_example,
-    comb_resonance,
-    crest_lower_bound,
-    default_z_grid,
-)
-from .crests import CrestReport, brute_force_crests, count_crests, decompose
-from .errors import ConvergenceError, CrestimateError, ValidationError, ZeroFunctionError
-from .piecewise import (
-    PiecewiseFunction,
-    PiecewiseLinearFunction,
-    StepFunction,
-    evaluate,
-    from_samples,
-    function_from_json_dict,
-    function_to_json_dict,
-    integrate,
-    make_step,
-)
-from .rearrange import (
-    Rearrangement,
-    distribution,
-    lorentz_lambda_norm,
-    rearrangement,
-    rearrangement_integral,
-)
-from .transform import (
-    WindowBoundReport,
-    cosine_transform,
-    fourier,
-    fourier_quadrature_oracle,
-    sine_transform,
-    window_bounds,
-)
-from .verify import SuiteResult, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-# hardy (and the quadrature it uses) loads on first use of one of its names,
-# so a scan does not pay for importing it
-_HARDY_NAMES = frozenset(
-    ("HardyReport", "fourier_weighted_norm", "hardy_chain_report", "hardy_lhs", "hardy_operator")
-)
+# Each public name and the module that defines it.  A module is imported on
+# the first access to one of its names, so a request loads only the modules
+# its subcommand runs (a scan never loads verify, generators or hardy).
+_SOURCES = {
+    "BoundCertificate": "bounds",
+    "CombResonance": "bounds",
+    "ConvergenceError": "errors",
+    "CrestimateError": "errors",
+    "CrestReport": "crests",
+    "HALF_PI_SQRT_10": "bounds",
+    "HardyReport": "hardy",
+    "PI_SQRT_10": "bounds",
+    "PiecewiseFunction": "piecewise",
+    "PiecewiseLinearFunction": "piecewise",
+    "QReport": "bounds",
+    "Rearrangement": "rearrange",
+    "StepFunction": "piecewise",
+    "SuiteResult": "verify",
+    "ValidationError": "errors",
+    "WindowBoundReport": "transform",
+    "ZeroFunctionError": "errors",
+    "bound_report": "bounds",
+    "brute_force_crests": "crests",
+    "check_decreasing_bound": "bounds",
+    "check_one_crest_bound": "bounds",
+    "comb_example": "bounds",
+    "comb_resonance": "bounds",
+    "cosine_transform": "transform",
+    "count_crests": "crests",
+    "crest_lower_bound": "bounds",
+    "decompose": "crests",
+    "default_z_grid": "bounds",
+    "distribution": "rearrange",
+    "evaluate": "piecewise",
+    "fourier": "transform",
+    "fourier_quadrature_oracle": "transform",
+    "fourier_weighted_norm": "hardy",
+    "from_samples": "piecewise",
+    "function_from_json_dict": "piecewise",
+    "function_to_json_dict": "piecewise",
+    "hardy_chain_report": "hardy",
+    "hardy_lhs": "hardy",
+    "hardy_operator": "hardy",
+    "integrate": "piecewise",
+    "lorentz_lambda_norm": "rearrange",
+    "make_step": "piecewise",
+    "rearrangement": "rearrange",
+    "rearrangement_integral": "rearrange",
+    "run_suite": "verify",
+    "sine_transform": "transform",
+    "window_bounds": "transform",
+}
+
+__all__ = ["__version__", *_SOURCES]
 
 
 def __getattr__(name: str):
-    if name in _HARDY_NAMES:
-        from . import hardy
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value  # later lookups do not come back here
+    return value
 
-        return getattr(hardy, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-__all__ = [
-    "__version__",
-    "BoundCertificate",
-    "CombResonance",
-    "ConvergenceError",
-    "CrestimateError",
-    "CrestReport",
-    "HALF_PI_SQRT_10",
-    "HardyReport",
-    "PI_SQRT_10",
-    "PiecewiseFunction",
-    "PiecewiseLinearFunction",
-    "QReport",
-    "Rearrangement",
-    "StepFunction",
-    "SuiteResult",
-    "ValidationError",
-    "WindowBoundReport",
-    "ZeroFunctionError",
-    "bound_report",
-    "brute_force_crests",
-    "check_decreasing_bound",
-    "check_one_crest_bound",
-    "comb_example",
-    "comb_resonance",
-    "cosine_transform",
-    "count_crests",
-    "crest_lower_bound",
-    "decompose",
-    "default_z_grid",
-    "distribution",
-    "evaluate",
-    "fourier",
-    "fourier_quadrature_oracle",
-    "fourier_weighted_norm",
-    "from_samples",
-    "function_from_json_dict",
-    "function_to_json_dict",
-    "hardy_chain_report",
-    "hardy_lhs",
-    "hardy_operator",
-    "integrate",
-    "lorentz_lambda_norm",
-    "make_step",
-    "rearrangement",
-    "rearrangement_integral",
-    "run_suite",
-    "sine_transform",
-    "window_bounds",
-]
+def __dir__():
+    return list(__all__)

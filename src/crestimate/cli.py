@@ -41,7 +41,6 @@ from .piecewise import (
 )
 from .rearrange import rearrangement
 from .transform import fourier
-from .verify import run_suite
 
 __all__ = ["main"]
 
@@ -169,6 +168,13 @@ def _cmd_comb(args) -> int:
     }
     _emit_json(args, payload)
     return 0
+
+
+def run_suite(family: str, trials: int, seed: int):
+    """``verify.run_suite``, imported on the first call: no scan needs it."""
+    from . import verify
+
+    return verify.run_suite(family, trials, seed)
 
 
 def _cmd_verify(args) -> int:

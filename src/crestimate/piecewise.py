@@ -38,9 +38,7 @@ function supported in [0, oo), for both weights ``u`` and ``v``).  The data
 of every function, sampled or built, passes one check, ``_check_data``.
 """
 
-import csv
 import functools
-import io
 import math
 import operator
 from bisect import bisect_right
@@ -412,11 +410,14 @@ def _number_list(obj: dict, field: str) -> list[float]:
 
 def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
     """Parse the two-column x,y sample format; a header row is optional."""
+    import csv  # loaded on first use: JSON inputs never need it
+    import io
+
     xs: list[float] = []
     ys: list[float] = []
     reader = csv.reader(io.StringIO(text))
     for lineno, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):  # blank or whitespace-only
             continue
         if len(row) != 2:
             raise ValidationError(f"CSV line {lineno}: expected two columns, got {len(row)}")

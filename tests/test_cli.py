@@ -512,6 +512,17 @@ def test_report_records_are_immutable_and_named_in_repr():
         assert repr(record).startswith(f"{type(record).__name__}({first}=")
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's package; it must succeed."""
+    src = str(Path(crestimate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_import_loads_only_what_a_scan_runs():
     # one process: the modules it holds before the import are those a bare
     # interpreter (and any site hook) already loaded, so they do not count
@@ -520,17 +531,77 @@ def test_import_loads_only_what_a_scan_runs():
         "print(*sorted(set(sys.modules) - before)); "
         "import crestimate; crestimate.hardy_chain_report; print('crestimate.hardy' in sys.modules)"
     )
-    src = str(Path(crestimate.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded, hardy_on_first_use = proc.stdout.splitlines()
+    loaded, hardy_on_first_use = _python("-c", script).stdout.splitlines()
     assert "crestimate.cli" in loaded.split()
-    unwanted = {"dataclasses", "statistics", "inspect", "crestimate.hardy", "crestimate.quadrature"}
+    unwanted = {
+        "dataclasses",
+        "statistics",
+        "inspect",
+        "csv",
+        "crestimate.generators",
+        "crestimate.hardy",
+        "crestimate.quadrature",
+        "crestimate.verify",
+    }
     assert unwanted.isdisjoint(loaded.split()), loaded
     assert hardy_on_first_use == "True"
+
+
+def _modules_loaded_by(*argv) -> set[str]:
+    """Every module ``python -m crestimate argv`` imports beyond those a bare
+    interpreter (and any site hook) imports, read off ``-X importtime``."""
+
+    def imported(*args):
+        lines = _python("-X", "importtime", *args).stderr.splitlines()
+        return {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+
+    return imported("-m", "crestimate", *argv) - imported("-c", "pass")
+
+
+_NOT_IN_A_SCAN = {
+    "crestimate.generators",
+    "crestimate.hardy",
+    "crestimate.quadrature",
+    "crestimate.verify",
+}
+
+
+def test_scan_subcommands_load_only_what_they_run(tmp_path):
+    step = tmp_path / "step.json"
+    step.write_text('{"type":"step","breakpoints":[0,1,2,3],"values":[1,0,2]}')
+    loaded = _modules_loaded_by("analyze", str(step), "--grid", "1:10:8:log")
+    assert "crestimate.bounds" in loaded
+    assert loaded.isdisjoint(_NOT_IN_A_SCAN | {"csv", "_csv"}), loaded
+    samples = tmp_path / "bump.csv"
+    samples.write_text("x,y\n0,0\n1,1\n2,0\n3,2\n4,0\n")
+    loaded = _modules_loaded_by("bound-roots", str(samples), "--csv-mode", "linear")
+    assert {"crestimate.bounds", "csv"} <= loaded
+    assert loaded.isdisjoint(_NOT_IN_A_SCAN), loaded
+
+
+def test_verify_loads_verify_on_first_use():
+    loaded = _modules_loaded_by("verify", "step", "--trials", "1")
+    assert {"crestimate.verify", "crestimate.generators"} <= loaded
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    # a fresh process, so each name goes through the package's lazy lookup
+    script = (
+        "import importlib, crestimate; star = {}; exec('from crestimate import *', star); "
+        "print(sorted(set(star) - {'__builtins__'}) == sorted(crestimate.__all__)); "
+        "print(all(star[name] is getattr(importlib.import_module('crestimate.' + module), name) "
+        "for name, module in crestimate._SOURCES.items())); "
+        "print(dir(crestimate) == sorted(crestimate.__all__))"
+    )
+    assert _python("-c", script).stdout.split() == ["True", "True", "True"]
+    assert crestimate.__all__[0] == "__version__"
+    for name in crestimate.__all__[1:]:
+        value = getattr(crestimate, name)
+        home = getattr(value, "__module__", "")
+        # a class or function is named after the module that defines it
+        assert not home.startswith("crestimate") or home == f"crestimate.{crestimate._SOURCES[name]}"
+    with pytest.raises(AttributeError, match="no attribute 'hardy_chain'"):
+        crestimate.hardy_chain
 
 
 COMB_2_JSON = json.dumps(function_to_json_dict(comb_example(2)))

@@ -284,6 +284,25 @@ def test_csv_parsing_skips_blank_rows():
     assert samples_from_csv_text("0,1\n\n , \n1,2\n") == ([0.0, 1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x,y\n0,1\n\n1,2\n",
+        "x,y\n \n0,1\n\t,\t\n1,2\n",
+        "\n0,1\n , , \n1,2\n\n",  # whitespace in three cells is a blank row, not three columns
+        "x , y\r\n0,1\r\n   \r\n1,2\r\n",
+    ],
+)
+def test_csv_parsing_skips_blank_whitespace_and_header_rows(text):
+    assert samples_from_csv_text(text) == ([0.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text, line", [("0,1\n1,2,3\n", 2), ("x,y\n\n0,1,\n", 3), (" ,1, \n", 1)])
+def test_csv_parsing_rejects_a_three_column_row(text, line):
+    with pytest.raises(ValidationError, match=f"CSV line {line}: expected two columns, got 3"):
+        samples_from_csv_text(text)
+
+
 def test_constructors_reject_missing_or_mismatched_values():
     with pytest.raises(ValidationError, match="a step function needs at least one piece"):
         make_step([0.0], [])

@@ -268,15 +268,58 @@ def test_small_phase_series_branch_agrees_with_stable_form():
 
 
 def _mp_segment_fourier(t0, t1, y0, y1, z):
-    """fhat of one linear segment to 40 digits: w E0 (y0 phi + dy psi)."""
+    """fhat of one linear segment to 40 digits: w E0 (y0 phi + dy psi), with
+    phi(u) = integral_0^1 e^(-ius) ds and psi(u) = integral_0^1 s e^(-ius) ds.
+    Their closed forms cancel about 2 log10(1/|u|) digits, so below |u| =
+    1e-3 they are their power series sum_k (-iu)^k / (k! (k + 1)), resp.
+    (k! (k + 2)), whose 20 terms leave less than 1e-60."""
     with mpmath.workdps(40):
         t0, t1, y0, y1, z = map(mpmath.mpf, (t0, t1, y0, y1, z))
         w = t1 - t0
         iu = 1j * w * z
-        e = mpmath.exp(-iu)
-        phi = (1 - e) / iu
-        psi = (phi - e) / iu
+        if abs(iu) >= 1e-3:
+            e = mpmath.exp(-iu)
+            phi = (1 - e) / iu
+            psi = (phi - e) / iu
+        else:
+            phi = psi = 0
+            term = mpmath.mpc(1)
+            for k in range(20):
+                phi += term / (k + 1)
+                psi += term / (k + 2)
+                term *= -iu / (k + 1)
         return w * mpmath.exp(-1j * t0 * z) * (y0 * phi + (y1 - y0) * psi)
+
+
+def _exact_moments(f):
+    """integral f and integral x f as exact fractions."""
+    exact = [[Fraction(t) for t in seg] for seg in f.segments()]
+    total = sum((t1 - t0) * (y0 + y1) / 2 for t0, t1, y0, y1 in exact)
+    moment = sum(
+        (t1 - t0) * (t0 * (2 * y0 + y1) + t1 * (y0 + 2 * y1)) / 6 for t0, t1, y0, y1 in exact
+    )
+    return total, moment
+
+
+def test_mp_reference_keeps_its_digits_where_wz_is_tiny():
+    """Where every |wz| is at most 1e-40 the 40-digit reference is integral
+    f - iz integral x f (the rest is below (zX)^2 of the mass): the real
+    part to 1e-38 of it and the imaginary part to 1e-38 of -z integral x f."""
+    inputs = (
+        PiecewiseLinearFunction((0.5, 1.25, 3.0, 4.0), (1.5, 2.0, 0.25, 3.0)),
+        make_step([-2.0, 0.5, 1.0, 3.5], [0.75, 4.0, 1.25]),
+        TRIANGLE,
+    )
+    for f in inputs:
+        total, moment = _exact_moments(f)
+        widest = max(t1 - t0 for t0, t1, _, _ in f.segments())
+        for z in (5e-324, 1e-300, 1e-41 / widest, -1e-41 / widest):
+            with mpmath.workdps(60):
+                value = _mp_fourier(f, z)
+                real = mpmath.mpf(total.numerator) / total.denominator
+                imag = -mpmath.mpf(z) * moment.numerator / moment.denominator
+                assert abs(value.real - real) <= 1e-38 * abs(real), (f, z)
+                assert abs(value.imag - imag) <= 1e-38 * abs(imag), (f, z)
 
 
 @pytest.mark.parametrize("u", [1.01e-4, 1.5e-4, 3e-4, 1e-3, 0.3, 1.01e-2, 1.5e-2, 3e-2])
@@ -363,11 +406,7 @@ def test_a_z_whose_h_z_is_subnormal_weighs_each_segment_by_h():
         _, _, (_, floor, rows) = f.fourier_table
         segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
         mass = math.fsum((t1 - t0) * max(abs(y0), abs(y1)) for t0, t1, y0, y1 in segments)
-        exact = [[Fraction(t) for t in seg] for seg in segments]
-        total = sum((t1 - t0) * (y0 + y1) / 2 for t0, t1, y0, y1 in exact)
-        moment = sum(
-            (t1 - t0) * (t0 * (2 * y0 + y1) + t1 * (y0 + 2 * y1)) / 6 for t0, t1, y0, y1 in exact
-        )
+        total, moment = _exact_moments(f)
         for z in (5e-324, 1e-310, 0.5 * floor, floor):
             value = fourier(f, z)
             reference = complex(float(total), float(-Fraction(z) * moment))
