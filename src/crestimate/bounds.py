@@ -244,6 +244,8 @@ def crest_lower_bound(
             magnitude = abs(fourier(f, z))
             tail = star.integral_up_to(1.0 / z)
             scale = PI_SQRT_10 * tail
+            if crests * scale == math.inf:  # the mass of f is beyond float range
+                raise OverflowError(f"the bound at z = {z!r} is beyond float range")
             reports.append(QReport(z, magnitude, tail, crests * scale, magnitude / scale, crests))
         return reports
 

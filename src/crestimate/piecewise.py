@@ -275,17 +275,21 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
 
 
 def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:
-    """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1).
-
-    An end at t0 or t1 takes the stored value, so a whole segment is
-    ``(t1 - t0) * (y0 + y1) * 0.5``.  On a step piece (``y0 == y1``) the
-    slope is zero and the result is ``(hi - lo) * y0`` exactly: doubling and
-    halving do not round.
-    """
+    """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1); an end
+    at t0 or t1 takes the stored value, so a step piece gives ``(hi - lo) * y0``."""
     slope = (y1 - y0) / (t1 - t0)
+    if abs(slope) == math.inf:  # too steep for a float: integrate over [0, 1] and scale
+        w = t1 - t0
+        return w * _segment_integral(0.0, 1.0, y0, y1, (lo - t0) / w, (hi - t0) / w)
     ylo = y0 if lo == t0 else y0 + (lo - t0) * slope
     yhi = y1 if hi == t1 else y0 + (hi - t0) * slope
-    return (hi - lo) * (ylo + yhi) * 0.5
+    return (hi - lo) * _segment_mean(ylo, yhi)
+
+
+def _segment_mean(y0: float, y1: float) -> float:
+    """(y0 + y1) / 2 for y0, y1 >= 0, y0 if equal: halved first only where the sum overflows."""
+    mean = (y0 + y1) * 0.5
+    return mean if mean < math.inf else y0 * 0.5 + y1 * 0.5
 
 
 def from_samples(

@@ -58,9 +58,12 @@ Inputs whose nonzero segments repeat their lengths take a lattice sum
 instead: sampled traces on an evenly spaced grid whose steps are exact
 floats, and step functions on a coarse dyadic lattice.  The lengths are the
 widths of the nonzero segments and the gaps between consecutive left edges;
-when the nonzero segments have at least 8 edges and at most half as many
-distinct lengths, fhat is a sum of terms ``c_k``
-at left edges of nonzero segments, from the leftmost, a, by Horner's rule:
+with at least 8 edges and at most half as many distinct lengths, f is taken
+as ``sum_k y_k B_k`` over the values y_k of ``_ys``, B_k the B-spline of
+order ``_shift`` with knots at edges ``k - _shift`` to ``k + 1`` (de Boor,
+1978): a box for a step function, a hat for a piecewise-linear one.  fhat
+is a sum of terms ``c_k``, one per nonzero y_k at the left end of B_k, from
+the leftmost, a, by Horner's rule:
 
     fhat(z) = exp(-iaz) S_0,   S_k = S_(k+1) exp(-i g_k z) + c_k,
 
@@ -68,34 +71,33 @@ at left edges of nonzero segments, from the leftmost, a, by Horner's rule:
 ``exp(-iLz)``, one cos and one sin, and the factors of a width,
 ``L phi(u) = (sin u - i (1 - cos u)) / z``, ``u = L z``, and
 ``L psi(u) = L (c1 - i s1)``, are read off them as in ``_piece``: no trig
-call per term.  A step function is a sum of boxes, ``c_k = y0 w phi(wz)``.
-A piecewise-linear f is ``sum_k y_k hat_k`` over its nodes x_k, hat_k the
-tent that is 1 at x_k and 0 at the other nodes, one-sided at an end node
-(where f jumps to 0).  With ``a_k``, ``b_k`` its gaps to the nodes on the
-left and right (0 if absent), and as ``1 - t/b`` on [0, b] and ``1 + t/a``
-on [-a, 0] are ``1 - s`` and ``s`` on [0, 1] scaled,
+call per term.  A box of width w has ``c_k = y_k w phi(wz)``.  A hat is the
+tent that is 1 at its node x_k and 0 at the other nodes, one-sided at an
+end node (where f jumps to 0).  With ``a_k``, ``b_k`` its gaps to the nodes
+on the left and right (0 if absent), and as ``1 - t/b`` on [0, b] and ``1 +
+t/a`` on [-a, 0] are ``1 - s`` and ``s`` on [0, 1] scaled,
 
     integral hat_k(x) exp(-ixz) dx = exp(-i x_k z) H(a_k, b_k; z),
     H(a, b; z) = b (phi(bz) - psi(bz)) + exp(iaz) a psi(az),
 
 which for a = b = h is the real ``h sinc^2(hz/2)`` of a tent, Gautschi's
-attenuation factor.  The term sits at its hat's left end, ``c_k = y_k
-exp(-i a_k z) H(a_k, b_k; z)``: one row per nonzero node, one factor per
-distinct (a_k, b_k), an absent side being a width of factors 0.  When all
-nonzero nodes share one (a_k, b_k), as on an even grid with zero end
-values, the factor multiplies once after the sum of the ``y_k``.  A table
-per z costs more than the segment loop saves on the few-piece functions of
-``verify`` (8 distinct lengths for 9 edges is typical), hence the rule and
-the segment loop below 8 edges (``_LATTICE_MIN_ROWS``).  Per call, with
-tables built by ``_fourier_table`` under ``_LATTICE_MIN_ROWS`` 1 and 10**9
-and the kernels timed in process over the same 50 log-uniform z in
-[1e-3, 1e3] (best of 40 interleaved repeats of 100 passes; Python 3.11.7,
-2-vCPU Xeon VM), a box takes 1.6 us by the lattice sum and 0.7 us by the
-segment loop, 6 equal steps (7 edges) 2.1 and 1.7 us, 7 equal steps (8
-edges) 2.2 and 1.8 us, a 7-segment sampled trace (8 edges) 3.1 and 3.1 us,
-and a 10-box comb (20 edges) 2.9 and 2.4 us.  So on step inputs this small
-the segment loop is the faster kernel even at 8 edges and more; the
-threshold stays at 8, as moving it changes which rounding such inputs get.
+attenuation factor, and ``c_k = y_k exp(-i a_k z) H(a_k, b_k; z)``.  Each
+distinct shape, the tuple of side lengths (an absent side a width of
+factors 0), has one factor; when all terms share one, as on steps of one
+width or an even grid with zero end values, it multiplies once after the
+sum of the ``y_k``.  A table per z costs more than the segment loop saves
+on the few-piece functions of ``verify`` (8 distinct lengths for 9 edges is
+typical), hence the rule and the segment loop below 8 edges
+(``_LATTICE_MIN_ROWS``).  Per call, with tables built by ``_fourier_table``
+under ``_LATTICE_MIN_ROWS`` 1 and 10**9 and the kernels timed in process
+over the same 50 log-uniform z in [1e-3, 1e3] (best of 40 interleaved
+repeats of 100 passes; Python 3.11.7, 2-vCPU Xeon VM), a box takes 1.6 us
+by the lattice sum and 0.7 us by the segment loop, 6 equal steps (7 edges)
+2.1 and 1.7 us, 7 equal steps (8 edges) 2.2 and 1.8 us, a 7-segment sampled
+trace (8 edges) 3.1 and 3.1 us, and a 10-box comb (20 edges) 2.9 and 2.4
+us.  So on step inputs this small the segment loop is the faster kernel
+even at 8 edges and more; the threshold stays at 8, as moving it changes
+which rounding such inputs get.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
 ``M = sum w (|y0| + |y1 - y0| / 2)`` over them and W the span from a to the
@@ -176,7 +178,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import ValidationError, require_positive
-from .piecewise import PiecewiseFunction, evaluate, integrate, require_halfline_support
+from .piecewise import PiecewiseFunction, _segment_mean, evaluate, integrate
+from .piecewise import require_halfline_support
 
 __all__ = [
     "fourier",
@@ -247,8 +250,8 @@ def _segment_sum(table: tuple, z: float) -> complex:
         else:
             re += co * p
             im += si * p
-    re = 2.0 * re / z
-    im = -2.0 * im / z
+    re = 2.0 * (re / z)  # dividing first: 2 re may overflow where fhat does not
+    im = -2.0 * (im / z)
     pc, ps = cos(centre * z), sin(centre * z)
     return complex(re * pc + im * ps, im * pc - re * ps)
 
@@ -280,7 +283,7 @@ def _lattice_sum(table: tuple, z: float) -> complex:
         # fhat = acc / (iz) times the anchor's phase
         return complex(acc.imag / z, -acc.real / z) * cmath.exp(anchor * mz)
     cutoff = _TRIG_SERIES_CUTOFF
-    hats = shapes is not None
+    hats = len(shapes[0]) == 2
     # the argument's real part is a zero, so exp is (cos u, -sin u) to the bit
     step = [cmath.exp(length * mz) for length in lengths]
     phi, psi = [], []  # L phi(u) and, for hats, L psi(u) per width
@@ -298,11 +301,11 @@ def _lattice_sum(table: tuple, z: float) -> complex:
                 c1, s1 = _ramp(u, c, s, om)
         if hats:
             psi.append(complex(length * c1, -length * s1))
-    factor = phi  # a box's factor is its width's L phi
+    factor = phi  # a box's factor is its width's L phi: box shape k is (k,)
     if hats:  # a hat's is H(a, b) times the phase from its left end to its node
         factor = [step[a] * (phi[b] - psi[b]) + psi[a] for a, b in shapes]
-        if len(factor) == 1:
-            return _horner(rows, step) * factor[0] * cmath.exp(anchor * mz)
+    if len(rows[0]) == 2:  # one shape: its factor multiplies the sum
+        return _horner(rows, step) * factor[0] * cmath.exp(anchor * mz)
     acc = 0j
     for gap, shape, y in rows:
         acc = acc * step[gap] + factor[shape] * y
@@ -320,14 +323,9 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     With at least ``_LATTICE_MIN_ROWS`` edges of nonzero segments and at
     most half as many distinct lengths (the widths of the nonzero segments
     and the gaps between consecutive left edges) the kernel is
-    ``_lattice_sum`` and the table ``(anchor, lengths, widths, shapes,
-    rows, switch, gaps, jumps)``: ``lengths`` distinct, the ``widths`` first.
-    A step function has one row ``(gap, width, y0)`` per nonzero segment,
-    right to left, ``gap`` the index of the distance to the next left edge
-    (0 on the rightmost) and ``width`` that of its width, ``shapes`` None and
-    the jump rows of ``_jump_rows``; a piecewise-linear f has ``_hat_rows``.
-    ``anchor`` is the leftmost left edge and ``reach`` the largest of
-    ``|anchor|`` and the lengths, which bound the gaps between edges too.
+    ``_lattice_sum`` and the table that of ``_basis_rows`` for either
+    representation.  ``reach`` is then the largest of ``|anchor|`` and the
+    lengths, which bound the gaps between edges too.
 
     Otherwise the kernel is ``_segment_sum`` and the table ``(c, floor,
     rows)``: c the middle entry of ``edges``, one row ``(d, h, y, r)`` per
@@ -337,57 +335,52 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     first and last rows, which bound every phase argument.
     """
     segments = _nonzero_segments(f)
-    starts = [seg[0] for seg in segments]
-    ends = [seg[1] for seg in segments]
-    after = starts[1:] + [None]  # the next left edge
-    # the edges: every left edge, and every right edge that is no left edge
-    count = len(segments) + sum(map(operator.ne, ends, after))
+    starts, ends = [seg[0] for seg in segments], [seg[1] for seg in segments]
+    # the edges: every left edge, and every right edge that is not the next left edge
+    count = len(segments) + sum(map(operator.ne, ends, starts[1:] + [None]))
     if count >= _LATTICE_MIN_ROWS:
-        widths = set(map(operator.sub, ends, starts))
-        lengths = widths.union(map(operator.sub, starts[1:], starts))
+        lengths = set(map(operator.sub, ends, starts)).union(map(operator.sub, starts[1:], starts))
         if 2 * len(lengths) <= count:
-            if f._shift:
-                table = _hat_rows(f)
-            else:
-                lengths = (*widths, *(lengths - widths))
-                index = {length: k for k, length in enumerate(lengths)}
-                rows = tuple(
-                    (0 if b is None else index[b - t0], index[t1 - t0], y0)
-                    for (t0, t1, y0, _), b in zip(reversed(segments), reversed(after))
-                )
-                table = starts[0], lengths, len(widths), None, rows, *_jump_rows(segments)
+            table = _basis_rows(f, segments)
             return _lattice_sum, max(abs(table[0]), *table[1]), table
     edges = f.edges
     centre = edges[len(edges) // 2]
     rows = []
     for t0, t1, y0, y1 in segments:
         h = (t1 - t0) * 0.5
-        rows.append(((t0 - centre) + h, h, (y0 + y1) * 0.5, (y1 - y0) * 0.5))
+        rows.append(((t0 - centre) + h, h, _segment_mean(y0, y1), (y1 - y0) * 0.5))
     reach = max([abs(centre)] + [abs(d) + h for d, h, _, _ in rows[:1] + rows[-1:]])
     least = min([h for _, h, _, _ in rows], default=1.0)
     floor = 2.0**-1021 / least if least else math.inf  # below it some h |z| is subnormal
     return _segment_sum, reach, (centre, floor, tuple(rows))
 
 
-def _hat_rows(f: PiecewiseFunction) -> tuple:
-    """A piecewise-linear f's lattice table in the hat basis: ``shapes`` the
-    distinct ``(a, b)`` of its nonzero nodes, indices into ``lengths`` (0.0
-    for an absent side), and one row per nonzero node, right to left, at its
-    hat's left end: ``(gap, y)`` with one shape, else ``(gap, shape, y)``."""
-    xs = f.edges
-    nodes = zip(xs[:1] + xs[:-1], xs, xs[1:] + xs[-1:], f._ys)
-    # per nonzero node, its hat's left end, (a, b) and value
-    lefts, sides, ys = zip(*[(t, (x - t, t1 - x), y) for t, x, t1, y in nodes if y])
+def _basis_rows(f: PiecewiseFunction, segments: list) -> tuple:
+    """f's lattice table ``(anchor, lengths, widths, shapes, rows, switch,
+    gaps, jumps)``, ``segments`` its nonzero segments.  Value k of ``_ys``
+    multiplies the box or hat with knots at edges ``k - _shift`` to ``k +
+    1``; its shape is the tuple of gaps between them (an absent one 0.0) as
+    indices into ``lengths``, whose first ``widths`` are the side lengths,
+    so a box's shape k is ``(k,)``.  One row per nonzero value, right to
+    left, at its left end (the leftmost is ``anchor``): ``(gap, y)`` with
+    one shape whose y sum to a float, else ``(gap, shape, y)``.  One-sided
+    shapes take the jump rows of ``_jump_rows``."""
+    xs = f.edges[:1] * f._shift + f.edges + f.edges[-1:] * f._shift  # absent knots repeat the end
+    steps = list(map(operator.sub, xs[1:], xs))
+    terms = zip(xs, zip(*[steps[j:] for j in range(f._shift + 1)]), f._ys)
+    # per nonzero term, its left end, side lengths and value
+    lefts, sides, ys = zip(*[term for term in terms if term[2]])
     gaps = list(map(operator.sub, lefts[1:], lefts))
-    widths = set().union(*sides)
-    lengths = (*widths, *(set(gaps) - widths))
+    shape = {side: k for k, side in enumerate(dict.fromkeys(sides[::-1]))}
+    widths = dict.fromkeys(length for side in shape for length in side)  # shape by shape
+    lengths = (*widths, *(set(gaps) - widths.keys()))
     index = {length: k for k, length in enumerate(lengths)}
-    shape = {pair: k for k, pair in enumerate(dict.fromkeys(sides[::-1]))}
     columns = [[0, *map(index.__getitem__, gaps[::-1])], ys[::-1]]
-    if len(shape) > 1:
+    if len(shape) > 1 or sum(ys) == math.inf:  # one factor needs the sum of the y to be a float
         columns.insert(1, list(map(shape.__getitem__, sides[::-1])))
-    shapes = tuple((index[a], index[b]) for a, b in shape)
-    return lefts[0], lengths, len(widths), shapes, tuple(zip(*columns)), math.inf, (), ()
+    shapes = tuple(tuple(map(index.__getitem__, side)) for side in shape)
+    jumps = _jump_rows(segments) if len(sides[0]) == 1 else (math.inf, (), ())
+    return lefts[0], lengths, len(widths), shapes, tuple(zip(*columns)), *jumps
 
 
 def _jump_rows(segments: list) -> tuple:
@@ -409,12 +402,12 @@ def _jump_rows(segments: list) -> tuple:
     gaps = tuple(set(edge_gaps))
     index = {gap: k for k, gap in enumerate(gaps)}
     jumps = tuple(zip([0, *(index[g] for g in reversed(edge_gaps))], reversed(rises)))
-    variation = math.fsum(map(abs, rises))
     mass = math.fsum([(t1 - t0) * abs(y0) for t0, t1, y0, _ in segments])
-    if not mass:  # every w |y| underflowed: the box sum's bound is the smaller
-        return math.inf, gaps, jumps
-    # (V / M) max(1, B / A) of the module docstring
-    return variation / mass * max(1.0, (5 * len(xs) + 8) / (5 * len(segments) + 64)), gaps, jumps
+    try:  # (V / M) max(1, B / A) of the module docstring
+        ratio = math.fsum(map(abs, rises)) / mass
+        return ratio * max(1.0, (5 * len(xs) + 8) / (5 * len(segments) + 64)), gaps, jumps
+    except (OverflowError, ZeroDivisionError):  # V overflows, or every w |y| underflowed:
+        return math.inf, gaps, jumps  # the box sum's bound is the smaller
 
 
 def _nonzero_segments(f: PiecewiseFunction) -> list:

@@ -157,6 +157,8 @@ def test_inline_json_longer_than_a_file_name(tmp_path, capsys):
 HOT_BOX = '{"type":"step","breakpoints":[0,1],"values":[3]}'
 HOT_WEIGHT = '{"type":"step","breakpoints":[0.5,2],"values":[3]}'
 HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "]}"
+# two boxes of height 1e308: their mass is beyond float range
+MASS_OVERFLOW_JSON = '{"type":"step","breakpoints":[0,1,2,3],"values":[1e308,0,1e308]}'
 # its lengths do not repeat, so fourier takes the segment loop; the comb's do
 TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
 
@@ -171,6 +173,7 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         (("analyze", HUGE_INT_JSON), 1, "beyond float range"),
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2000", "--q", "2"), 2, "overflow"),
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2", "--q", "2000"), 2, "overflow"),
+        (("analyze", MASS_OVERFLOW_JSON), 2, "overflow error"),
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
         (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
@@ -185,6 +188,7 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         "huge-int",
         "p-2000",
         "q-2000",
+        "mass-overflow",
         "phase-overflow-edges",
         "phase-overflow-lattice",
         "json-syntax",
@@ -202,6 +206,24 @@ def test_failures_exit_with_one_line(argv, code, fragment, tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert fragment in err
+
+
+def test_values_near_the_largest_float_give_finite_reports(tmp_path, capsys):
+    """A box of height 1e308 on [0, 2^-7], and a linear profile that rises
+    to 1e308 over 2^-7, have finite masses and transforms: both scans exit
+    0 with strict JSON, and every tail integral on the grid is finite and
+    positive."""
+    box = '{"type":"step","breakpoints":[0,0.0078125],"values":[1e308]}'
+    samples = tmp_path / "steep.csv"
+    samples.write_text("0,0\n0.0078125,1e308\n0.015625,1e308\n0.0234375,0\n")
+    for argv in (("analyze", box), ("bound-roots", str(samples), "--csv-mode", "linear")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and not err
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and not err
+        for row in out.splitlines()[1:]:
+            values = [float(x) for x in row.split(",")]
+            assert all(map(math.isfinite, values)) and values[2] > 0.0, row
 
 
 def test_extra_z_order_and_duplicates_do_not_matter(capsys):

@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,27 @@ def test_integrate_triangle_against_midpoint_rule():
     steps = int(round(2.0 / h))
     midpoint = h * math.fsum(evaluate(TRIANGLE, (i + 0.5) * h) for i in range(steps))
     assert abs(closed - midpoint) < 1e-7
+
+
+def test_integrals_near_the_largest_float_do_not_overflow():
+    """A box of height 1e308 on [0, 2^-7] has mass 1e308 / 128 exactly, and
+    a steep linear rise to 1e308 over 2^-7, whose slope is beyond float
+    range, integrates to within a few ulps of the exact value at every cut."""
+    box = make_step([0, 2**-7], [1e308])
+    assert box.total_integral == integrate(box, 0, 1) == 1e308 / 128
+    assert integrate(box, 2**-8, 1) == 1e308 / 256
+    a, top = Fraction(2**-7), Fraction(1e308)
+    ramp = PiecewiseLinearFunction([0, a, 2 * a, 3 * a], [0, 1e308, 1e308, 0])
+    assert ramp.total_integral == 2 * top * a
+    for cut in (2**-9, 3 * 2**-9, 0.01, 0.02):
+        c = Fraction(cut)
+        if c <= a:
+            exact = top * c**2 / (2 * a)
+        elif c <= 2 * a:
+            exact = top * (c - a / 2)
+        else:
+            exact = top * (2 * a - (3 * a - c) ** 2 / (2 * a))
+        assert math.isclose(integrate(ramp, 0, cut), exact, rel_tol=4 * 2.0**-53), cut
 
 
 def test_integrate_swaps_and_negates_reversed_bounds():

@@ -1,0 +1,84 @@
+"""The scans' stdout, byte for byte.
+
+Each input is drawn here from a seeded ``random.Random``: a 1,024-piece step
+function on the 1/32 lattice with values on the 1/1024 lattice, and a
+1,601-sample train of 25 sin^2 bumps.  Every number is a dyadic rational, so
+the JSON and CSV texts carry them exactly.  Each digest is the sha256 of a
+command's stdout, taken before the step and piecewise-linear lattice tables
+became one basis table; a change to the rounding of any reported number
+moves it.
+"""
+
+import hashlib
+import json
+import math
+import random
+
+import pytest
+
+from crestimate.cli import main
+
+DIGESTS = {
+    "analyze": "487cbfe1bdf15c1ad8837394e5a6e628763dd7d58b70875203a46f33ad9162e3",
+    "bound-roots": "9cd0337a5f5595cadb9608528aaed649aaa07f30548659818611bd1fe47e5b59",
+    "bound-roots-csv": "4bee8d2bda28e0da9d57d4704a57000b386ba933e2c2db950c010aaf2ef8eee5",
+    "comb": "169c4ac06e7973444667ae1dd89595ac82e755293d9d4a132535a0786fcb18af",
+}
+
+
+def _step_json(rng: random.Random, pieces: int = 1024) -> str:
+    """Pieces 1 to 128 cells of 1/32 wide from a start in [-32, 32], values
+    k / 1024 for k in 1..8192 with about a quarter zero gaps, and never two
+    equal neighbours, so every piece survives canonical form."""
+    values = []
+    for i in range(pieces):
+        prev = values[-1] if values else 0.0
+        if 0 < i < pieces - 1 and prev and rng.random() < 0.25:
+            values.append(0.0)
+            continue
+        v = prev
+        while v == prev:
+            v = rng.randint(1, 8192) / 1024
+        values.append(v)
+    breakpoints = [rng.randint(-1024, 1024) / 32]
+    for _ in range(pieces):
+        breakpoints.append(breakpoints[-1] + rng.randint(1, 128) / 32)
+    return json.dumps({"type": "step", "breakpoints": breakpoints, "values": values})
+
+
+def _bump_csv(rng: random.Random, bumps: int = 25, period: int = 64, width: int = 16) -> str:
+    """Samples 1/1024 apart of sin^2 bumps ``width`` samples wide, one at a
+    jittered offset in each period, amplitudes in [0.75, 1.25], values on the
+    2^-20 lattice and zero between bumps and at both ends."""
+    ys = [0.0] * (bumps * period + 1)
+    for b in range(bumps):
+        start = b * period + rng.randint(0, period - width - 1)
+        amplitude = 0.75 + 0.5 * rng.random()
+        for j in range(1, width):
+            ys[start + j] = round(amplitude * math.sin(math.pi * j / width) ** 2 * 2**20) / 2**20
+    return "x,y\n" + "".join(f"{k / 1024!r},{y!r}\n" for k, y in enumerate(ys))
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("scan-inputs")
+    step, samples = folder / "step.json", folder / "bumps.csv"
+    step.write_text(_step_json(random.Random("scan-digests/step")), encoding="ascii")
+    samples.write_text(_bump_csv(random.Random("scan-digests/bumps")), encoding="ascii")
+    return {
+        "analyze": ["analyze", str(step), "--refine-depth", "2"],
+        "bound-roots": ["bound-roots", str(samples), "--csv-mode", "linear", "--refine-depth", "2"],
+        "bound-roots-csv": [
+            "bound-roots", str(samples), "--csv-mode", "linear", "--refine-depth", "2",
+            "--format", "csv",
+        ],
+        "comb": ["comb", "2"],
+    }
+
+
+@pytest.mark.parametrize("run", sorted(DIGESTS))
+def test_scan_stdout_keeps_its_bytes(run, inputs, capsys):
+    assert main(inputs[run]) == 0
+    out, err = capsys.readouterr()
+    assert not err
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[run]

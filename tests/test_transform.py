@@ -81,12 +81,12 @@ def test_quadrature_oracle_of_the_zero_function():
 
 
 def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
-    """Its one table is the lattice table.  On a step function that is one
-    ``(gap, width, y0)`` row per nonzero segment and one ``(gap, jump)`` row
-    per edge of a nonzero segment; on a piecewise-linear function one row per
-    nonzero node, ``(gap, y)`` when every hat has the same shape and
-    ``(gap, shape, y)`` otherwise, and no jump rows.  No z, 0 included,
-    takes the segment loop."""
+    """Its one table is the lattice table: one row per nonzero value, right
+    to left, ``(gap, y)`` when every term has the same shape and ``(gap,
+    shape, y)`` otherwise.  A step function's shapes are one-sided, ``(k,)``
+    for its k-th width, and it has one ``(gap, jump)`` row per edge of a
+    nonzero segment; a piecewise-linear function's are two-sided and it has
+    no jump rows.  No z, 0 included, takes the segment loop."""
 
     def no_segment_loop(table, z):
         raise AssertionError("the segment loop ran")
@@ -98,22 +98,74 @@ def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
         assert kernel is _lattice_sum
         segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
         assert anchor == segments[0][0]
-        if shapes is None:
-            kinds.add("step")
-            assert len(rows) == len(segments) and all(len(row) == 3 for row in rows)
+        assert [row[-1] for row in rows] == [y for y in f._ys if y][::-1]
+        assert all(len(row) == (2 if len(shapes) == 1 else 3) for row in rows)
+        sides = {len(shape) for shape in shapes}
+        kinds.add((*sides, len(shapes) == 1))
+        if sides == {1}:
+            assert len(rows) == len(segments)
+            assert shapes == tuple((k,) for k in range(widths))
             edges = {x for t0, t1, _, _ in segments for x in (t0, t1)}
             assert len(jumps) == len(edges) and all(len(row) == 2 for row in jumps)
         else:
-            kinds.add(len(shapes) == 1)
-            nodes = [y for y in f.node_values if y]
-            assert [row[-1] for row in rows] == nodes[::-1]
-            assert all(len(row) == (2 if len(shapes) == 1 else 3) for row in rows)
             assert (switch, gaps, jumps) == (math.inf, (), ())
         assert fourier(f, 0.0) == complex(f.total_integral)
         for z in (1e-3, 1.3, -27.0):
             fourier(f, z)
-    assert kinds == {"step", True, False}  # boxes, one hat shape and many
+    # boxes of one width and of many, hats of one shape and of many
+    assert kinds == {(1, True), (1, False), (2, True), (2, False)}
     assert make_step([0, 1], [1]).fourier_table[0] is no_segment_loop  # the patch was in effect
+
+
+def test_steps_and_hats_on_the_same_breakpoints_share_one_builder(monkeypatch):
+    """A step function and a piecewise-linear function on the same 41
+    breakpoints, 1 to 3 cells of 1/32 apart from 3 on, both build their
+    lattice table in ``_basis_rows`` and stay within the lattice sum's bound
+    against 40 digits, z from every width on the series branch to 1e4."""
+    built = []
+
+    def recorded(f, segments, real=transform._basis_rows):
+        built.append(f)
+        return real(f, segments)
+
+    monkeypatch.setattr(transform, "_basis_rows", recorded)
+    rng = rng_for(39, "one-builder")
+    xs = [3.0]
+    for _ in range(40):
+        xs.append(xs[-1] + rng.randint(1, 3) / 32)
+    ys = [rng.randint(0, 1024) / 256 for _ in xs]
+    step, hats = make_step(xs, ys[:-1]), PiecewiseLinearFunction(xs, ys)
+    for f in (step, hats):
+        assert f.fourier_table[0] is _lattice_sum
+        for z in (1e-3, 0.05, 0.7, 3.3, 31.4159, 333.3, 1e4):
+            assert abs(fourier(f, z) - complex(_mp_fourier(f, z))) <= _lattice_bound(f, z), z
+    assert built == [step, hats]
+
+
+def test_boxes_of_one_width_take_the_one_shape_horner(monkeypatch):
+    """A step function whose nonzero pieces share one width has one shape
+    and ``(gap, y)`` rows, so below the switch its factor multiplies once,
+    after ``_horner`` has summed the values; a second width puts the
+    factor on each row."""
+    calls = []
+
+    def counted(rows, step, real=transform._horner):
+        calls.append(rows)
+        return real(rows, step)
+
+    monkeypatch.setattr(transform, "_horner", counted)
+    xs = [k / 8 for k in range(17)]
+    ys = [1.0 + k % 3 if k % 4 else 0.0 for k in range(16)]
+    one, two = make_step(xs, ys), make_step(xs + [2.25], ys + [5.0])
+    for f, shapes in ((one, ((0,),)), (two, ((0,), (1,)))):
+        table = f.fourier_table[2]
+        assert f.fourier_table[0] is _lattice_sum and table[3] == shapes
+        assert all(len(row) == 1 + len(shapes) for row in table[4])
+        for z in (0.01, 0.9, 0.99 * table[5]):
+            del calls[:]
+            value = fourier(f, z)
+            assert calls == ([table[4]] if len(shapes) == 1 else [])
+            assert abs(value - complex(_mp_fourier(f, z))) <= _lattice_bound(f, z), z
 
 
 def _hat_inputs():
@@ -152,6 +204,15 @@ def _mp_fourier(f, z):
         return sum(_mp_segment_fourier(*seg, z) for seg in f.segments() if seg[2] or seg[3])
 
 
+def _lattice_bound(f, z):
+    """The lattice sum's error bound of the ``transform`` docstring,
+    ``(5n + 2 |z| W + |a z| + 64) u M``."""
+    segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+    anchor, span = segments[0][0], segments[-1][1] - segments[0][0]
+    mass = math.fsum((t1 - t0) * (abs(y0) + abs(y1 - y0) / 2) for t0, t1, y0, y1 in segments)
+    return (5 * len(segments) + 2 * abs(z) * span + abs(anchor * z) + 64) * 2.0**-53 * mass
+
+
 def test_hat_sum_within_its_error_bound_against_40_digits():
     """Each input against 40 digits within the lattice sum's bound of the
     ``transform`` docstring, from z with every width on the series branch
@@ -161,17 +222,13 @@ def test_hat_sum_within_its_error_bound_against_40_digits():
     symmetry, no larger than the mass, and twice that largest z rejected."""
     for f in _hat_inputs():
         assert f.fourier_table[0] is _lattice_sum
-        segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
-        anchor, span = segments[0][0], segments[-1][1] - segments[0][0]
-        mass = math.fsum((t1 - t0) * (abs(y0) + abs(y1 - y0) / 2) for t0, t1, y0, y1 in segments)
-        widths = {t1 - t0 for t0, t1, _, _ in segments}
+        widths = {t1 - t0 for t0, t1, y0, y1 in f.segments() if y0 or y1}
         zs = [10.0 ** (k / 4) for k in range(-16, 33)]
         assert any(max(widths) * z < _TRIG_SERIES_CUTOFF for z in zs)
         assert any(_TRIG_SERIES_CUTOFF <= w * z < _S1_SERIES_CUTOFF for w in widths for z in zs)
         for z in zs:
             value = fourier(f, z)
-            bound = (5 * len(segments) + 2 * z * span + abs(anchor * z) + 64) * 2.0**-53 * mass
-            assert abs(value - complex(_mp_fourier(f, z))) <= bound, z
+            assert abs(value - complex(_mp_fourier(f, z))) <= _lattice_bound(f, z), z
             assert fourier(f, -z) == value.conjugate()
         z = 0.5 * sys.float_info.max / f.fourier_table[1]
         value = fourier(f, z)
@@ -179,6 +236,31 @@ def test_hat_sum_within_its_error_bound_against_40_digits():
         assert fourier(f, -z) == value.conjugate()
         with pytest.raises(ValidationError, match="too large"):
             fourier(f, 4.0 * z)
+
+
+def test_transforms_near_the_largest_float_do_not_overflow():
+    """Values near 1e308 whose transforms are floats: a box of height 1e308
+    on [0, 2^-7] by the segment loop, where ``2 re`` alone would overflow;
+    a comb of such boxes whose jumps sum past float range, so it never
+    sums by parts; boxes of one width and hats of one shape whose values sum
+    past float range, so each row takes its factor.  Each within its
+    kernel's bound against 40 digits."""
+    box = make_step([0, 2**-7], [1e308])
+    assert fourier(box, 0.0) == complex(1e308 / 128)
+    for z in (1.0, 400.0):
+        exact = complex(_mp_fourier(box, z))
+        assert abs(fourier(box, z) - exact) <= 40 * 2.0**-53 * abs(exact), z
+    assert math.isclose(abs(fourier(box, 400.0)), 4.9998279e305, rel_tol=1e-8)
+    pitch = [x for k in range(10) for x in (k * 2**-9, k * 2**-9 + 2**-10)]
+    comb = make_step(pitch, [1e308, 0.0] * 9 + [1e308])
+    even = make_step([k * 2**-10 for k in range(17)], [0.8e308, 0.80001e308] * 8)
+    hats = PiecewiseLinearFunction([k / 64 for k in range(20)], [0.0] + [1e308] * 18 + [0.0])
+    for f in (comb, even, hats):
+        kernel, _, table = f.fourier_table
+        assert kernel is _lattice_sum and len(table[3]) == 1 and len(table[4][0]) == 3
+        for z in (1e-3, 3.0, 1e5):
+            assert abs(fourier(f, z) - complex(_mp_fourier(f, z))) <= _lattice_bound(f, z), z
+    assert comb.fourier_table[2][5] == math.inf
 
 
 def test_fourier_box_at_pi():
