@@ -252,7 +252,10 @@ def evaluate(f: PiecewiseFunction, x: float) -> float:
         require_not_nan("x", x)
         return 0.0
     t0, t1, y0, y1 = f.segment(bisect_right(edges, x) - 1)
-    return y0 + (x - t0) * (y1 - y0) / (t1 - t0)
+    y = y0 + (x - t0) * (y1 - y0) / (t1 - t0)
+    if abs(y) == math.inf:  # (x - t0)(y1 - y0) overflowed: interpolate over [0, 1]
+        return y0 + (x - t0) / (t1 - t0) * (y1 - y0)
+    return y
 
 
 def integrate(f: PiecewiseFunction, a: float, b: float) -> float:

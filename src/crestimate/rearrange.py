@@ -255,10 +255,18 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
             lo, hi = max(t0, c), min(t1, d)
             # exact node values at the segment's ends; in between, a
             # rounded interpolant must not dip below 0 before ** p
-            a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
-            b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
+            a = y0 if lo == t0 else max(0.0, _on_line(t0, t1, y0, y1, slope, lo))
+            b = y1 if hi == t1 else max(0.0, _on_line(t0, t1, y0, y1, slope, hi))
             terms.append(_mean_power(a, b, p) * wv * (hi - lo))
     return math.fsum(terms) ** (1.0 / p)
+
+
+def _on_line(t0, t1, y0, y1, slope, x):
+    """y0 + (x - t0) * slope, or where that overflows, the same line over [0, 1]."""
+    y = y0 + (x - t0) * slope
+    if abs(y) == math.inf:  # too steep for a float
+        return y0 + (x - t0) / (t1 - t0) * (y1 - y0)
+    return y
 
 
 def _mean_power(a: float, b: float, p: float) -> float:

@@ -337,6 +337,18 @@ def test_hardy_command(tmp_path, capsys):
     assert abs(payload["hardy_middle"] - 1.0) < 1e-9
 
 
+def test_hardy_exits_2_with_one_line_when_quadrature_runs_out_of_panels(capsys, monkeypatch):
+    from crestimate import hardy
+
+    monkeypatch.setattr(hardy, "_MAX_PANELS", 1)
+    two_steps = '{"type":"step","breakpoints":[0,1,2],"values":[2,1]}'
+    code, out, err = run_cli(capsys, "hardy", two_steps, BOX_JSON, BOX_JSON, "--p", "2", "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("convergence error: ")
+    assert "budget of 1 panels" in err
+
+
 def test_hardy_rejects_nondecreasing_input(capsys):
     rising = '{"type":"step","breakpoints":[0,1,2],"values":[1,2]}'
     code, _, err = run_cli(capsys, "hardy", rising, BOX_JSON, BOX_JSON, "--p", "2", "--q", "2")

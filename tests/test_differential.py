@@ -8,9 +8,10 @@ segment, phases uncentred), the step-only evaluation, integral,
 distribution, tail table, crest cuts and crest locations that the segment
 model replaced, the crest count over the collapsed value profile, the
 decomposition that rescanned every piece per cell, the separate sine and
-cosine loops, the two adaptive quadrature engines with their Hardy loops,
-the Lorentz norm that ran adaptive Simpson on linear input, and the exact
-Lorentz norm that visited every weight piece per segment of f*.  The
+cosine loops, the Gauss-Kronrod engine with the Hardy loops (moved onto it
+from adaptive Simpson), the Lorentz norm that ran adaptive quadrature on
+linear input, and the exact Lorentz norm that visited every weight piece per
+segment of f*.  The
 library must agree with them exactly, with no tolerance, except for the
 transform, which now sums each segment's centred midpoint phase or, on
 inputs whose segment lengths repeat, runs Horner's rule over the segments or the jumps (within a
@@ -61,7 +62,7 @@ from crestimate.hardy import (
     _fourier_weighted_norm_with_error,
     _hardy_lhs_with_error,
 )
-from crestimate.quadrature import _GK15, gauss_kronrod_adaptive, simpson_adaptive
+from crestimate.quadrature import _GK15, gauss_kronrod_adaptive
 from crestimate.rearrange import _mean_power
 from crestimate.transform import _TRIG_SERIES_CUTOFF, _lattice_sum, _piece
 
@@ -777,14 +778,14 @@ def test_sine_cosine_equal_separate_loops():
     assert checked > 1000
 
 
-# --- oracles: the two adaptive engines and the Hardy loops ----------------
+# --- oracles: the adaptive engine and the Hardy loops ---------------------
 
 
 def _oracle_gk_panel(fn, a, b):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    acc_g = 0.0j
-    acc_k = 0.0j
+    acc_g = 0.0
+    acc_k = 0.0
     for xi, wg, wk in _GK15:
         fx = fn(mid + half * xi)
         if wg != 0.0:
@@ -795,12 +796,12 @@ def _oracle_gk_panel(fn, a, b):
     return value, err
 
 
-def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536):
+def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536, rel_tol=0.0):
     if len(panels) > max_panels:
         raise ConvergenceError("initial panel count exceeds the budget")
     heap = []
     counter = 0
-    total = 0.0j
+    total = 0.0
     total_err = 0.0
     for a, b in panels:
         val, err = _oracle_gk_panel(fn, a, b)
@@ -808,7 +809,7 @@ def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536):
         counter += 1
         total += val
         total_err += err
-    while total_err > abs_tol:
+    while total_err > abs_tol + rel_tol * abs(total):
         if len(heap) >= max_panels:
             raise ConvergenceError("panel budget exhausted")
         neg_err, _, a, b, val, err = heapq.heappop(heap)
@@ -821,57 +822,6 @@ def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536):
             counter += 1
             total += v
             total_err += e
-    return total, total_err
-
-
-def _oracle_simpson_panel(fn, a, b, fa, fm, fb):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = fn(lm)
-    frm = fn(rm)
-    h = b - a
-    coarse = h / 6.0 * (fa + 4.0 * fm + fb)
-    fine = h / 12.0 * (fa + 4.0 * flm + 2.0 * fm + 4.0 * frm + fb)
-    err = abs(fine - coarse) / 15.0
-    value = fine + (fine - coarse) / 15.0
-    return value, err, flm, frm
-
-
-def _oracle_simpson(fn, a, b, rel_tol, abs_tol=0.0, max_panels=2**20, initial_splits=1):
-    if b <= a:
-        return 0.0, 0.0
-    initial_splits = max(1, initial_splits)
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-
-    def push(lo, hi, flo, fmid, fhi):
-        nonlocal counter, total, total_err
-        val, err, flm, frm = _oracle_simpson_panel(fn, lo, hi, flo, fmid, fhi)
-        heapq.heappush(heap, (-err, counter, lo, hi, flo, fmid, fhi, flm, frm, val, err))
-        counter += 1
-        total += val
-        total_err += err
-
-    edges = [a + (b - a) * i / initial_splits for i in range(initial_splits + 1)]
-    edges[-1] = b
-    edge_vals = [fn(x) for x in edges]
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if hi <= lo:
-            continue
-        push(lo, hi, edge_vals[i], fn(0.5 * (lo + hi)), edge_vals[i + 1])
-    while total_err > abs_tol + rel_tol * abs(total):
-        if len(heap) >= max_panels:
-            raise ConvergenceError("panel budget exhausted")
-        _, _, lo, hi, flo, fmid, fhi, flm, frm, val, err = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (lo + hi)
-        push(lo, mid, flo, flm, fmid)
-        push(mid, hi, fmid, frm, fhi)
     return total, total_err
 
 
@@ -894,10 +844,15 @@ def _oracle_hardy_lhs(f, u, q, form):
         for a, b, uv in u.pieces():
             if uv == 0.0:
                 continue
-            for lo, hi in _oracle_panels(a, b, [1.0 / x for x in kinks]):
-                part, perr = _oracle_simpson(inner, lo, hi, rel_tol=QUADRATURE_REL_TOL)
-                acc += uv * part
-                err += uv * perr
+            part, perr = _oracle_gauss_kronrod(
+                inner,
+                _oracle_panels(a, b, [1.0 / x for x in kinks]),
+                0.0,
+                2**20,
+                rel_tol=QUADRATURE_REL_TOL,
+            )
+            acc += uv * part
+            err += uv * perr
     else:
 
         def outer(z):
@@ -906,10 +861,11 @@ def _oracle_hardy_lhs(f, u, q, form):
         for a, b, uv in u.pieces():
             if uv == 0.0:
                 continue
-            for lo, hi in _oracle_panels(1.0 / b, 1.0 / a, kinks):
-                part, perr = _oracle_simpson(outer, lo, hi, rel_tol=QUADRATURE_REL_TOL)
-                acc += uv * part
-                err += uv * perr
+            part, perr = _oracle_gauss_kronrod(
+                outer, _oracle_panels(1.0 / b, 1.0 / a, kinks), 0.0, 2**20, rel_tol=QUADRATURE_REL_TOL
+            )
+            acc += uv * part
+            err += uv * perr
     return acc ** (1.0 / q), err
 
 
@@ -920,13 +876,15 @@ def _oracle_fourier_weighted_norm(f, u, q):
     for a, b, uv in u.pieces():
         if uv == 0.0:
             continue
-        splits = max(1, math.ceil((b - a) * x_extent / (0.5 * math.pi)))
-        part, perr = _oracle_simpson(
+        splits = min(max(1, math.ceil((b - a) * x_extent / (0.5 * math.pi))), 4096)
+        edges = [a + (b - a) * i / splits for i in range(splits + 1)]
+        edges[-1] = b
+        part, perr = _oracle_gauss_kronrod(
             lambda z: abs(fourier(f, z)) ** q,
-            a,
-            b,
+            list(zip(edges, edges[1:])),
+            0.0,
+            2**20,
             rel_tol=QUADRATURE_REL_TOL,
-            initial_splits=min(splits, 4096),
         )
         acc += uv * part
         err += uv * perr
@@ -951,16 +909,6 @@ def test_refinement_loop_equals_old_engines():
             _kinked, [(0.0, 2.0)], tol
         )
 
-    def oscillatory_real(x):
-        return _oscillatory(x).real
-
-    for rel_tol in (1e-6, 1e-10):
-        for splits in (1, 3, 16):
-            for fn, a, b in ((_kinked, 0.0, 2.0), (oscillatory_real, -1.0, 3.0)):
-                assert simpson_adaptive(
-                    fn, a, b, rel_tol, initial_splits=splits
-                ) == _oracle_simpson(fn, a, b, rel_tol, initial_splits=splits)
-
 
 def _hardy_instances():
     rng = rng_for(50, "differential/hardy")
@@ -982,37 +930,20 @@ def test_hardy_integrals_equal_old_loops():
         )
 
 
-def test_simpson_of_an_empty_or_reversed_interval_is_zero():
-    def never_called(x):
-        raise AssertionError(f"integrand called at {x}")
-
-    for a, b in ((1.0, 1.0), (2.0, 1.0)):
-        assert simpson_adaptive(never_called, a, b, 1e-8) == (0.0, 0.0)
-
-
 def test_both_engines_raise_on_budget():
-    with pytest.raises(ConvergenceError, match="panel"):
-        simpson_adaptive(_kinked, 0.0, 2.0, 1e-14, max_panels=16)
     with pytest.raises(ConvergenceError, match="panel"):
         gauss_kronrod_adaptive(_oscillatory, [(0.0, 8.0)], 1e-14, max_panels=16)
     # more initial panels than the budget raises, however good their estimate
     unit_panels = [(float(k), k + 1.0) for k in range(9)]
     with pytest.raises(ConvergenceError, match="panel"):
         gauss_kronrod_adaptive(lambda x: 1.0, unit_panels, 1.0, max_panels=8)
-    with pytest.raises(ConvergenceError, match="panel"):
-        simpson_adaptive(lambda x: 1.0, 0.0, 9.0, 1.0, max_panels=8, initial_splits=9)
     # a zero integrand stops at once; a converged start exactly at the budget is fine
-    assert simpson_adaptive(lambda x: 0.0, 0.0, 1.0, 1e-8, max_panels=1) == (0.0, 0.0)
     assert gauss_kronrod_adaptive(lambda x: 0.0, [(0.0, 1.0)], 0.0, max_panels=1) == (0.0, 0.0)
     value, _ = gauss_kronrod_adaptive(lambda x: 1.0, unit_panels[:8], 1.0, max_panels=8)
     assert abs(value - 8.0) < 1e-12
-    assert simpson_adaptive(lambda x: 1.0, 0.0, 8.0, 1.0, max_panels=8, initial_splits=8) == (
-        8.0,
-        0.0,
-    )
 
 
-# --- oracle: the Lorentz norm with adaptive Simpson on linear input -------
+# --- oracle: the Lorentz norm with adaptive quadrature on linear input ----
 
 
 def _oracle_lorentz(f, v, p):
@@ -1037,8 +968,8 @@ def _oracle_lorentz(f, v, p):
             continue
         cuts = [lo] + [x for x in cut_candidates if lo < x < hi] + [hi]
         for s0, s1 in zip(cuts, cuts[1:]):
-            part, _ = _oracle_simpson(
-                lambda x: _oracle_value_on_line(star, x) ** p, s0, s1, rel_tol=1e-9
+            part, _ = _oracle_gauss_kronrod(
+                lambda x: _oracle_value_on_line(star, x) ** p, [(s0, s1)], 0.0, rel_tol=1e-9
             )
             total += wv * part
     return total ** (1.0 / p)

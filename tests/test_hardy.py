@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 from crestimate import (
+    ConvergenceError,
     PiecewiseLinearFunction,
     ValidationError,
     ZeroFunctionError,
@@ -16,6 +18,7 @@ from crestimate import (
 )
 from crestimate import hardy
 from crestimate.generators import random_decreasing_step, random_weight, rng_for
+from crestimate.quadrature import gauss_kronrod_adaptive
 
 BOX = make_step([0, 1], [1])
 # ground truth for ||fhat(box)||_{L^2(chi[0,1])}, frozen from two independent
@@ -88,6 +91,51 @@ def test_hardy_lhs_validation():
 def test_fourier_weighted_norm_frozen_value():
     value = fourier_weighted_norm(BOX, make_step([0, 1], [1]), 2.0)
     assert math.isclose(value, BOX_WEIGHTED_NORM, rel_tol=1e-6)
+
+
+# f = 2 on [0, 1), 1 on [1, 2) against u = v = 1 on [0, 1], p = q = 2: the
+# instance the packaging smoke test runs through `crestimate hardy`
+TWO_STEPS = make_step([0, 1, 2], [2, 1])
+
+
+def test_chain_report_of_two_steps_matches_closed_forms():
+    """int_0^{1/z} f is 3 for z <= 1/2 and 1/z + 1 above, so the middle term
+    is sqrt(9/2 + int_{1/2}^1 (1/z + 1)^2 dz) = sqrt(6 + 2 ln 2); the
+    transform side is checked against 30-digit quadrature of |fhat|^2 from
+    fhat's closed form, not from the library's transform."""
+    u = make_step([0, 1], [1])
+    report = hardy_chain_report(TWO_STEPS, u, u, 2.0, 2.0)
+    middle = math.sqrt(6.0 + 2.0 * math.log(2.0))
+    assert abs(report.hardy_middle - middle) <= 1e-13 * middle
+
+    def fhat_squared(z):
+        e1, e2 = mpmath.exp(-1j * z), mpmath.exp(-2j * z)
+        return abs((2 * (1 - e1) + (e1 - e2)) / (1j * z)) ** 2
+
+    with mpmath.workdps(30):
+        norm = float(mpmath.sqrt(mpmath.quad(fhat_squared, [0, 1])))
+    assert abs(report.fourier_weighted_norm - norm) <= 1e-13 * norm
+    for value, error in (
+        (report.fourier_weighted_norm, report.fourier_quadrature_error),
+        (report.hardy_middle, report.hardy_quadrature_error),
+    ):
+        assert 0.0 <= error < 1e-8 * value
+
+
+def test_gauss_kronrod_with_a_relative_tolerance_gives_a_float():
+    value, error = gauss_kronrod_adaptive(math.sqrt, [(0.0, 1.0)], rel_tol=1e-10)
+    assert type(value) is float and type(error) is float
+    assert abs(value - 2.0 / 3.0) <= 1e-10 * value
+
+
+def test_the_panel_budget_raises_instead_of_returning(monkeypatch):
+    # both integrals start from two panels on [0, 1], past a budget of one
+    monkeypatch.setattr(hardy, "_MAX_PANELS", 1)
+    u = make_step([0, 1], [1])
+    with pytest.raises(ConvergenceError, match="budget of 1 panels"):
+        hardy_lhs(TWO_STEPS, u, 2.0)
+    with pytest.raises(ConvergenceError, match="budget of 1 panels"):
+        hardy_chain_report(TWO_STEPS, u, u, 2.0, 2.0)
 
 
 def test_fourier_weighted_norm_of_the_zero_function():

@@ -122,6 +122,15 @@ def test_integrals_near_the_largest_float_do_not_overflow():
         assert math.isclose(integrate(ramp, 0, cut), exact, rel_tol=4 * 2.0**-53), cut
 
 
+def test_evaluate_on_a_steep_segment_near_the_largest_float():
+    """(x - t0)(y1 - y0) overflows here although f(x) is a float; where it
+    does not, the value keeps the bits of the plain interpolant."""
+    steep = PiecewiseLinearFunction([0, 4], [0, 1e308])
+    assert math.isclose(evaluate(steep, 3.0), 7.5e307, rel_tol=2.0**-52)
+    assert evaluate(steep, 2.0**-1020) == 2.0**-1020 * 1e308 / 4
+    assert evaluate(PiecewiseLinearFunction([0, 4], [0, 1e300]), 3.0) == 3.0 * 1e300 / 4
+
+
 def test_integrate_swaps_and_negates_reversed_bounds():
     f = make_step([0, 1, 2], [2, 1])
     assert integrate(f, 2.0, 0.0) == -integrate(f, 0.0, 2.0)

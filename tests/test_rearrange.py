@@ -234,6 +234,17 @@ def test_lorentz_norm_comb():
     assert lorentz_lambda_norm(comb_example(1), make_step([0, 5], [1]), 1.0) == 5.0
 
 
+def test_lorentz_norm_on_a_steep_segment_near_the_largest_float():
+    """f* holds 1e308 on [0, 2^-7] and falls to 0 over 2^-6, a slope beyond
+    float range; the weight 1 on [0, 2^-7 + 2^-9] sees the plateau and the
+    top of the fall, (2^-7 + 2^-9 - 2^-13) * 1e308 (the 1e-300 tail adds
+    nothing at this scale)."""
+    profile = PiecewiseLinearFunction([0, 2**-7, 2**-6, 3 * 2**-7], [0, 1e308, 1e308, 0])
+    weight = make_step([0, 2**-7 + 2**-9, 1], [1, 1e-300])
+    exact = (2**-7 + 2**-9 - 2**-13) * 1e308
+    assert math.isclose(lorentz_lambda_norm(profile, weight, 1.0), exact, rel_tol=1e-12)
+
+
 def test_lorentz_norm_of_the_zero_function():
     assert lorentz_lambda_norm(make_step([0, 1], [0]), make_step([0, 5], [1]), 2.0) == 0.0
 
