@@ -12,16 +12,16 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each public name and the module that defines it.  A module is imported on
-# the first access to one of its names, so a request loads only the modules
-# its subcommand runs (a scan never loads verify, generators or hardy).
+# Each public name and the module that defines it, imported on the first
+# access to one of its names: a request loads only the modules its subcommand
+# runs (a scan loads none of verify, generators, hardy, lemmas, quadrature).
 _SOURCES = {
     "BoundCertificate": "bounds",
     "CombResonance": "bounds",
     "ConvergenceError": "errors",
     "CrestimateError": "errors",
     "CrestReport": "crests",
-    "HALF_PI_SQRT_10": "bounds",
+    "HALF_PI_SQRT_10": "lemmas",
     "HardyReport": "hardy",
     "PI_SQRT_10": "bounds",
     "PiecewiseFunction": "piecewise",
@@ -31,15 +31,15 @@ _SOURCES = {
     "StepFunction": "piecewise",
     "SuiteResult": "verify",
     "ValidationError": "errors",
-    "WindowBoundReport": "transform",
+    "WindowBoundReport": "lemmas",
     "ZeroFunctionError": "errors",
     "bound_report": "bounds",
     "brute_force_crests": "crests",
-    "check_decreasing_bound": "bounds",
-    "check_one_crest_bound": "bounds",
+    "check_decreasing_bound": "lemmas",
+    "check_one_crest_bound": "lemmas",
     "comb_example": "bounds",
     "comb_resonance": "bounds",
-    "cosine_transform": "transform",
+    "cosine_transform": "lemmas",
     "count_crests": "crests",
     "crest_lower_bound": "bounds",
     "decompose": "crests",
@@ -47,7 +47,7 @@ _SOURCES = {
     "distribution": "rearrange",
     "evaluate": "piecewise",
     "fourier": "transform",
-    "fourier_quadrature_oracle": "transform",
+    "fourier_quadrature_oracle": "quadrature",
     "fourier_weighted_norm": "hardy",
     "from_samples": "piecewise",
     "function_from_json_dict": "piecewise",
@@ -61,8 +61,8 @@ _SOURCES = {
     "rearrangement": "rearrange",
     "rearrangement_integral": "rearrange",
     "run_suite": "verify",
-    "sine_transform": "transform",
-    "window_bounds": "transform",
+    "sine_transform": "lemmas",
+    "window_bounds": "lemmas",
 }
 
 __all__ = ["__version__", *_SOURCES]

@@ -10,36 +10,27 @@ crests more than N times; that is what :func:`crest_lower_bound` turns into a
 certificate, together with the derived count of roots of f' for smooth-like
 inputs.
 
-The constants ``pi*sqrt(10)`` and ``(pi/2)*sqrt(10)`` are always computed,
-never hard-coded decimal approximations, so any slack observed in the
-verification suites is attributable to the mathematics alone.
+The constant ``pi*sqrt(10)`` is computed, never a hard-coded decimal, so any
+slack observed in the verification suites is attributable to the mathematics
+alone.  The lemmas behind it, with ``(pi/2)*sqrt(10)``, are in ``lemmas``.
 """
 
 import math
 import sys
 from typing import NamedTuple
 
-from .crests import count_crests, decompose
+from .crests import count_crests
 from .errors import ValidationError, require_positive, require_positive_int
-from .piecewise import (
-    PiecewiseFunction,
-    StepFunction,
-    integrate,
-    make_step,
-    require_nonincreasing_on_halfline,
-)
+from .piecewise import PiecewiseFunction, StepFunction, make_step
 from .rearrange import rearrangement
 from .transform import fourier
 
 __all__ = [
     "PI_SQRT_10",
-    "HALF_PI_SQRT_10",
     "QReport",
     "BoundCertificate",
     "CombResonance",
     "bound_report",
-    "check_decreasing_bound",
-    "check_one_crest_bound",
     "comb_example",
     "comb_resonance",
     "certified_crests",
@@ -49,7 +40,6 @@ __all__ = [
 ]
 
 PI_SQRT_10 = math.pi * math.sqrt(10.0)
-HALF_PI_SQRT_10 = 0.5 * math.pi * math.sqrt(10.0)
 
 # Strict-threshold guard: Q must exceed an integer by more than this before
 # the certificate counts an extra crest, so float noise can never do it.
@@ -99,36 +89,6 @@ class BoundCertificate(NamedTuple):
 def bound_report(f: PiecewiseFunction, z: float) -> QReport:
     """Evaluate the crest-count bound and the ratio Q at one z > 0 (a one-point scan)."""
     return crest_lower_bound(f, [z]).grid[0]
-
-
-def check_decreasing_bound(f: PiecewiseFunction, z: float) -> tuple[float, float]:
-    """(lhs, rhs) of |fhat(z)| <= (pi/2) sqrt(10) integral_0^{1/z} f.
-
-    Requires f nonincreasing on [0, oo); contract: lhs <= rhs.
-    """
-    require_nonincreasing_on_halfline(f)
-    require_positive("z", z)
-    lhs = abs(fourier(f, z))
-    rhs = HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z)
-    return lhs, rhs
-
-
-def check_one_crest_bound(f: PiecewiseFunction, z: float) -> tuple[float, float, float]:
-    """(lhs, rhs, b): |fhat(z)| against the window integral around the crest.
-
-    Requires f to crest exactly once at some b; then
-    lhs = |fhat(z)| <= (pi/2) sqrt(10) integral_{b-1/z}^{b+1/z} f = rhs.
-    """
-    require_positive("z", z)
-    report = decompose(f)
-    if report.count != 1:
-        raise ValidationError(
-            f"input must crest exactly once (found {report.count} crests)"
-        )
-    b = report.crest_locations[0]
-    lhs = abs(fourier(f, z))
-    rhs = HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z)
-    return lhs, rhs, b
 
 
 def comb_example(n: int) -> StepFunction:

@@ -22,8 +22,8 @@ surface as errors rather than inaccurate numbers).
 import math
 from typing import NamedTuple
 
-from .bounds import HALF_PI_SQRT_10
 from .errors import CrestimateError, ValidationError, require_positive
+from .lemmas import HALF_PI_SQRT_10
 from .piecewise import (
     PiecewiseFunction,
     StepFunction,

@@ -1,4 +1,4 @@
-"""Closed-form Fourier, sine, and cosine transforms of piecewise functions.
+"""Closed-form Fourier transforms of piecewise functions.
 
 The transform convention is ``fhat(z) = integral f(x) exp(-i x z) dx``.
 Every kernel here reads the segments ``(t0, t1, y0, y1)`` of
@@ -161,34 +161,16 @@ small z on long runs of one gap, where the same rounded phase step
 multiplies the sum again and again, so its rounding adds up in step:
 1.1e-14 relative on that trace at z = 0.01-0.7, where the segment loop
 gives 1.6e-15.
-
-The sine and cosine transforms are computed together from separate real
-closed forms: per piece, phases at its uncentred left edge and the four
-kernels of ``_piece`` (four trig calls), kept so on purpose.  Their
-rounding is not the segment loop's, so ``fhat = Cf - i Sf`` is a genuine
-cross-check of :func:`fourier`; so is an adaptive Gauss-Kronrod oracle
-with oscillation-aware panels, which nothing in the closed-form paths
-calls.
 """
 
 import cmath
 import math
 import operator
-from functools import partial
-from typing import NamedTuple
 
-from .errors import ValidationError, require_positive
-from .piecewise import PiecewiseFunction, _segment_mean, evaluate, integrate
-from .piecewise import require_halfline_support
+from .errors import ValidationError
+from .piecewise import PiecewiseFunction, _segment_mean
 
-__all__ = [
-    "fourier",
-    "sine_transform",
-    "cosine_transform",
-    "fourier_quadrature_oracle",
-    "window_bounds",
-    "WindowBoundReport",
-]
+__all__ = ["fourier"]
 
 # below this |u| the real trig kernels, which cancel at order u^2, and the
 # segment loop's v s1(v) read their power series
@@ -415,15 +397,11 @@ def _nonzero_segments(f: PiecewiseFunction) -> list:
     return [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
 
 
-def _require_finite(z: float) -> None:
-    if not math.isfinite(z):
-        raise ValidationError("z must be finite")
-
-
 def _require_finite_phase(reach: float, z: float) -> None:
     """Reject z unless it and every phase argument, at most ``reach |z|``, are finite."""
     if not math.isfinite(reach * z):
-        _require_finite(z)
+        if not math.isfinite(z):
+            raise ValidationError("z must be finite")
         raise ValidationError(f"z = {z!r} is too large: a phase argument overflows")
 
 
@@ -468,111 +446,3 @@ def _ramp(u: float, c: float, s: float, om: float) -> tuple[float, float]:
     else:
         s1 = (s - u * c) / (u * u)
     return (u * s - om) / (u * u), s1
-
-
-def _sine_cosine(f: PiecewiseFunction, zs: list) -> list:
-    """``(Sf(z), Cf(z))`` at each z > 0 of ``zs``: two fsums over the same
-    per-piece integrals.  f is on [0, oo), so every start and width is at most
-    its ``support_max``: the phases are checked once, at the largest z."""
-    _require_finite_phase(f.support_max, max(zs))
-    segments = _nonzero_segments(f)
-    pairs = []
-    for z in zs:
-        sine_terms = []
-        cosine_terms = []
-        for a, t1, y0, y1 in segments:
-            w = t1 - a
-            dy = y1 - y0
-            c0, s0, c1, s1 = _piece(w * z)
-            az = a * z
-            ic = w * (y0 * c0 + dy * c1)
-            is_ = w * (y0 * s0 + dy * s1)
-            sin_az, cos_az = math.sin(az), math.cos(az)
-            sine_terms.append(sin_az * ic + cos_az * is_)
-            cosine_terms.append(cos_az * ic - sin_az * is_)
-        pairs.append((math.fsum(sine_terms), math.fsum(cosine_terms)))
-    return pairs
-
-
-def sine_transform(f: PiecewiseFunction, z: float) -> float:
-    """Sf(z) = integral_0^oo f(x) sin(xz) dx for f supported on [0, oo)."""
-    require_halfline_support(f)
-    require_positive("z", z)
-    return _sine_cosine(f, [z])[0][0]
-
-
-def cosine_transform(f: PiecewiseFunction, z: float) -> float:
-    """Cf(z) = integral_0^oo f(x) cos(xz) dx for f supported on [0, oo)."""
-    require_halfline_support(f)
-    require_positive("z", z)
-    return _sine_cosine(f, [z])[0][1]
-
-
-def fourier_quadrature_oracle(
-    f: PiecewiseFunction, z: float, tol: float, max_panels: int = 65536
-) -> complex:
-    """Independent check of :func:`fourier` by adaptive Gauss-Kronrod.
-
-    The integrand is sampled through :func:`evaluate` only.  Initial panels
-    never exceed min(piece width, pi / (4|z|)), so each sees at most a
-    fraction of an oscillation and the embedded error estimate is reliable;
-    they are bisected until the estimated absolute error is below ``tol`` or
-    ``max_panels`` panels are spent.
-    """
-    from .quadrature import gauss_kronrod_adaptive  # loaded on first use: no scan needs it
-
-    require_positive("tol", tol)
-    _require_finite(z)
-    cap = math.pi / (4.0 * abs(z)) if z != 0.0 else math.inf
-    panels: list[tuple[float, float]] = []
-    for a, t1, _, _ in _nonzero_segments(f):
-        w = t1 - a
-        k = max(1, math.ceil(w / cap)) if math.isfinite(cap) else 1
-        step = w / k
-        for i in range(k):
-            panels.append((a + i * step, a + (i + 1) * step))
-    if not panels:
-        return 0.0 + 0.0j
-
-    def integrand(x: float) -> complex:
-        return evaluate(f, x) * _phase(x * z)
-
-    value, _ = gauss_kronrod_adaptive(integrand, panels, tol, max_panels=max_panels)
-    return value
-
-
-class WindowBoundReport(NamedTuple):
-    """Sine/cosine transform values next to their window comparisons.
-
-    For a nonincreasing f on [0, oo) the alternating-series argument gives
-    ``Sf(z) <= integral_0^{pi/z} f`` and ``|Cf(z)| <= integral_0^{3pi/(2z)} f``.
-    The narrow sine window ``integral_0^{pi/(2z)} f`` looks like a natural
-    tightening but is false in general: a box on [0, c] with c z = pi
-    exceeds it by the factor 4/pi.  It is still recorded here so the
-    verification suites can report the violations explicitly.
-    """
-
-    z: float
-    sine_value: float
-    sine_narrow_rhs: float
-    sine_wide_rhs: float
-    cosine_value: float
-    cosine_rhs: float
-
-
-def window_bounds(f: PiecewiseFunction, z: float) -> WindowBoundReport:
-    """Evaluate Sf, Cf and their comparison windows at finite z > 0."""
-    require_positive("z", z)
-    require_halfline_support(f)
-    return _window_bounds(f, [z], partial(integrate, f, 0.0))[0]
-
-
-def _window_bounds(f: PiecewiseFunction, zs: list, integral_to) -> list:
-    """:func:`window_bounds` at each z > 0 of ``zs``, ``integral_to(x)`` the
-    integral of f over [0, x]."""
-    reports = []
-    for z, (sine, cosine) in zip(zs, _sine_cosine(f, zs)):
-        half_pi = math.pi / (2.0 * z)
-        windows = integral_to(half_pi), integral_to(math.pi / z)
-        reports.append(WindowBoundReport(z, sine, *windows, cosine, integral_to(3.0 * half_pi)))
-    return reports

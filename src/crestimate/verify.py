@@ -27,7 +27,7 @@ violation or a new largest ratio.
 
 import functools
 
-from .bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
+from .bounds import PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
 from .generators import (
     log_uniform_list,
@@ -37,9 +37,10 @@ from .generators import (
     rng_for,
 )
 from .errors import ValidationError, require_positive_int
-from .piecewise import function_to_json_dict, integrate
+from .lemmas import _halfline_sides, _one_crest_sides, _window_bounds
+from .piecewise import function_to_json_dict
 from .rearrange import rearrangement
-from .transform import _window_bounds, fourier
+from .transform import fourier
 
 __all__ = ["CheckResult", "SuiteResult", "run_suite", "FAMILIES"]
 
@@ -201,12 +202,7 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
         integral_to = rearrangement(f).integral_up_to
         trial = _Trial(f)
         zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
-        halfline.record(
-            [abs(fourier(f, z)) for z in zs],
-            [HALF_PI_SQRT_10 * integral_to(1.0 / z) for z in zs],
-            trial,
-            zs,
-        )
+        halfline.record(*_halfline_sides(f, zs, integral_to), trial, zs)
         reports = _window_bounds(f, zs, integral_to)
         sines = [wb.sine_value for wb in reports]
         positive.record_positive(sines, trial, zs)
@@ -215,9 +211,7 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
         cosine.record(
             [abs(wb.cosine_value) for wb in reports], [wb.cosine_rhs for wb in reports], trial, zs
         )
-    return SuiteResult(
-        "decreasing", trials, seed, [halfline, positive, narrow, wide, cosine]
-    )
+    return SuiteResult("decreasing", trials, seed, [halfline, positive, narrow, wide, cosine])
 
 
 def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
@@ -228,12 +222,7 @@ def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
         f = random_one_crest_step(f_rng)
         b = decompose(f).crest_locations[0]
         zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
-        window.record(
-            [abs(fourier(f, z)) for z in zs],
-            [HALF_PI_SQRT_10 * integrate(f, b - 1.0 / z, b + 1.0 / z) for z in zs],
-            _Trial(f, crest_location=b),
-            zs,
-        )
+        window.record(*_one_crest_sides(f, zs, b), _Trial(f, crest_location=b), zs)
     return SuiteResult("one-crest", trials, seed, [window])
 
 

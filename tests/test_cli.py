@@ -574,6 +574,7 @@ def test_import_loads_only_what_a_scan_runs():
         "csv",
         "crestimate.generators",
         "crestimate.hardy",
+        "crestimate.lemmas",
         "crestimate.quadrature",
         "crestimate.verify",
     }
@@ -595,6 +596,7 @@ def _modules_loaded_by(*argv) -> set[str]:
 _NOT_IN_A_SCAN = {
     "crestimate.generators",
     "crestimate.hardy",
+    "crestimate.lemmas",
     "crestimate.quadrature",
     "crestimate.verify",
 }
@@ -611,6 +613,14 @@ def test_scan_subcommands_load_only_what_they_run(tmp_path):
     loaded = _modules_loaded_by("bound-roots", str(samples), "--csv-mode", "linear")
     assert {"crestimate.bounds", "csv"} <= loaded
     assert loaded.isdisjoint(_NOT_IN_A_SCAN), loaded
+
+
+def test_hardy_loads_neither_the_scan_nor_the_crest_count():
+    # hardy needs only the constant (pi/2) sqrt(10) of lemmas, not bounds
+    script = "import sys; import crestimate.hardy; print(*sorted(sys.modules))"
+    loaded = set(_python("-c", script).stdout.split())
+    assert {"crestimate.hardy", "crestimate.lemmas", "crestimate.quadrature"} <= loaded
+    assert loaded.isdisjoint({"crestimate.bounds", "crestimate.crests"}), loaded
 
 
 def test_verify_loads_verify_on_first_use():

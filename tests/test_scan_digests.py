@@ -1,12 +1,13 @@
-"""The scans' stdout, byte for byte.
+"""The scans' and the verification suites' stdout, byte for byte.
 
 Each input is drawn here from a seeded ``random.Random``: a 1,024-piece step
 function on the 1/32 lattice with values on the 1/1024 lattice, and a
 1,601-sample train of 25 sin^2 bumps.  Every number is a dyadic rational, so
 the JSON and CSV texts carry them exactly.  Each digest is the sha256 of a
 command's stdout, taken before the step and piecewise-linear lattice tables
-became one basis table; a change to the rounding of any reported number
-moves it.
+became one basis table, and each ``verify`` digest before the lemmas with
+the constant (pi/2) sqrt(10) moved into one module; a change to the
+rounding of any reported number moves it.
 """
 
 import hashlib
@@ -23,6 +24,9 @@ DIGESTS = {
     "bound-roots": "9cd0337a5f5595cadb9608528aaed649aaa07f30548659818611bd1fe47e5b59",
     "bound-roots-csv": "4bee8d2bda28e0da9d57d4704a57000b386ba933e2c2db950c010aaf2ef8eee5",
     "comb": "169c4ac06e7973444667ae1dd89595ac82e755293d9d4a132535a0786fcb18af",
+    "verify-decreasing": "bf7091e0f49cf54049c0c4eb86be9e6ee74f73b88dff58ade806b31e3633c305",
+    "verify-one-crest": "10f23a4ec493a32d5a20a8df6367e7b0931c9a2b0171822f2873725f143c3481",
+    "verify-step": "eef5a8079f519fe39b56cc505de328e2e66b08eb8beba4aa6f32cbdd57708efb",
 }
 
 
@@ -73,6 +77,10 @@ def inputs(tmp_path_factory):
             "--format", "csv",
         ],
         "comb": ["comb", "2"],
+        **{
+            f"verify-{family}": ["verify", family, "--trials", "100", "--seed", "7"]
+            for family in ("step", "decreasing", "one-crest")
+        },
     }
 
 

@@ -25,7 +25,7 @@ from crestimate.generators import (
     random_step_function,
     rng_for,
 )
-from crestimate import transform
+from crestimate import quadrature, transform
 from crestimate.transform import (
     _S1_SERIES_CUTOFF,
     _TRIG_SERIES_CUTOFF,
@@ -657,6 +657,33 @@ def test_oracle_validation_and_budget():
         fourier_quadrature_oracle(BOX, 1.0, 0.0)
     with pytest.raises(ConvergenceError, match="panel"):
         fourier_quadrature_oracle(comb_example(4), 90.0, 1e-12, max_panels=8)
+
+
+def test_quadrature_past_its_budget_evaluates_no_panel(monkeypatch):
+    evaluated = []
+    panel = quadrature._gk_panel
+
+    def counted(fn, a, b):
+        evaluated.append((a, b))
+        return panel(fn, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk_panel", counted)
+    unit_panels = [(float(k), k + 1.0) for k in range(9)]
+    with pytest.raises(ConvergenceError, match="budget of 8 panels"):
+        quadrature.gauss_kronrod_adaptive(lambda x: 1.0, unit_panels, 1.0, max_panels=8)
+    # the unit box at z = 1e4 starts from 12,733 panels pi / 4e4 wide
+    with pytest.raises(ConvergenceError, match="budget of 8 panels"):
+        fourier_quadrature_oracle(BOX, 1e4, 1e-9, max_panels=8)
+    assert evaluated == []
+
+
+def test_oracle_at_the_end_of_the_float_range():
+    # 4|z| overflows, so the panel width pi / (4|z|) is 0: no budget suffices
+    with pytest.raises(ConvergenceError, match="budget of 65536 panels"):
+        fourier_quadrature_oracle(BOX, 1e308, 1e-9)
+    # a phase argument x z overflows, as fourier rejects it
+    with pytest.raises(ValidationError, match="too large"):
+        fourier_quadrature_oracle(make_step([0, 10], [1]), 1e308, 1e-9)
 
 
 def test_closed_form_matches_oracle_random():

@@ -6,13 +6,14 @@ import pytest
 
 from crestimate import ValidationError, make_step, run_suite
 from crestimate import verify
-from crestimate.bounds import HALF_PI_SQRT_10, PI_SQRT_10, certified_crests
+from crestimate.bounds import PI_SQRT_10, certified_crests
 from crestimate.cli import main
 from crestimate.crests import count_crests, decompose
 from crestimate.generators import random_decreasing_step, random_step_function, rng_for
 from crestimate.piecewise import function_from_json_dict, function_to_json_dict, integrate
 from crestimate.rearrange import rearrangement
-from crestimate.transform import fourier, sine_transform, window_bounds
+from crestimate.lemmas import HALF_PI_SQRT_10, sine_transform, window_bounds
+from crestimate.transform import fourier
 
 # The README's verify runs.  Each digest is the sha256 of the compact JSON
 # report without its ``max_ratio_witness`` keys.  The step digest was taken
