@@ -11,9 +11,10 @@ for a step function, whose pieces are flat, and 1 for a piecewise-linear
 one, whose neighbouring segments share a node.  Everything else, from
 ``segments()`` and ``segment(i)`` to the JSON format, is written once
 against that protocol; only the rearrangement algorithm still tells the two
-apart.  Each function also keeps ``fourier_table``, a
-``functools.cached_property`` that :mod:`crestimate.transform` builds on the
-first transform and reads after.  The two representations share conventions:
+apart.  Each function also keeps two tables, each a cached property built
+on first use: ``fourier_table`` for :mod:`crestimate.transform`, and
+``_integral_table``, the integral of each segment, which :func:`integrate`
+reads.  The two representations share conventions:
 
 * Half-open evaluation.  A step function takes ``values[i]`` on
   ``[breakpoints[i], breakpoints[i+1])`` and is zero outside
@@ -41,7 +42,7 @@ of every function, sampled or built, passes one check, ``_check_data``.
 import functools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 from .errors import ValidationError, ZeroFunctionError, require_not_nan
@@ -153,9 +154,19 @@ class _Segments(_Record):
     def support_max(self) -> float:
         return self.edges[-1]
 
-    @property
+    @functools.cached_property
     def total_integral(self) -> float:
-        return integrate(self, -math.inf, math.inf)
+        # summed apart from the table: only a read that covers a mass
+        # beyond float range raises the fsum's OverflowError
+        return math.fsum(self._integral_table[1])
+
+    @functools.cached_property
+    def _integral_table(self) -> tuple:
+        """``(segments, terms)``: ``terms[i]`` is the integral of segment ``i``,
+        the term :func:`integrate` adds for a segment its bounds cover whole."""
+        segments = tuple(self.segments())
+        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in segments]
+        return segments, terms
 
     @functools.cached_property
     def fourier_table(self) -> tuple:
@@ -263,18 +274,33 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
 
     If a > b the bounds are swapped and the result negated.  Infinite bounds
     are fine: the support is compact, so they clip to it; nan is rejected.
+    Two bisects, at most two partial pieces and one fsum of table terms.
     """
-    require_not_nan("a", a)
-    require_not_nan("b", b)
-    if a > b:
+    if not a <= b:  # reversed bounds, or a nan
+        require_not_nan("a", a)
+        require_not_nan("b", b)
         return -integrate(f, b, a)
-    terms = []
-    for t0, t1, y0, y1 in f.segments():
-        lo = max(a, t0)
+    segments, terms = f._integral_table
+    edges, n = f.edges, len(terms)
+    # the segments from i on start at or after a, those before j end at or
+    # before b; a tail integral starts at edges[0] and skips a bisect
+    i = bisect_left(edges, a) if a > edges[0] else 0
+    j = bisect_right(edges, b) - 1
+    if i == 0 and j == n:
+        return f.total_integral
+    if j < 0 or i > n:  # [a, b] misses the support
+        return 0.0
+    parts = terms[i:j]
+    if i:  # segment i - 1 starts before a
+        t0, t1, y0, y1 = segments[i - 1]
         hi = min(b, t1)
-        if hi > lo:
-            terms.append(_segment_integral(t0, t1, y0, y1, lo, hi))
-    return math.fsum(terms)
+        if hi > a:
+            parts.append(_segment_integral(t0, t1, y0, y1, a, hi))
+    if i <= j < n:  # segment j starts at or after a and ends after b
+        t0, t1, y0, y1 = segments[j]
+        if b > t0:
+            parts.append(_segment_integral(t0, t1, y0, y1, t0, b))
+    return math.fsum(parts)
 
 
 def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:

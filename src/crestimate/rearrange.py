@@ -1,4 +1,4 @@
-"""Decreasing rearrangement, its partial integrals, and weighted norms.
+"""Decreasing rearrangement, its distribution function, and weighted norms.
 
 The rearrangement of a step function is computed by sorting value/measure
 pairs (value descending, ties kept in left-to-right order) and concatenating
@@ -22,11 +22,8 @@ use.  No term reads where a segment sits, only its width and end values, so
 an input translated by an offset that keeps every width the same float has
 the same f*, the same tail integrals and the same Q denominator.
 
-:meth:`Rearrangement.integral_up_to` reads the integral of f* over [0, t]
-off a table of whole-piece terms, ``_tail_table``, built on the first tail
-read (a caller that never reads a tail never builds it): one bisect, one
-partial piece and one correctly rounded sum, or the total mass, stored with
-the table, when t is past the support.
+:meth:`Rearrangement.integral_up_to` is :func:`~crestimate.piecewise.integrate`
+over [0, t] on f*, read off the table of segment integrals f* keeps.
 
 :func:`lorentz_lambda_norm` is exact for both representations too: f* is
 linear on each overlap of its segments with the step weight's pieces, and
@@ -34,9 +31,7 @@ the integral of a linear function's p-th power has a closed form.  Nothing
 in this module calls quadrature.
 """
 
-import functools
 import math
-from bisect import bisect_right
 
 from .errors import ValidationError, require_positive
 from .piecewise import (
@@ -44,7 +39,7 @@ from .piecewise import (
     PiecewiseLinearFunction,
     StepFunction,
     _Record,
-    _segment_integral,
+    integrate,
     make_step,
     require_weight,
 )
@@ -88,34 +83,12 @@ class Rearrangement(_Record):
     def __init__(self, star: PiecewiseFunction):
         object.__setattr__(self, "star", star)
 
-    @functools.cached_property
-    def _tail_table(self) -> tuple:
-        """``(edges, segments, terms, total)`` of f*, built on the first tail read.
-
-        ``terms`` holds the term integrate(star, 0.0, t) forms for each piece
-        that t covers whole, and ``total`` their correctly rounded sum.
-        """
-        segments = tuple(self.star.segments())
-        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in segments]
-        return self.star.edges, segments, terms, math.fsum(terms)
-
     def integral_up_to(self, t: float) -> float:
-        """Integral of f* over [0, t] for t >= 0, equal to integrate(star, 0.0, t).
-
-        t = inf gives the total mass; nan and negative t are rejected.
-        """
+        """Integral of f* over [0, t], integrate(star, 0.0, t): t = inf gives
+        the total mass; nan and negative t are rejected."""
         if not t >= 0.0:  # inline: this runs once per z in the scan
             raise ValidationError("t must be nonnegative")
-        edges, segments, terms, total = self._tail_table
-        k = bisect_right(edges, t) - 1  # pieces 0..k-1 end at or before t
-        if k < 0:
-            return 0.0
-        if k == len(terms):  # t is past the support: the total mass
-            return total
-        if edges[k] == t:
-            return math.fsum(terms[:k])
-        t0, t1, y0, y1 = segments[k]
-        return math.fsum(terms[:k] + [_segment_integral(t0, t1, y0, y1, t0, t)])
+        return integrate(self.star, 0.0, t)
 
 
 def rearrangement(f: PiecewiseFunction) -> Rearrangement:

@@ -10,13 +10,14 @@ model replaced, the crest count over the collapsed value profile, the
 decomposition that rescanned every piece per cell, the separate sine and
 cosine loops, the Gauss-Kronrod engine with the Hardy loops (moved onto it
 from adaptive Simpson), the Lorentz norm that ran adaptive quadrature on
-linear input, and the exact Lorentz norm that visited every weight piece per
-segment of f*.  The
-library must agree with them exactly, with no tolerance, except for the
-transform, which now sums each segment's centred midpoint phase or, on
-inputs whose segment lengths repeat, runs Horner's rule over the segments or the jumps (within a
-derived rounding bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear Lorentz norm,
-which is now exact (see their tests).
+linear input, the exact Lorentz norm that visited every weight piece per
+segment of f*, and the loop over every segment that ``integrate`` ran before
+it read one table per function.  The library must agree with them exactly,
+with no tolerance, except for the transform, which now sums each segment's
+centred midpoint phase or, on inputs whose segment lengths repeat, runs
+Horner's rule over the segments or the jumps (within a derived rounding
+bound, and against 40 digits at 10^3 and 10^4 pieces), and the linear
+Lorentz norm, which is now exact (see their tests).
 """
 
 import cmath
@@ -27,6 +28,8 @@ from collections import defaultdict
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crestimate import (
     ConvergenceError,
@@ -62,6 +65,7 @@ from crestimate.hardy import (
     _fourier_weighted_norm_with_error,
     _hardy_lhs_with_error,
 )
+from crestimate.piecewise import _segment_integral
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive
 from crestimate.rearrange import _mean_power
 from crestimate.transform import _TRIG_SERIES_CUTOFF, _lattice_sum, _piece
@@ -455,6 +459,67 @@ def test_integral_up_to_equals_integrate(kind):
         for t in (math.nan, -1.0, -5e-324, -math.inf):
             with pytest.raises(ValidationError, match="t must be nonnegative"):
                 r.integral_up_to(t)
+
+
+# --- oracle: the segment loop integrate ran before its table --------------
+
+
+def _oracle_integrate(f, a, b):
+    if a > b:
+        return -_oracle_integrate(f, b, a)
+    terms = []
+    for t0, t1, y0, y1 in f.segments():
+        lo = max(a, t0)
+        hi = min(b, t1)
+        if hi > lo:
+            terms.append(_segment_integral(t0, t1, y0, y1, lo, hi))
+    return math.fsum(terms)
+
+
+def _same_float(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _probe_points(draw, edges):
+    """Edges, points inside pieces and beyond the support, and +-inf."""
+    inside = [a + draw(st.floats(0.0, 1.0)) * (b - a) for a, b in zip(edges, edges[1:])]
+    beyond = [edges[0] - draw(st.floats(0.0, 4.0)), edges[-1] + draw(st.floats(0.0, 4.0))]
+    return [*edges, *inside, *beyond, -math.inf, math.inf, 0.0, -0.0]
+
+
+@st.composite
+def _function_and_bounds(draw):
+    n = draw(st.integers(1, 12))
+    widths = draw(st.lists(st.floats(2.0**-10, 4.0), min_size=n, max_size=n))
+    edges = [draw(st.floats(-8.0, 8.0))]
+    for w in widths:
+        edges.append(edges[-1] + w)
+    quarters = st.integers(0, 16).map(lambda k: k / 4)
+    value = st.one_of(st.just(0.0), st.floats(2.0**-20, 5.0), quarters)
+    if draw(st.booleans()):
+        f = StepFunction(edges, draw(st.lists(value, min_size=n, max_size=n)))
+    else:
+        f = PiecewiseLinearFunction(edges, draw(st.lists(value, min_size=n + 1, max_size=n + 1)))
+    points = _probe_points(draw, f.edges)
+    point = st.sampled_from(points)
+    bounds = draw(st.lists(st.tuples(point, point), max_size=40))
+    star = rearrangement(f).star
+    tails = [t for t in _probe_points(draw, star.edges) if t >= 0.0]
+    return f, bounds, tails
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_function_and_bounds())
+def test_integrate_equals_the_segment_loop_bit_for_bit(drawn):
+    """The table read sums the loop's terms, so every bit agrees, the sign
+    of zero included, for bounds at edges, inside pieces, beyond the
+    support, at +-inf and reversed; the tails of f* read the same table."""
+    f, bounds, tails = drawn
+    for a, b in bounds:
+        assert _same_float(integrate(f, a, b), _oracle_integrate(f, a, b)), (a, b)
+    r = rearrangement(f)
+    for t in tails:
+        assert _same_float(r.integral_up_to(t), _oracle_integrate(r.star, 0.0, t)), t
 
 
 # --- seeded random step functions -----------------------------------------

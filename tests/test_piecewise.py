@@ -6,6 +6,7 @@ import pytest
 
 from crestimate import (
     PiecewiseLinearFunction,
+    StepFunction,
     ValidationError,
     comb_example,
     evaluate,
@@ -16,6 +17,7 @@ from crestimate import (
     make_step,
     rearrangement,
 )
+from crestimate import piecewise
 from crestimate.generators import random_step_function, rng_for
 from crestimate.piecewise import samples_from_csv_text
 
@@ -134,6 +136,33 @@ def test_evaluate_on_a_steep_segment_near_the_largest_float():
 def test_integrate_swaps_and_negates_reversed_bounds():
     f = make_step([0, 1, 2], [2, 1])
     assert integrate(f, 2.0, 0.0) == -integrate(f, 0.0, 2.0)
+
+
+def test_integrate_reads_the_table_and_no_segment_outside_its_bounds(monkeypatch):
+    """Once a 10^4-piece function has its table, an integral over three
+    pieces makes no pass over the segments and forms only its two partial
+    pieces; the whole piece between them is a table term."""
+    f = make_step(range(10_001), [1 + k % 7 for k in range(10_000)])
+    assert integrate(f, 0.5, 9_999.5) == f.total_integral - 0.5 * (1 + 1 + 9_999 % 7)
+    passes, kernel_calls = [], []
+    segments, kernel = StepFunction.segments, piecewise._segment_integral
+    monkeypatch.setattr(StepFunction, "segments", lambda self: passes.append(1) or segments(self))
+    monkeypatch.setattr(
+        piecewise, "_segment_integral", lambda *args: kernel_calls.append(1) or kernel(*args)
+    )
+    assert integrate(f, 5_000.25, 5_002.5) == 0.75 * 3 + 4 + 0.5 * 5
+    assert (len(passes), len(kernel_calls)) == (0, 2)
+
+
+def test_an_integral_short_of_a_mass_beyond_float_range_is_a_float():
+    """The total is summed on first need, not with the table: only an
+    integral that covers both boxes raises."""
+    f = make_step([0, 1, 2, 3], [1e308, 0, 1e308])
+    assert integrate(f, 0, 1.5) == 1e308
+    with pytest.raises(OverflowError):
+        f.total_integral
+    with pytest.raises(OverflowError):
+        integrate(f, 0, 3)
 
 
 def test_integrate_additivity_exact_on_dyadic_functions():

@@ -94,8 +94,8 @@ def test_decreasing_suite_flags_only_the_narrow_window():
 
 
 def test_decreasing_draws_are_their_own_rearrangement():
-    """The decreasing suite reads its integrals over [0, x] off f*: f* is f,
-    so they are integrate(f, 0.0, x) bit for bit."""
+    """The decreasing suite's integrals over [0, x] are integrate(f, 0.0, x),
+    as they were when it read them off f*: f* is f, so both agree bit for bit."""
     rng = rng_for(7, "decreasing/functions")
     for _ in range(300):
         f = random_decreasing_step(rng)
