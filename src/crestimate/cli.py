@@ -15,13 +15,29 @@ Exit codes: 0 success; 1 validation error (bad arguments, an unreadable,
 undecodable or malformed input, a number beyond float range, an unwritable
 ``--out``); 2 numerical failure (quadrature did not converge, or arithmetic
 overflowed).  Either failure prints one line to stderr.
+
+Process exit: ``python -m crestimate`` and the ``crestimate`` script enter
+through :func:`run`, which ends the process as soon as the report is out.
+After :func:`main` returns it runs the ``atexit`` handlers and flushes
+stdout and stderr, as a normal exit would, then calls ``os._exit`` with
+main's status: module teardown and the interpreter's final collections,
+which no report needs, are skipped.  That is sound because the CLI starts
+no threads and leaves no file open.  The normal ``sys.exit`` is kept when
+a trace, profile or monitoring hook is set (a debugger, coverage,
+``python -m cProfile -m crestimate``), whose report is written at the
+normal exit; when ``-i`` asks for a prompt afterwards; and when a flush
+fails, so that a closed pipe is reported as it would be without ``run``.
+:func:`main` itself returns the status and never exits.
 """
 
 import argparse
+import atexit
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .bounds import (
     BoundCertificate,
@@ -42,7 +58,7 @@ from .piecewise import (
 from .rearrange import rearrangement
 from .transform import fourier
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,5 +341,39 @@ def main(argv=None) -> int:
         return 2
 
 
+def _hooked() -> bool:
+    """A tracer, profiler or sys.monitoring tool (3.12+) is attached, or -i
+    asks for a prompt: whatever it reports or does is left to a normal exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process with its status.
+
+    The process entry of ``python -m crestimate`` and the console script.
+    The atexit handlers run once and stdout and stderr are flushed, then
+    ``os._exit`` skips the interpreter's teardown.  This rests on the CLI
+    starting no threads: a thread still running would be cut off, not
+    joined.  Under a trace, profile or monitoring hook, with ``-i``, or
+    when a flush raises ``OSError``, it ends with ``sys.exit`` instead.  An
+    exception out of main propagates unchanged.
+    """
+    code = main()
+    if not _hooked():
+        atexit._run_exitfuncs()  # clears the handlers: sys.exit below runs none twice
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None: the descriptor was closed at startup
+                    stream.flush()
+        except OSError:
+            pass  # the normal exit flushes again and reports the failure
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -174,7 +174,10 @@ class HardyReport(NamedTuple):
     ``fourier_weighted_norm <= chain_constant * hardy_middle`` is the
     unconditional link; ``hardy_to_lambda_ratio`` = hardy_middle/lambda_rhs
     lets a user who knows a weighted running-integral constant C read off the
-    implied transform constant C * (pi/2) sqrt(10).
+    implied transform constant C * (pi/2) sqrt(10).  ``chain_ratio`` is
+    ``fourier_weighted_norm / (chain_constant * hardy_middle)``, or None
+    (JSON null) where hardy_middle underflows to 0 for a nonzero input, as
+    for a box 1e-300 wide with p = q = 2.
     """
 
     fourier_weighted_norm: float
@@ -183,7 +186,7 @@ class HardyReport(NamedTuple):
     chain_constant: float
     p: float
     q: float
-    chain_ratio: float
+    chain_ratio: float | None
     hardy_to_lambda_ratio: float
     fourier_quadrature_error: float
     hardy_quadrature_error: float
@@ -219,7 +222,7 @@ def hardy_chain_report(
         chain_constant=HALF_PI_SQRT_10,
         p=p,
         q=q,
-        chain_ratio=fn / (HALF_PI_SQRT_10 * middle) if middle > 0.0 else math.nan,
+        chain_ratio=fn / (HALF_PI_SQRT_10 * middle) if middle > 0.0 else None,
         hardy_to_lambda_ratio=middle / lam,
         fourier_quadrature_error=ferr,
         hardy_quadrature_error=herr,

@@ -17,10 +17,12 @@ level drops below its smaller one, when its width joins an exact running
 sum.  Each |{f > lam}| is the correctly rounded sum of that running sum and
 the crossing segments' parts, which is the same number :func:`distribution`
 returns.  A segment of width w with larger and smaller end values hi and lo
-has ``(hi - lam) * (w / (hi - lo))`` above lam, the one crossing term both
-use.  No term reads where a segment sits, only its width and end values, so
-an input translated by an offset that keeps every width the same float has
-the same f*, the same tail integrals and the same Q denominator.
+has ``(hi - lam) * (w / (hi - lo))`` above lam, or ``(hi - lam) / (hi - lo)
+* w`` where ``w / (hi - lo)`` overflows (a subnormal rise): the one crossing
+term, :func:`_part_above`, both use.  No term reads where a segment sits,
+only its width and end values, so an input translated by an offset that
+keeps every width the same float has the same f*, the same tail integrals
+and the same Q denominator.
 
 :meth:`Rearrangement.integral_up_to` is :func:`~crestimate.piecewise.integrate`
 over [0, t] on f*, read off the table of segment integrals f* keeps.
@@ -71,7 +73,17 @@ def _segment_superlevel(t0, t1, y0, y1, alpha) -> float:
         return t1 - t0
     if hi <= alpha:
         return 0.0
-    return (hi - alpha) * ((t1 - t0) / (hi - lo))
+    return _part_above(alpha, hi, lo, t1 - t0)
+
+
+def _part_above(level: float, hi: float, lo: float, w: float) -> float:
+    """Measure above level of a segment of width w rising from lo to hi,
+    lo <= level < hi: ``(hi - level) * (w / (hi - lo))``, or where ``w / (hi
+    - lo)`` overflows (a subnormal rise), ``(hi - level) / (hi - lo) * w``."""
+    rate = w / (hi - lo)
+    if rate == math.inf:
+        return (hi - level) / (hi - lo) * w
+    return (hi - level) * rate
 
 
 class Rearrangement(_Record):
@@ -102,6 +114,7 @@ def _step_star(f: StepFunction) -> StepFunction:
     pairs = [(v, b - a) for a, b, v in f.pieces() if v > 0.0]
     if not pairs:
         return make_step((0.0, 1.0), (0.0,))
+    _require_finite_measure([m for _, m in pairs])
     pairs.sort(key=lambda p: -p[0])  # stable: equal values keep their order
     breakpoints = [0.0]
     values = []
@@ -118,9 +131,10 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     segment crossing it.  On a sampled profile that is two per bump
     reaching above the level, so levels x bumps in all; a zigzag whose
     every segment spans every level stays quadratic.  Each term is the
-    crossing term of :func:`distribution`, ``(hi - level) * r`` with
-    ``r = w / (hi - lo)`` stored when the segment starts to cross; no term
-    reads t0 or t1, so an exact translate has the same f*.
+    crossing term of :func:`distribution`, :func:`_part_above`: inline as
+    ``(hi - level) * r`` with ``r = w / (hi - lo)`` stored when the segment
+    starts to cross, and by a call for the rare segment whose r overflows.
+    No term reads t0 or t1, so an exact translate has the same f*.
     """
     if f.is_zero:
         return PiecewiseLinearFunction((0.0, 1.0), (0.0, 0.0))
@@ -132,13 +146,16 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     widths = [t1 - t0 for t0, t1, _, _ in segments]
     highs = [max(y0, y1) for _, _, y0, y1 in segments]
     lows = [min(y0, y1) for _, _, y0, y1 in segments]
+    _require_finite_measure([w for w, hi in zip(widths, highs) if hi > 0.0])
     sloped = [i for i in range(len(segments)) if highs[i] > lows[i]]
     by_high = sorted(sloped, key=highs.__getitem__, reverse=True)
     by_low = sorted(range(len(segments)), key=lows.__getitem__, reverse=True)
     entered = left = 0
-    # (hi, w / (hi - lo)) of each sloped segment crossing the level; flat
-    # segments never enter, so leaving pops with a default
+    # (hi, w / (hi - lo)) of each sloped segment crossing the level, or
+    # (hi, lo, w) in steep where that rate overflows; flat segments never
+    # enter, so leaving pops with a default
     crossing: dict[int, tuple[float, float]] = {}
+    steep: dict[int, tuple[float, float, float]] = {}
     above_whole: list[float] = []  # exact sum of the widths wholly above the level
 
     levels = sorted({0.0, *f.node_values})
@@ -158,14 +175,20 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     for level in reversed(levels):
         while entered < len(by_high) and highs[by_high[entered]] > level:
             i = by_high[entered]
-            crossing[i] = (highs[i], widths[i] / (highs[i] - lows[i]))
+            rate = widths[i] / (highs[i] - lows[i])
+            if rate == math.inf:  # a rise tiny against w, a subnormal one say
+                steep[i] = (highs[i], lows[i], widths[i])
+            else:
+                crossing[i] = (highs[i], rate)
             entered += 1
         while left < len(by_low) and lows[by_low[left]] > level:
             i = by_low[left]
-            crossing.pop(i, None)
+            crossing.pop(i, None) or steep.pop(i, None)
             _exact_add(above_whole, widths[i])
             left += 1
         terms = [(hi - level) * r for hi, r in crossing.values()]
+        if steep:
+            terms += [_part_above(level, hi, lo, w) for hi, lo, w in steep.values()]
         above = math.fsum(above_whole + terms)
         append(above, level)
         if level > 0.0:
@@ -173,6 +196,17 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
             if plateau > 0.0:
                 append(above + plateau, level)
     return PiecewiseLinearFunction(tuple(xs), tuple(ys))
+
+
+def _require_finite_measure(widths: list[float]) -> None:
+    """Raise OverflowError, naming the measure, where the widths of the
+    pieces on which f > 0 (the length of f*) sum beyond float range."""
+    try:
+        total = math.fsum(widths)
+    except OverflowError:  # the partial sums overflowed
+        total = math.inf
+    if total == math.inf:  # or a width did
+        raise OverflowError("the measure of {f > 0}, the length of f*, is beyond float range")
 
 
 def _exact_add(partials: list[float], x: float) -> None:

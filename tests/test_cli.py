@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from crestimate import (
     rearrangement,
     window_bounds,
 )
-from crestimate import crests
+from crestimate import cli, crests
 from crestimate.cli import main
 from crestimate.errors import ConvergenceError, ValidationError
 
@@ -161,6 +162,9 @@ HUGE_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[1' + "0" * 400 + "
 MASS_OVERFLOW_JSON = '{"type":"step","breakpoints":[0,1,2,3],"values":[1e308,0,1e308]}'
 # its lengths do not repeat, so fourier takes the segment loop; the comb's do
 TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
+# finite breakpoints and nodes whose support measures 2e308, beyond float range
+WIDE_STEP_JSON = '{"type":"step","breakpoints":[-1e308,1e308],"values":[1]}'
+WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1,0]}'
 
 
 @pytest.mark.parametrize(
@@ -174,6 +178,8 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2000", "--q", "2"), 2, "overflow"),
         (("hardy", HOT_BOX, HOT_WEIGHT, HOT_WEIGHT, "--p", "2", "--q", "2000"), 2, "overflow"),
         (("analyze", MASS_OVERFLOW_JSON), 2, "overflow error"),
+        (("analyze", WIDE_STEP_JSON), 2, "overflow error: the measure of {f > 0}"),
+        (("analyze", WIDE_LINEAR_JSON), 2, "overflow error: the measure of {f > 0}"),
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
         (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
@@ -189,6 +195,8 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
         "p-2000",
         "q-2000",
         "mass-overflow",
+        "measure-overflow-step",
+        "measure-overflow-linear",
         "phase-overflow-edges",
         "phase-overflow-lattice",
         "json-syntax",
@@ -335,6 +343,16 @@ def test_hardy_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["fourier_weighted_norm"] <= payload["chain_constant"]
     assert abs(payload["hardy_middle"] - 1.0) < 1e-9
+
+
+def test_hardy_reports_an_undefined_chain_ratio_as_null(capsys):
+    """A box 1e-300 wide has hardy_middle (1e-300)^2 ... = 0 at p = q = 2:
+    chain_ratio 0/0 is reported as null, and the report is strict JSON."""
+    sliver = '{"type":"step","breakpoints":[0,1e-300],"values":[1]}'
+    code, out, err = run_cli(capsys, "hardy", sliver, BOX_JSON, BOX_JSON, "--p", "2", "--q", "2")
+    assert code == 0 and not err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["hardy_middle"] == 0.0 and payload["chain_ratio"] is None
 
 
 def test_hardy_exits_2_with_one_line_when_quadrature_runs_out_of_panels(capsys, monkeypatch):
@@ -546,13 +564,23 @@ def test_report_records_are_immutable_and_named_in_repr():
         assert repr(record).startswith(f"{type(record).__name__}({first}=")
 
 
+def _child_env() -> dict:
+    """This checkout's package on the path, stdout buffered as by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(crestimate.__file__).resolve().parent.parent)
+    return env
+
+
+def _spawn(*args, text=False) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this checkout's package."""
+    return subprocess.run(
+        [sys.executable, *args], env=_child_env(), capture_output=True, text=text, timeout=60
+    )
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on this checkout's package; it must succeed."""
-    src = str(Path(crestimate.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _spawn(*args, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -676,3 +704,92 @@ def test_crests_counted_once_per_command(command, crest_count, tmp_path, monkeyp
     assert code == 0
     assert json.loads(out)["crest_count"] == crest_count
     assert len(calls) == 1
+
+
+# ``python -m crestimate`` enters through cli.run, which ends the process with
+# os._exit once the report is flushed: its bytes and status are main's.
+PROCESS_CASES = {
+    "analyze": (("analyze", TWO_STEPS_JSON, "--grid", "1:10:8:log"), 0),
+    "comb": (("comb", "2", "--z", "1.5,3"), 0),
+    "verify": (("verify", "step", "--trials", "3"), 0),
+    "hardy": (("hardy", '{"type":"step","breakpoints":[0,1,2],"values":[2,1]}', BOX_JSON,
+               BOX_JSON, "--p", "2", "--q", "2"), 0),
+    "rearrange": (("rearrange", TWO_STEPS_JSON), 0),
+    "bound-roots": (("bound-roots", '{"type":"linear","nodes":[0,1,2,3,4],"node_values":[0,1,0,2,0]}',
+                     "--format", "csv"), 0),
+    "input-error": (("analyze", '{"type": "step",'), 1),
+    "overflow": (("analyze", MASS_OVERFLOW_JSON, "--grid", "1:2:2:lin"), 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES.values(), ids=PROCESS_CASES)
+def test_a_process_writes_what_main_writes(argv, code, capsys):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    proc = _spawn("-m", "crestimate", *argv)
+    assert proc.returncode == code
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    assert proc.stderr.count(b"\n") == (code != 0)
+
+
+def test_a_process_writes_the_whole_report_to_out(tmp_path, capsys):
+    argv = ["analyze", TWO_STEPS_JSON, "--format", "csv"]  # 671 rows, several buffers
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    dst = tmp_path / "grid.csv"
+    proc = _spawn("-m", "crestimate", *argv, "--out", str(dst))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert dst.read_text() == expected and len(expected) > 3 * io.DEFAULT_BUFFER_SIZE
+
+
+def test_a_process_with_stdout_closed_still_writes_out(tmp_path):
+    dst = tmp_path / "comb.json"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m crestimate comb 1 --out "$1" >&-', sys.executable, str(dst)],
+        env=_child_env(), capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(dst.read_text())["crest_count"] == 5
+
+
+def test_atexit_handlers_run_once_before_the_last_flush():
+    # the handler prints to the buffered stdout, so its line shows only if
+    # stdout is flushed after the handlers ran
+    script = (
+        "import atexit, runpy, sys; "
+        "atexit.register(print, 'handler ran'); "
+        "sys.argv = ['crestimate', 'comb', '1']; "
+        "runpy.run_module('crestimate', run_name='__main__')"
+    )
+    proc = _spawn("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(b"handler ran") == 1
+    assert proc.stdout.endswith(b"}\nhandler ran\n")
+
+
+def test_a_profiled_process_exits_normally_and_prints_its_stats():
+    proc = _spawn("-m", "cProfile", "-m", "crestimate", "comb", "1")
+    assert proc.returncode == 0, proc.stderr
+    report, _, stats = proc.stdout.partition(b"\n")
+    assert json.loads(report)["crest_count"] == 5
+    assert b"function calls" in stats and b"Ordered by" in stats
+
+
+class _Unflushable(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_exits_through_sys_exit_when_a_flush_fails(monkeypatch):
+    def no_os_exit(code):
+        raise AssertionError(f"os._exit({code}) after a failed flush")
+
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli, "_hooked", lambda: False)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: None)
+    monkeypatch.setattr(cli.os, "_exit", no_os_exit)
+    monkeypatch.setattr(sys, "stdout", _Unflushable())
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3

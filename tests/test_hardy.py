@@ -228,6 +228,14 @@ def test_report_serializes_every_field():
         assert key in payload
 
 
+def test_chain_ratio_is_none_where_the_hardy_middle_underflows():
+    u = make_step([0, 1], [1])
+    report = hardy_chain_report(make_step([0, 1e-300], [1]), u, u, 2.0, 2.0)
+    assert report.hardy_middle == 0.0 and report.fourier_weighted_norm == 0.0
+    assert report.chain_ratio is None
+    assert report.lambda_rhs > 0.0
+
+
 def test_a_zero_piece_of_the_weight_adds_nothing_and_is_never_sampled(monkeypatch):
     f = make_step([0, 1, 3], [2, 1])
     u = make_step([0.5, 1, 2, 3], [1, 0, 2])

@@ -92,6 +92,38 @@ def test_linear_distribution_within_six_roundings_of_the_exact_measure():
             assert abs(Fraction(distribution(f, level)) - exact) <= bound * exact
 
 
+@pytest.mark.parametrize(
+    "nodes, values",
+    [
+        ((0.0, 1.0), (1e-310, 0.0)),
+        ((0.0, 1.0, 3.0), (0.0, 4e-310, 1e-310)),
+        ((0.0, 2.5, 3.0, 7.0), (5e-324, 0.0, 3e-323, 0.0)),
+        ((0.0, 1.0, 2.0, 2.5), (0.0, 1.0, 1e-310, 0.0)),
+    ],
+    ids=["falling", "two-levels", "smallest-subnormal", "normal-peak"],
+)
+def test_a_subnormal_rise_is_measured_and_rearranged(nodes, values):
+    """Where w / (hi - lo) overflows, the crossing term is (hi - lam) / (hi -
+    lo) * w: distribution stays within six roundings of the exact measure,
+    at every node value and between them, and f* has a node at each level
+    at the measure distribution gives."""
+    f = PiecewiseLinearFunction(nodes, values)
+    bound = (1 + Fraction(1, 2**53)) ** 6 - 1
+    levels = sorted(set(values) - {0.0})
+    star = rearrangement(f).star
+    for level in levels[:-1]:
+        measure = distribution(f, level)
+        exact = _exact_measure_above(f, level)
+        assert abs(Fraction(measure) - exact) <= bound * exact
+        assert star.nodes[star.node_values.index(level)] == measure
+    for level in (lo / 2 + hi / 2 for lo, hi in zip([0.0, *levels], levels)):
+        if level > 0.0:  # nothing lies between 0 and the smallest subnormal
+            exact = _exact_measure_above(f, level)
+            assert abs(Fraction(distribution(f, level)) - exact) <= bound * exact
+    exact = _exact_measure_above(f, 0.0)
+    assert abs(Fraction(star.nodes[-1]) - exact) <= bound * exact
+
+
 def test_distribution_rejects_nonpositive_alpha():
     with pytest.raises(ValidationError, match="alpha"):
         distribution(TWO_BOXES, 0.0)
