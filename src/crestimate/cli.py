@@ -13,8 +13,9 @@ identical output bytes.
 
 Exit codes: 0 success; 1 validation error (bad arguments, an unreadable,
 undecodable or malformed input, a number beyond float range, an unwritable
-``--out``); 2 numerical failure (quadrature did not converge, or arithmetic
-overflowed).  Either failure prints one line to stderr.
+``--out``, a stdout that takes no more bytes, such as a pipe whose reader
+has gone or a full disk); 2 numerical failure (quadrature did not converge,
+or arithmetic overflowed).  Either failure prints one line to stderr.
 
 Process exit: ``python -m crestimate`` and the ``crestimate`` script enter
 through :func:`run`, which ends the process as soon as the report is out.
@@ -26,7 +27,11 @@ no threads and leaves no file open.  The normal ``sys.exit`` is kept when
 a trace, profile or monitoring hook is set (a debugger, coverage,
 ``python -m cProfile -m crestimate``), whose report is written at the
 normal exit; when ``-i`` asks for a prompt afterwards; and when a flush
-fails, so that a closed pipe is reported as it would be without ``run``.
+fails.  A write or flush to stdout that raises ``OSError`` (``EPIPE``,
+``ENOSPC``), in :func:`main` or in :func:`run`'s flush, prints ``error:
+cannot write the report: ...`` and ends with status 1; stdout's descriptor
+is then pointed at ``os.devnull``, so the interpreter's last flush of what
+stdout still buffers writes nothing and prints no second error.
 :func:`main` itself returns the status and never exits.
 """
 
@@ -142,7 +147,25 @@ def _emit(args, text: str) -> None:
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise ValidationError(_abandon_stdout(exc)) from exc
+
+
+def _abandon_stdout(exc: OSError) -> str:
+    """Point stdout's descriptor at ``os.devnull``, so that the last flush of
+    what it still buffers writes nothing and raises nothing more, and return
+    the message for exc, the write or flush stdout failed."""
+    try:
+        descriptor = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation: no descriptor of its own
+        pass
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, descriptor)
+        os.close(devnull)
+    return f"cannot write the report: {exc}"
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -358,16 +381,22 @@ def run() -> NoReturn:
     ``os._exit`` skips the interpreter's teardown.  This rests on the CLI
     starting no threads: a thread still running would be cut off, not
     joined.  Under a trace, profile or monitoring hook, with ``-i``, or
-    when a flush raises ``OSError``, it ends with ``sys.exit`` instead.  An
-    exception out of main propagates unchanged.
+    when a flush raises ``OSError``, it ends with ``sys.exit`` instead; a
+    failed flush of stdout prints one line and ends with status 1, unless
+    main had failed already.  An exception out of main propagates unchanged.
     """
     code = main()
     if not _hooked():
         atexit._run_exitfuncs()  # clears the handlers: sys.exit below runs none twice
         try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:  # None: the descriptor was closed at startup
-                    stream.flush()
+            if sys.stdout is not None:  # None: the descriptor was closed at startup
+                sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {_abandon_stdout(exc)}", file=sys.stderr)
+            sys.exit(code or 1)
+        try:
+            if sys.stderr is not None:
+                sys.stderr.flush()
         except OSError:
             pass  # the normal exit flushes again and reports the failure
         else:

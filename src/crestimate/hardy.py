@@ -175,9 +175,11 @@ class HardyReport(NamedTuple):
     unconditional link; ``hardy_to_lambda_ratio`` = hardy_middle/lambda_rhs
     lets a user who knows a weighted running-integral constant C read off the
     implied transform constant C * (pi/2) sqrt(10).  ``chain_ratio`` is
-    ``fourier_weighted_norm / (chain_constant * hardy_middle)``, or None
-    (JSON null) where hardy_middle underflows to 0 for a nonzero input, as
-    for a box 1e-300 wide with p = q = 2.
+    ``fourier_weighted_norm / (chain_constant * hardy_middle)``.  Each ratio
+    is None (JSON null) where its quotient is not a finite float: where
+    hardy_middle underflows to 0 for a nonzero input, as for a box 1e-300
+    wide with p = q = 2, or lambda_rhs is subnormal, as for v = 5e-324 on
+    the support of f, where the quotient overflows.
     """
 
     fourier_weighted_norm: float
@@ -187,7 +189,7 @@ class HardyReport(NamedTuple):
     p: float
     q: float
     chain_ratio: float | None
-    hardy_to_lambda_ratio: float
+    hardy_to_lambda_ratio: float | None
     fourier_quadrature_error: float
     hardy_quadrature_error: float
 
@@ -196,6 +198,15 @@ class HardyReport(NamedTuple):
 
 
 _CHAIN_TOLERANCE = 1e-6
+
+
+def _finite_ratio(numerator: float, denominator: float) -> float | None:
+    """numerator / denominator, or None where that is not a finite float."""
+    if denominator:
+        ratio = numerator / denominator
+        if math.isfinite(ratio):
+            return ratio
+    return None
 
 
 def hardy_chain_report(
@@ -222,8 +233,8 @@ def hardy_chain_report(
         chain_constant=HALF_PI_SQRT_10,
         p=p,
         q=q,
-        chain_ratio=fn / (HALF_PI_SQRT_10 * middle) if middle > 0.0 else None,
-        hardy_to_lambda_ratio=middle / lam,
+        chain_ratio=_finite_ratio(fn, HALF_PI_SQRT_10 * middle),
+        hardy_to_lambda_ratio=_finite_ratio(middle, lam),
         fourier_quadrature_error=ferr,
         hardy_quadrature_error=herr,
     )

@@ -163,9 +163,13 @@ class _Segments(_Record):
     @functools.cached_property
     def _integral_table(self) -> tuple:
         """``(segments, terms)``: ``terms[i]`` is the integral of segment ``i``,
-        the term :func:`integrate` adds for a segment its bounds cover whole."""
+        the term :func:`integrate` adds for a segment its bounds cover whole;
+        a flat one's is ``(t1 - t0) * y0``, as ``_segment_integral`` gives it."""
         segments = tuple(self.segments())
-        terms = [_segment_integral(t0, t1, y0, y1, t0, t1) for t0, t1, y0, y1 in segments]
+        terms = [
+            (t1 - t0) * y0 if y0 == y1 else _segment_integral(t0, t1, y0, y1, t0, t1)
+            for t0, t1, y0, y1 in segments
+        ]
         return segments, terms
 
     @functools.cached_property
@@ -275,6 +279,9 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
     If a > b the bounds are swapped and the result negated.  Infinite bounds
     are fine: the support is compact, so they clip to it; nan is rejected.
     Two bisects, at most two partial pieces and one fsum of table terms.
+    A flat partial piece is ``(hi - lo) * y0`` inline, the value
+    ``_segment_integral`` returns for it: a tail read on a step function
+    runs no Python frame below this one.
     """
     if not a <= b:  # reversed bounds, or a nan
         require_not_nan("a", a)
@@ -295,11 +302,11 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
         t0, t1, y0, y1 = segments[i - 1]
         hi = min(b, t1)
         if hi > a:
-            parts.append(_segment_integral(t0, t1, y0, y1, a, hi))
+            parts.append((hi - a) * y0 if y0 == y1 else _segment_integral(t0, t1, y0, y1, a, hi))
     if i <= j < n:  # segment j starts at or after a and ends after b
         t0, t1, y0, y1 = segments[j]
         if b > t0:
-            parts.append(_segment_integral(t0, t1, y0, y1, t0, b))
+            parts.append((b - t0) * y0 if y0 == y1 else _segment_integral(t0, t1, y0, y1, t0, b))
     return math.fsum(parts)
 
 

@@ -19,11 +19,13 @@ transform is
 the sinc form behind Filon's rule (Filon, Proc. Roy. Soc. Edinburgh 49,
 1928).  It subtracts no phases, so no segment is too narrow or too wide for
 it.  A row is ``(d, h, y, r)``, ``d = (t0 - c) + h`` the midpoint less c,
-the middle entry of ``edges``.  Per row the loop takes cos t and sin t,
-``t = d z``, and sin v; a sloped row also takes ``v s1(v)``, from ``|v| =
-1e-2`` (``_TRIG_SERIES_CUTOFF``) on as ``(sin v - v cos v) / v``, one more
-cos, and below it as the series ``v^2 (1/3 - v^2/30 + v^4/840)`` of
-``_piece`` (first dropped term below 7e-17 of it).  The sum is scaled by
+the middle entry of ``edges``.  A flat row (r = 0, every row of a step
+function) takes the phase pair, cos t and sin t with ``t = d z``, and one
+sine, sin v, and adds ``cos t y sin v`` and ``sin t y sin v``; its mean is
+y0 itself.  A sloped row also takes ``v s1(v)``, from ``|v| = 1e-2``
+(``_TRIG_SERIES_CUTOFF``) on as ``(sin v - v cos v) / v``, one more cos,
+and below it as the series ``v^2 (1/3 - v^2/30 + v^4/840)`` of ``_piece``
+(first dropped term below 7e-17 of it).  The sum is scaled by
 2/z once and turned by ``exp(-icz)``.
 
 With u = 2^-53, n rows, ``T = max(|y0|, |y1|) max(w, 1 / |z|)`` per
@@ -215,13 +217,13 @@ def _segment_sum(table: tuple, z: float) -> complex:
     cos, sin = math.cos, math.sin
     re = im = 0.0  # the centred sum is (2 / z) (re - i im)
     for d, h, y, r in rows:
-        t = d * z
-        v = h * z
-        sv = sin(v)
-        p = y * sv
-        co = cos(t)
-        si = sin(t)
         if r:  # never on step input
+            t = d * z
+            v = h * z
+            sv = sin(v)
+            p = y * sv
+            co = cos(t)
+            si = sin(t)
             if -cutoff < v < cutoff:
                 v2 = v * v
                 q = r * (v2 * (1.0 / 3.0 - v2 / 30.0 + v2 * v2 / 840.0))
@@ -229,9 +231,11 @@ def _segment_sum(table: tuple, z: float) -> complex:
                 q = r * ((sv - v * cos(v)) / v)
             re += co * p - si * q
             im += si * p + co * q
-        else:
-            re += co * p
-            im += si * p
+        else:  # flat: the phase pair and one sine
+            p = y * sin(h * z)
+            t = d * z
+            re += cos(t) * p
+            im += sin(t) * p
     re = 2.0 * (re / z)  # dividing first: 2 re may overflow where fhat does not
     im = -2.0 * (im / z)
     pc, ps = cos(centre * z), sin(centre * z)
@@ -330,7 +334,8 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     rows = []
     for t0, t1, y0, y1 in segments:
         h = (t1 - t0) * 0.5
-        rows.append(((t0 - centre) + h, h, _segment_mean(y0, y1), (y1 - y0) * 0.5))
+        y = y0 if y0 == y1 else _segment_mean(y0, y1)  # a flat row's mean is y0 to the bit
+        rows.append(((t0 - centre) + h, h, y, (y1 - y0) * 0.5))
     reach = max([abs(centre)] + [abs(d) + h for d, h, _, _ in rows[:1] + rows[-1:]])
     least = min([h for _, h, _, _ in rows], default=1.0)
     floor = 2.0**-1021 / least if least else math.inf  # below it some h |z| is subnormal

@@ -37,7 +37,6 @@ from .generators import (
     rng_for,
 )
 from .errors import ValidationError, require_positive_int
-from .lemmas import _halfline_sides, _one_crest_sides, _window_bounds
 from .piecewise import function_to_json_dict, integrate
 from .rearrange import rearrangement
 from .transform import fourier
@@ -188,6 +187,8 @@ def _suite_step(trials: int, seed: int) -> SuiteResult:
 
 
 def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
+    from .lemmas import _halfline_sides, _window_bounds  # loaded on first use: `step` needs neither
+
     f_rng = rng_for(seed, "decreasing/functions")
     z_rng = rng_for(seed, "decreasing/z")
     halfline = CheckResult("monotone-halfline-bound", ABSOLUTE_SLACK)
@@ -213,6 +214,8 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
 
 
 def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
+    from .lemmas import _one_crest_sides  # loaded on first use, as in _suite_decreasing
+
     f_rng = rng_for(seed, "one-crest/functions")
     z_rng = rng_for(seed, "one-crest/z")
     window = CheckResult("single-crest-window-bound", ABSOLUTE_SLACK)

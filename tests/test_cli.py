@@ -355,6 +355,18 @@ def test_hardy_reports_an_undefined_chain_ratio_as_null(capsys):
     assert payload["hardy_middle"] == 0.0 and payload["chain_ratio"] is None
 
 
+def test_hardy_reports_an_overflowing_lambda_ratio_as_null(capsys):
+    """v = 5e-324 on the box makes lambda_rhs subnormal, so hardy_middle /
+    lambda_rhs overflows: hardy_to_lambda_ratio is reported as null, and the
+    report is strict JSON."""
+    tiny = '{"type":"step","breakpoints":[0,1],"values":[5e-324]}'
+    code, out, err = run_cli(capsys, "hardy", BOX_JSON, BOX_JSON, tiny, "--p", "1", "--q", "1")
+    assert code == 0 and not err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["lambda_rhs"] == 5e-324 and payload["hardy_to_lambda_ratio"] is None
+    assert 0.0 < payload["chain_ratio"] <= 1.0
+
+
 def test_hardy_exits_2_with_one_line_when_quadrature_runs_out_of_panels(capsys, monkeypatch):
     from crestimate import hardy
 
@@ -654,6 +666,9 @@ def test_hardy_loads_neither_the_scan_nor_the_crest_count():
 def test_verify_loads_verify_on_first_use():
     loaded = _modules_loaded_by("verify", "step", "--trials", "1")
     assert {"crestimate.verify", "crestimate.generators"} <= loaded
+    assert "crestimate.lemmas" not in loaded  # only the window suites read the lemmas
+    for family in ("decreasing", "one-crest"):
+        assert "crestimate.lemmas" in _modules_loaded_by("verify", family, "--trials", "1")
 
 
 def test_public_names_resolve_to_their_modules_objects():
@@ -793,3 +808,47 @@ def test_run_exits_through_sys_exit_when_a_flush_fails(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.run()
     assert exc.value.code == 3
+
+
+# a report of one buffer fails at the flush in cli.run, one of several
+# buffers at the write in cli._emit
+SHORT_REPORT = ("comb", "1")
+LONG_REPORT = ("analyze", TWO_STEPS_JSON, "--format", "csv")
+
+
+@pytest.mark.parametrize("argv", [SHORT_REPORT, LONG_REPORT], ids=["flush", "write"])
+def test_a_pipe_closed_before_reading_is_one_line_and_exit_1(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crestimate", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the report: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [SHORT_REPORT, LONG_REPORT], ids=["flush", "write"])
+def test_a_full_disk_is_one_line_and_exit_1(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "crestimate", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the report: [Errno 28] No space left on device\n"
+
+
+def test_a_failed_write_in_process_is_a_validation_error(monkeypatch, capsys):
+    # an unflushable stdout without a descriptor: nothing to point at devnull
+    class _Unwritable(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", _Unwritable())
+    assert main(["comb", "1"]) == 1
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 32] Broken pipe\n"

@@ -11,8 +11,9 @@ decomposition that rescanned every piece per cell, the separate sine and
 cosine loops, the Gauss-Kronrod engine with the Hardy loops (moved onto it
 from adaptive Simpson), the Lorentz norm that ran adaptive quadrature on
 linear input, the exact Lorentz norm that visited every weight piece per
-segment of f*, and the loop over every segment that ``integrate`` ran before
-it read one table per function.  The library must agree with them exactly,
+segment of f*, the loop over every segment that ``integrate`` ran before
+it read one table per function, and the segment loop and its rows before a
+flat segment took its own arithmetic.  The library must agree with them exactly,
 with no tolerance, except for the transform, which now sums each segment's
 centred midpoint phase or, on inputs whose segment lengths repeat, runs
 Horner's rule over the segments or the jumps (within a derived rounding
@@ -65,10 +66,17 @@ from crestimate.hardy import (
     _fourier_weighted_norm_with_error,
     _hardy_lhs_with_error,
 )
-from crestimate.piecewise import _segment_integral
+from crestimate import transform
+from crestimate.piecewise import _segment_integral, _segment_mean
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive
 from crestimate.rearrange import _mean_power
-from crestimate.transform import _TRIG_SERIES_CUTOFF, _lattice_sum, _piece
+from crestimate.transform import (
+    _TRIG_SERIES_CUTOFF,
+    _lattice_sum,
+    _piece,
+    _segment_sum,
+    _tiny_segment_sum,
+)
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -520,6 +528,160 @@ def test_integrate_equals_the_segment_loop_bit_for_bit(drawn):
     r = rearrangement(f)
     for t in tails:
         assert _same_float(r.integral_up_to(t), _oracle_integrate(r.star, 0.0, t)), t
+
+
+# Values where a flat segment's ``(hi - lo) * y0`` could part from the
+# segment kernel's mean: signed zeros, subnormals, and values from 2^1023 on,
+# where ``y0 + y0`` overflows.
+_FLAT_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.5e-323, 2.0**-1022 - 5e-324, 2.0**-1022, 0.75, 1.0, 3.0,
+     2.0**1023, 1.5 * 2.0**1023, 1.7976931348623157e308]
+)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (OverflowError, ValidationError) as exc:
+        return type(exc)
+
+
+def _same_outcome(x, y):
+    return x is y if isinstance(y, type) else _same_float(x, y)
+
+
+@st.composite
+def _flat_function_and_bounds(draw):
+    """A step function, or a piecewise-linear one whose node values repeat
+    half the time, on _FLAT_VALUES; widths up to 1, so a piece at 2^1023
+    has a float integral and two such pieces overflow the fsum."""
+    n = draw(st.integers(1, 10))
+    width = st.one_of(st.sampled_from([2.0**-3, 0.25, 0.5, 0.75, 1.0]), st.floats(2.0**-10, 1.0))
+    edges = [draw(st.floats(-4.0, 4.0))]
+    for w in draw(st.lists(width, min_size=n, max_size=n)):
+        edges.append(edges[-1] + w)
+    if draw(st.booleans()):
+        f = StepFunction(edges, draw(st.lists(_FLAT_VALUES, min_size=n, max_size=n)))
+    else:
+        values = [draw(_FLAT_VALUES)]
+        for _ in range(n):
+            values.append(values[-1] if draw(st.booleans()) else draw(_FLAT_VALUES))
+        f = PiecewiseLinearFunction(edges, values)
+    point = st.sampled_from(_probe_points(draw, f.edges))
+    bounds = draw(st.lists(st.tuples(point, point), max_size=40))
+    r = _outcome(rearrangement, f)
+    tails = [] if isinstance(r, type) else [t for t in _probe_points(draw, r.star.edges) if t >= 0.0]
+    return f, bounds, r, tails
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_flat_function_and_bounds())
+def test_flat_pieces_integrate_as_the_segment_loop_bit_for_bit(drawn):
+    """A flat piece, whole or partial, is ``(hi - lo) * y0`` without the
+    segment kernel: the same float as the kernel's, the sign of zero, a
+    subnormal and the overflow of ``y0 + y0`` included, and the same
+    OverflowError where the fsum overflows."""
+    f, bounds, r, tails = drawn
+    for a, b in bounds:
+        assert _same_outcome(_outcome(integrate, f, a, b), _outcome(_oracle_integrate, f, a, b)), (a, b)
+    for t in tails:
+        got, want = _outcome(r.integral_up_to, t), _outcome(_oracle_integrate, r.star, 0.0, t)
+        assert _same_outcome(got, want), t
+
+
+# --- oracle: the segment loop before flat rows took their own branch -----
+
+
+def _oracle_segment_rows(f):
+    """The rows ``(d, h, y, r)`` with every mean through ``_segment_mean``."""
+    segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
+    centre = f.edges[len(f.edges) // 2]
+    rows = []
+    for t0, t1, y0, y1 in segments:
+        h = (t1 - t0) * 0.5
+        rows.append(((t0 - centre) + h, h, _segment_mean(y0, y1), (y1 - y0) * 0.5))
+    return tuple(rows)
+
+
+def _oracle_segment_sum(table, z):
+    centre, floor, rows = table
+    if -floor < z < floor:
+        return _tiny_segment_sum(centre, rows, z)
+    cutoff = _TRIG_SERIES_CUTOFF
+    cos, sin = math.cos, math.sin
+    re = im = 0.0
+    for d, h, y, r in rows:
+        t = d * z
+        v = h * z
+        sv = sin(v)
+        p = y * sv
+        co = cos(t)
+        si = sin(t)
+        if r:
+            if -cutoff < v < cutoff:
+                v2 = v * v
+                q = r * (v2 * (1.0 / 3.0 - v2 / 30.0 + v2 * v2 / 840.0))
+            else:
+                q = r * ((sv - v * cos(v)) / v)
+            re += co * p - si * q
+            im += si * p + co * q
+        else:
+            re += co * p
+            im += si * p
+    re = 2.0 * (re / z)
+    im = -2.0 * (im / z)
+    pc, ps = cos(centre * z), sin(centre * z)
+    return complex(re * pc + im * ps, im * pc - re * ps)
+
+
+def _sloped_linear(rng):
+    """Nodes whose values all differ from their neighbours': no flat row."""
+    n = rng.randint(2, 30)
+    nodes = [rng.uniform(-5.0, 5.0)]
+    for _ in range(n - 1):
+        nodes.append(nodes[-1] + rng.uniform(1e-3, 2.0))
+    vals = [rng.uniform(0.0, 5.0)]
+    for _ in range(n - 1):  # up by at least 1e-3, or down to at most 0.9 times
+        up = rng.random() < 0.5 or vals[-1] == 0.0
+        vals.append(vals[-1] + rng.uniform(1e-3, 2.0) if up else vals[-1] * rng.uniform(0.0, 0.9))
+    return PiecewiseLinearFunction(nodes, vals)
+
+
+def test_segment_sum_equals_the_loop_before_flat_rows_bit_for_bit(monkeypatch):
+    """Step, sloped and mixed tables, every input on the segment loop, at z
+    putting each row's ``v = h z`` below and above ``|v| = 1e-2`` and at
+    random z of both signs: the table and the sum keep every bit."""
+    monkeypatch.setattr(transform, "_LATTICE_MIN_ROWS", 10**9)
+    rng = rng_for(45, "differential/segment-sum")
+    families = {
+        "step": [_random_step(rng) for _ in range(150)],
+        "sloped": [_sloped_linear(rng) for _ in range(150)],
+        "mixed": LINEAR_FAMILY[:300],
+    }
+    for name, family in families.items():
+        flat = sloped = below = above = 0
+        for f in family:
+            kernel, _, table = transform._fourier_table(f)
+            assert kernel is _segment_sum
+            rows = table[2]
+            old = _oracle_segment_rows(f)
+            assert len(rows) == len(old)
+            assert all(map(_same_float, sum(rows, ()), sum(old, ())))
+            if not rows:
+                continue
+            halves = [h for _, h, _, _ in rows]
+            zs = [log_uniform(rng, 1e-3, 1e3), *_branch_zs(halves), 5e-324]
+            for z in zs + [-z for z in zs]:
+                got, want = _segment_sum(table, z), _oracle_segment_sum(table, z)
+                assert _same_float(got.real, want.real) and _same_float(got.imag, want.imag), (f, z)
+                below += any(abs(h * z) < _TRIG_SERIES_CUTOFF for h in halves)
+                above += any(abs(h * z) >= _TRIG_SERIES_CUTOFF for h in halves)
+            flat += sum(not r for _, _, _, r in rows)
+            sloped += sum(bool(r) for _, _, _, r in rows)
+        assert below and above, name
+        expected = {"step": (True, False), "sloped": (False, True), "mixed": (True, True)}[name]
+        assert (flat > 0, sloped > 0) == expected, name
 
 
 # --- seeded random step functions -----------------------------------------

@@ -236,6 +236,14 @@ def test_chain_ratio_is_none_where_the_hardy_middle_underflows():
     assert report.lambda_rhs > 0.0
 
 
+def test_hardy_to_lambda_ratio_is_none_where_the_quotient_overflows():
+    box = make_step([0, 1], [1])
+    report = hardy_chain_report(box, box, make_step([0, 1], [5e-324]), 1.0, 1.0)
+    assert report.lambda_rhs == 5e-324 and report.hardy_middle > 0.5
+    assert report.hardy_to_lambda_ratio is None
+    assert report.chain_ratio is not None
+
+
 def test_a_zero_piece_of_the_weight_adds_nothing_and_is_never_sampled(monkeypatch):
     f = make_step([0, 1, 3], [2, 1])
     u = make_step([0.5, 1, 2, 3], [1, 0, 2])

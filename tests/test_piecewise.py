@@ -141,16 +141,24 @@ def test_integrate_swaps_and_negates_reversed_bounds():
 def test_integrate_reads_the_table_and_no_segment_outside_its_bounds(monkeypatch):
     """Once a 10^4-piece function has its table, an integral over three
     pieces makes no pass over the segments and forms only its two partial
-    pieces; the whole piece between them is a table term."""
-    f = make_step(range(10_001), [1 + k % 7 for k in range(10_000)])
-    assert integrate(f, 0.5, 9_999.5) == f.total_integral - 0.5 * (1 + 1 + 9_999 % 7)
+    pieces; the whole piece between them is a table term.  A flat piece is
+    formed inline, so the step function calls no segment kernel at all and
+    the piecewise-linear one, whose segments all slope, calls it twice."""
+    step = make_step(range(10_001), [1 + k % 7 for k in range(10_000)])
+    linear = PiecewiseLinearFunction(range(10_001), [1 + k % 7 for k in range(10_001)])
+    assert integrate(step, 0.5, 9_999.5) == step.total_integral - 0.5 * (1 + 1 + 9_999 % 7)
+    assert integrate(linear, 0.0, 10_000.0) == linear.total_integral
     passes, kernel_calls = [], []
-    segments, kernel = StepFunction.segments, piecewise._segment_integral
-    monkeypatch.setattr(StepFunction, "segments", lambda self: passes.append(1) or segments(self))
+    kernel = piecewise._segment_integral
+    for cls in (StepFunction, PiecewiseLinearFunction):
+        monkeypatch.setattr(cls, "segments", lambda self: passes.append(1) or ())
     monkeypatch.setattr(
         piecewise, "_segment_integral", lambda *args: kernel_calls.append(1) or kernel(*args)
     )
-    assert integrate(f, 5_000.25, 5_002.5) == 0.75 * 3 + 4 + 0.5 * 5
+    assert integrate(step, 5_000.25, 5_002.5) == 0.75 * 3 + 4 + 0.5 * 5
+    assert (len(passes), len(kernel_calls)) == (0, 0)
+    # node k holds 1 + k % 7: 3, 4, 5 and 6 at 5,000 to 5,003
+    assert integrate(linear, 5_000.25, 5_002.5) == 0.75 * 3.625 + 4.5 + 0.5 * 5.25
     assert (len(passes), len(kernel_calls)) == (0, 2)
 
 
@@ -163,6 +171,17 @@ def test_an_integral_short_of_a_mass_beyond_float_range_is_a_float():
         f.total_integral
     with pytest.raises(OverflowError):
         integrate(f, 0, 3)
+
+
+def test_a_step_piece_wider_than_the_largest_float_integrates_by_its_width():
+    """The piece's width, 2e308, overflows, but a part of it is (hi - lo) y0.
+    The segment kernel gave nan for a part starting 1.9e308 from the left
+    edge: its value there, y0 + (lo - t0) * slope, is y0 + inf * 0.0."""
+    f = make_step([-1e308, 1e308], [1])
+    assert integrate(f, 0.9e308, 1e308) == 1e308 - 0.9e308 == 9.999999999999996e306
+    assert integrate(f, -1e308, -0.9e308) == 9.999999999999996e306
+    assert integrate(f, 0.0, 1.0) == 1.0
+    assert integrate(f, -1e308, 1e308) == math.inf
 
 
 def test_integrate_additivity_exact_on_dyadic_functions():
