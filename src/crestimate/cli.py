@@ -13,9 +13,10 @@ identical output bytes.
 
 Exit codes: 0 success; 1 validation error (bad arguments, an unreadable,
 undecodable or malformed input, a number beyond float range, an unwritable
-``--out``, a stdout that takes no more bytes, such as a pipe whose reader
-has gone or a full disk); 2 numerical failure (quadrature did not converge,
-or arithmetic overflowed).  Either failure prints one line to stderr.
+``--out``, a stdout that is closed or takes no more bytes, such as a pipe
+whose reader has gone or a full disk); 2 numerical failure (quadrature did
+not converge, or arithmetic overflowed).  Either failure prints one line to
+stderr.
 
 Process exit: ``python -m crestimate`` and the ``crestimate`` script enter
 through :func:`run`, which ends the process as soon as the report is out.
@@ -31,7 +32,8 @@ fails.  A write or flush to stdout that raises ``OSError`` (``EPIPE``,
 ``ENOSPC``), in :func:`main` or in :func:`run`'s flush, prints ``error:
 cannot write the report: ...`` and ends with status 1; stdout's descriptor
 is then pointed at ``os.devnull``, so the interpreter's last flush of what
-stdout still buffers writes nothing and prints no second error.
+stdout still buffers writes nothing and prints no second error.  A stdout
+closed at startup (``sys.stdout`` is None) gets the same line and status.
 :func:`main` itself returns the status and never exits.
 """
 
@@ -146,6 +148,8 @@ def _emit(args, text: str) -> None:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+    elif sys.stdout is None:  # the descriptor was closed at startup
+        raise ValidationError("cannot write the report: stdout is closed")
     else:
         try:
             sys.stdout.write(text)

@@ -14,6 +14,7 @@ that; everything else simply does not mind.
 
 import math
 import random
+from itertools import accumulate
 
 from .piecewise import StepFunction, make_step
 
@@ -37,8 +38,12 @@ def rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}/{label}")
 
 
-def _dyadic_widths(rng: random.Random, count: int, max_units: int = 128) -> list[float]:
-    return [rng.randint(1, max_units) / _X_SCALE for _ in range(count)]
+def _dyadic_breakpoints(
+    rng: random.Random, start: float, count: int, max_units: int = 128
+) -> list[float]:
+    """``start`` and its running sums with ``count`` widths drawn from the 1/32 grid."""
+    widths = [rng.randint(1, max_units) / _X_SCALE for _ in range(count)]
+    return list(accumulate(widths, initial=start))
 
 
 def random_step_function(
@@ -51,7 +56,7 @@ def random_step_function(
     """Random nonzero step function with ties and zero gaps included."""
     n = rng.randint(min_pieces, max_pieces)
     start = rng.randint(-start_range_units, start_range_units) / _X_SCALE
-    widths = _dyadic_widths(rng, n, max_width_units)
+    breakpoints = _dyadic_breakpoints(rng, start, n, max_width_units)
     values: list[float] = []
     for _ in range(n):
         roll = rng.random()
@@ -63,9 +68,6 @@ def random_step_function(
             values.append(rng.randint(1, 8 * _V_SCALE) / _V_SCALE)
     if all(v == 0.0 for v in values):
         values[rng.randrange(n)] = rng.randint(1, 8 * _V_SCALE) / _V_SCALE
-    breakpoints = [start]
-    for w in widths:
-        breakpoints.append(breakpoints[-1] + w)
     return make_step(breakpoints, values)
 
 
@@ -78,10 +80,7 @@ def random_decreasing_step(
         rng.sample(range(1, 8 * _V_SCALE + 1), n), reverse=True
     )
     values = [lv / _V_SCALE for lv in levels]
-    breakpoints = [0.0]
-    for w in _dyadic_widths(rng, n, max_width_units):
-        breakpoints.append(breakpoints[-1] + w)
-    return make_step(breakpoints, values)
+    return make_step(_dyadic_breakpoints(rng, 0.0, n, max_width_units), values)
 
 
 def random_one_crest_step(
@@ -97,10 +96,7 @@ def random_one_crest_step(
     down = sorted(rng.sample(range(1, peak), rng.randint(0, 6)), reverse=True)
     values = [lv / _V_SCALE for lv in [*up, peak, *down]]
     start = rng.randint(-256, 256) / _X_SCALE
-    breakpoints = [start]
-    for w in _dyadic_widths(rng, len(values), max_width_units):
-        breakpoints.append(breakpoints[-1] + w)
-    return make_step(breakpoints, values)
+    return make_step(_dyadic_breakpoints(rng, start, len(values), max_width_units), values)
 
 
 def random_interval(rng: random.Random, f: StepFunction) -> tuple[float, float]:
@@ -120,13 +116,10 @@ def random_weight(
     """Random nonnegative step weight supported inside (0, 20]."""
     n = rng.randint(1, max_pieces)
     start = rng.randint(min_start_units, 320) / _X_SCALE
-    widths = _dyadic_widths(rng, n, max_units=64)
+    breakpoints = _dyadic_breakpoints(rng, start, n, max_units=64)
     values = [rng.randint(0, 4 * _V_SCALE) / _V_SCALE for _ in range(n)]
     if all(v == 0.0 for v in values):
         values[rng.randrange(n)] = rng.randint(1, 4 * _V_SCALE) / _V_SCALE
-    breakpoints = [start]
-    for w in widths:
-        breakpoints.append(breakpoints[-1] + w)
     return make_step(breakpoints, values)
 
 

@@ -16,7 +16,6 @@ trig calls), kept so on purpose.  Their rounding is not the segment loop's, so
 """
 
 import math
-from functools import partial
 from typing import NamedTuple
 
 from .errors import ValidationError, require_positive
@@ -42,7 +41,7 @@ def check_decreasing_bound(f: PiecewiseFunction, z: float) -> tuple[float, float
     nonincreasing on [0, oo); contract: lhs <= rhs."""
     require_nonincreasing_on_halfline(f)
     require_positive("z", z)
-    (lhs,), (rhs,) = _halfline_sides(f, [z], partial(integrate, f, 0.0))
+    (lhs,), (rhs,) = _halfline_sides(f, [z])
     return lhs, rhs
 
 
@@ -63,9 +62,10 @@ def check_one_crest_bound(f: PiecewiseFunction, z: float) -> tuple[float, float,
     return lhs, rhs, b
 
 
-def _halfline_sides(f: PiecewiseFunction, zs: list, integral_to) -> tuple[list, list]:
-    """|fhat(z)| and (pi/2) sqrt(10) times ``integral_to(1 / z)``, f's integral over [0, 1/z]."""
-    return [abs(fourier(f, z)) for z in zs], [HALF_PI_SQRT_10 * integral_to(1.0 / z) for z in zs]
+def _halfline_sides(f: PiecewiseFunction, zs: list) -> tuple[list, list]:
+    """|fhat(z)| and (pi/2) sqrt(10) times f's integral over [0, 1/z]."""
+    lhs = [abs(fourier(f, z)) for z in zs]
+    return lhs, [HALF_PI_SQRT_10 * integrate(f, 0.0, 1.0 / z) for z in zs]
 
 
 def _one_crest_sides(f: PiecewiseFunction, zs: list, b: float) -> tuple[list, list]:
@@ -134,15 +134,15 @@ def window_bounds(f: PiecewiseFunction, z: float) -> WindowBoundReport:
     """Evaluate Sf, Cf and their comparison windows at finite z > 0."""
     require_positive("z", z)
     require_halfline_support(f)
-    return _window_bounds(f, [z], partial(integrate, f, 0.0))[0]
+    return _window_bounds(f, [z])[0]
 
 
-def _window_bounds(f: PiecewiseFunction, zs: list, integral_to) -> list:
-    """:func:`window_bounds` at each z > 0 of ``zs``, ``integral_to(x)`` the
-    integral of f over [0, x]."""
+def _window_bounds(f: PiecewiseFunction, zs: list) -> list:
+    """:func:`window_bounds` at each z > 0 of ``zs``."""
     reports = []
     for z, (sine, cosine) in zip(zs, _sine_cosine(f, zs)):
         half_pi = math.pi / (2.0 * z)
-        windows = integral_to(half_pi), integral_to(math.pi / z)
-        reports.append(WindowBoundReport(z, sine, *windows, cosine, integral_to(3.0 * half_pi)))
+        windows = integrate(f, 0.0, half_pi), integrate(f, 0.0, math.pi / z)
+        cosine_rhs = integrate(f, 0.0, 3.0 * half_pi)
+        reports.append(WindowBoundReport(z, sine, *windows, cosine, cosine_rhs))
     return reports

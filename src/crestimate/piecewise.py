@@ -14,7 +14,9 @@ against that protocol; only the rearrangement algorithm still tells the two
 apart.  Each function also keeps two tables, each a cached property built
 on first use: ``fourier_table`` for :mod:`crestimate.transform`, and
 ``_integral_table``, the integral of each segment, which :func:`integrate`
-reads.  The two representations share conventions:
+reads.  A point inside a sloped segment is read by one function,
+``_on_line``, for :func:`evaluate`, :func:`integrate` and the Lorentz norm.
+The two representations share conventions:
 
 * Half-open evaluation.  A step function takes ``values[i]`` on
   ``[breakpoints[i], breakpoints[i+1])`` and is zero outside
@@ -267,10 +269,7 @@ def evaluate(f: PiecewiseFunction, x: float) -> float:
         require_not_nan("x", x)
         return 0.0
     t0, t1, y0, y1 = f.segment(bisect_right(edges, x) - 1)
-    y = y0 + (x - t0) * (y1 - y0) / (t1 - t0)
-    if abs(y) == math.inf:  # (x - t0)(y1 - y0) overflowed: interpolate over [0, 1]
-        return y0 + (x - t0) / (t1 - t0) * (y1 - y0)
-    return y
+    return y0 if y0 == y1 else _on_line(t0, t1, y0, y1, x)
 
 
 def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
@@ -313,13 +312,20 @@ def integrate(f: PiecewiseFunction, a: float, b: float) -> float:
 def _segment_integral(t0, t1, y0, y1, lo, hi) -> float:
     """Integral over [lo, hi] of the line through (t0, y0) and (t1, y1); an end
     at t0 or t1 takes the stored value, so a step piece gives ``(hi - lo) * y0``."""
-    slope = (y1 - y0) / (t1 - t0)
-    if abs(slope) == math.inf:  # too steep for a float: integrate over [0, 1] and scale
-        w = t1 - t0
-        return w * _segment_integral(0.0, 1.0, y0, y1, (lo - t0) / w, (hi - t0) / w)
-    ylo = y0 if lo == t0 else y0 + (lo - t0) * slope
-    yhi = y1 if hi == t1 else y0 + (hi - t0) * slope
+    ylo = y0 if lo == t0 else _on_line(t0, t1, y0, y1, lo)
+    yhi = y1 if hi == t1 else _on_line(t0, t1, y0, y1, hi)
     return (hi - lo) * _segment_mean(ylo, yhi)
+
+
+def _on_line(t0, t1, y0, y1, x) -> float:
+    """The line through (t0, y0) and (t1, y1) at x in [t0, t1]: ``y0 + (x - t0)
+    / (t1 - t0) * (y1 - y0)``.  The fraction lies in [0, 1], so nothing
+    overflows or underflows on a steep or tiny segment; where the width
+    ``t1 - t0`` itself overflows, the fraction is taken on the halved ends."""
+    w = t1 - t0
+    if w == math.inf:
+        return y0 + (0.5 * x - 0.5 * t0) / (0.5 * t1 - 0.5 * t0) * (y1 - y0)
+    return y0 + (x - t0) / w * (y1 - y0)
 
 
 def _segment_mean(y0: float, y1: float) -> float:

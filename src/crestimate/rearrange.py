@@ -41,6 +41,7 @@ from .piecewise import (
     PiecewiseLinearFunction,
     StepFunction,
     _Record,
+    _on_line,
     integrate,
     make_step,
     require_weight,
@@ -252,7 +253,6 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
         if y0 == 0.0 and y1 == 0.0:
             continue
-        slope = (y1 - y0) / (t1 - t0)
         while k < len(pieces) and pieces[k][1] <= t0:
             k += 1
         for j in range(k, len(pieces)):
@@ -262,18 +262,10 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
             lo, hi = max(t0, c), min(t1, d)
             # exact node values at the segment's ends; in between, a
             # rounded interpolant must not dip below 0 before ** p
-            a = y0 if lo == t0 else max(0.0, _on_line(t0, t1, y0, y1, slope, lo))
-            b = y1 if hi == t1 else max(0.0, _on_line(t0, t1, y0, y1, slope, hi))
+            a = y0 if lo == t0 else max(0.0, _on_line(t0, t1, y0, y1, lo))
+            b = y1 if hi == t1 else max(0.0, _on_line(t0, t1, y0, y1, hi))
             terms.append(_mean_power(a, b, p) * wv * (hi - lo))
     return math.fsum(terms) ** (1.0 / p)
-
-
-def _on_line(t0, t1, y0, y1, slope, x):
-    """y0 + (x - t0) * slope, or where that overflows, the same line over [0, 1]."""
-    y = y0 + (x - t0) * slope
-    if abs(y) == math.inf:  # too steep for a float
-        return y0 + (x - t0) / (t1 - t0) * (y1 - y0)
-    return y
 
 
 def _mean_power(a: float, b: float, p: float) -> float:

@@ -37,7 +37,7 @@ from .generators import (
     rng_for,
 )
 from .errors import ValidationError, require_positive_int
-from .piecewise import function_to_json_dict, integrate
+from .piecewise import function_to_json_dict
 from .rearrange import rearrangement
 from .transform import fourier
 
@@ -198,11 +198,10 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
     cosine = CheckResult("cosine-window", ABSOLUTE_SLACK)
     for _ in range(trials):
         f = random_decreasing_step(f_rng)
-        integral_to = functools.partial(integrate, f, 0.0)
         trial = _Trial(f)
         zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
-        halfline.record(*_halfline_sides(f, zs, integral_to), trial, zs)
-        reports = _window_bounds(f, zs, integral_to)
+        halfline.record(*_halfline_sides(f, zs), trial, zs)
+        reports = _window_bounds(f, zs)
         sines = [wb.sine_value for wb in reports]
         positive.record_positive(sines, trial, zs)
         narrow.record(sines, [wb.sine_narrow_rhs for wb in reports], trial, zs)

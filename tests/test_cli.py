@@ -768,6 +768,15 @@ def test_a_process_with_stdout_closed_still_writes_out(tmp_path):
     assert json.loads(dst.read_text())["crest_count"] == 5
 
 
+def test_a_report_to_a_stdout_closed_at_startup_is_one_line_and_exit_1():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m crestimate comb 1 >&-', sys.executable],
+        env=_child_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the report: stdout is closed\n"
+
+
 def test_atexit_handlers_run_once_before_the_last_flush():
     # the handler prints to the buffered stdout, so its line shows only if
     # stdout is flushed after the handlers ran

@@ -67,7 +67,7 @@ from crestimate.hardy import (
     _hardy_lhs_with_error,
 )
 from crestimate import transform
-from crestimate.piecewise import _segment_integral, _segment_mean
+from crestimate.piecewise import _on_line, _segment_integral, _segment_mean
 from crestimate.quadrature import _GK15, gauss_kronrod_adaptive
 from crestimate.rearrange import _mean_power
 from crestimate.transform import (
@@ -1284,14 +1284,13 @@ def _oracle_nested_lorentz(f, v, p):
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
         if y0 == 0.0 and y1 == 0.0:
             continue
-        slope = (y1 - y0) / (t1 - t0)
         for c, d, wv in v.pieces():
             lo, hi = max(t0, c), min(t1, d)
             if wv > 0.0 and hi > lo:
-                # exact node values at the segment's ends; in between, a
-                # rounded interpolant must not dip below 0 before ** p
-                a = y0 if lo == t0 else max(0.0, y0 + (lo - t0) * slope)
-                b = y1 if hi == t1 else max(0.0, y0 + (hi - t0) * slope)
+                # exact node values at the segment's ends; in between, the
+                # line as every segment reads it, not below 0 before ** p
+                a = y0 if lo == t0 else max(0.0, _on_line(t0, t1, y0, y1, lo))
+                b = y1 if hi == t1 else max(0.0, _on_line(t0, t1, y0, y1, hi))
                 terms.append(_mean_power(a, b, p) * wv * (hi - lo))
     return math.fsum(terms) ** (1.0 / p)
 

@@ -3,6 +3,8 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crestimate import (
     PiecewiseLinearFunction,
@@ -125,8 +127,9 @@ def test_integrals_near_the_largest_float_do_not_overflow():
 
 
 def test_evaluate_on_a_steep_segment_near_the_largest_float():
-    """(x - t0)(y1 - y0) overflows here although f(x) is a float; where it
-    does not, the value keeps the bits of the plain interpolant."""
+    """(x - t0)(y1 - y0) would overflow here although f(x) is a float; the
+    fraction (x - t0)/(t1 - t0) times y1 - y0 does not, and elsewhere gives
+    the bits of the plain interpolant."""
     steep = PiecewiseLinearFunction([0, 4], [0, 1e308])
     assert math.isclose(evaluate(steep, 3.0), 7.5e307, rel_tol=2.0**-52)
     assert evaluate(steep, 2.0**-1020) == 2.0**-1020 * 1e308 / 4
@@ -182,6 +185,79 @@ def test_a_step_piece_wider_than_the_largest_float_integrates_by_its_width():
     assert integrate(f, -1e308, -0.9e308) == 9.999999999999996e306
     assert integrate(f, 0.0, 1.0) == 1.0
     assert integrate(f, -1e308, 1e308) == math.inf
+
+
+def test_a_sloped_segment_wider_than_the_largest_float_reads_its_line():
+    """t1 - t0 overflows, so the line is read on the halved ends.  A slope
+    (y1 - y0) / (t1 - t0) would be 0.0 here: y0 everywhere inside, and nan
+    (y0 + inf * 0.0) for a part far from the left edge."""
+    assert evaluate(make_step([-1e308, 1e308], [1]), 0.9e308) == 1.0
+    g = PiecewiseLinearFunction([-1e308, 1e308], [1, 2])
+    assert evaluate(g, 0.0) == integrate(g, 0.0, 1.0) == 1.5
+    assert math.isclose(integrate(g, 0.9e308, 1e308), 1.975e307, rel_tol=4 * 2.0**-53)
+    assert integrate(g, -1e308, 1e308) == math.inf
+
+
+def test_a_tiny_segment_reads_its_line():
+    """(x - t0)(y1 - y0) would be 5e-401 here, which underflows to 0."""
+    f = PiecewiseLinearFunction([0, 1e-200, 2e-200], [0, 1e-200, 0])
+    assert evaluate(f, 0.5e-200) == 5e-201
+    assert evaluate(f, 1.5e-200) == 5e-201
+
+
+def _line_at(t0, t1, y0, y1, x) -> Fraction:
+    t0, t1, y0, y1, x = map(Fraction, (t0, t1, y0, y1, x))
+    return y0 + (x - t0) / (t1 - t0) * (y1 - y0)
+
+
+_SMALLEST_NORMAL = 2.0**-1022
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+@st.composite
+def _segments_with_a_point(draw):
+    """(t0, t1, y0, y1, x), t0 <= x < t1: a segment wider than the largest
+    float, a tiny one, a steep one (width 1e-300, rise 1e10) or one whose
+    ends and values are subnormal."""
+    kind = draw(st.sampled_from(["wide", "tiny", "steep", "subnormal"]))
+    if kind == "wide":
+        t0 = -draw(st.floats(1e307, _FLOAT_MAX))
+        t1 = draw(st.floats(1e307, _FLOAT_MAX))
+        ys = st.floats(0.0, 1e300)
+    elif kind == "tiny":
+        t0 = draw(st.floats(-1e-200, 1e-200))
+        t1 = t0 + draw(st.floats(1e-300, 1e-200))
+        ys = st.floats(0.0, 1e-200)
+    elif kind == "steep":
+        t0 = draw(st.floats(-1e-290, 1e-290))
+        t1 = t0 + 1e-300
+        ys = st.floats(0.0, 1.0)
+    else:
+        t0 = draw(st.floats(0.0, _SMALLEST_NORMAL / 2))
+        t1 = t0 + draw(st.floats(5e-324, _SMALLEST_NORMAL / 2))
+        ys = st.floats(0.0, _SMALLEST_NORMAL)
+    y0, y1 = draw(ys), draw(ys)
+    if kind == "steep":
+        y1 = y0 + 1e10
+    if draw(st.booleans()):
+        y0, y1 = y1, y0
+    if not t0 < t1:
+        t1 = math.nextafter(t0, math.inf)
+    return t0, t1, y0, y1, draw(st.floats(t0, t1, exclude_max=True))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_segments_with_a_point())
+def test_evaluate_is_within_a_few_ulps_of_the_exact_line(case):
+    """Against the exact rational value, in ulps of the larger end value:
+    where the line falls, y0 - (x - t0)/(t1 - t0) (y0 - y1) cancels, so the
+    value itself may carry fewer digits.  On dyadic data the value is exact
+    at the eighths of a segment, which
+    test_properties.test_crest_count_is_invariant_under_splitting_a_piece
+    asserts."""
+    t0, t1, y0, y1, x = case
+    y = evaluate(PiecewiseLinearFunction([t0, t1], [y0, y1]), x)
+    assert abs(Fraction(y) - _line_at(*case)) <= 8 * Fraction(math.ulp(max(y0, y1)))
 
 
 def test_integrate_additivity_exact_on_dyadic_functions():
