@@ -140,10 +140,12 @@ def _grid_from_args(args) -> list[float]:
     return grid
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if getattr(args, "out", None):
+def _emit(args, report: dict | str) -> None:
+    """Write a command's report, a dict as compact JSON (json's C encoder
+    only runs without indent) or CSV text as it is, and end it with a newline."""
+    text = report if isinstance(report, str) else json.dumps(report, separators=(",", ":"))
+    text += "\n"
+    if args.out:
         try:
             Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -172,45 +174,36 @@ def _abandon_stdout(exc: OSError) -> str:
     return f"cannot write the report: {exc}"
 
 
-def _emit_json(args, payload: dict) -> None:
-    # compact: json's C encoder only runs without indent
-    _emit(args, json.dumps(payload, separators=(",", ":")))
-
-
-def _scan(args, f) -> BoundCertificate | None:
-    """Q of f over the requested grid; in CSV format, emit its rows and return None."""
+def _scan(args, f) -> BoundCertificate | str:
+    """Q of f over the requested grid; in CSV format, its rows as the report."""
     certificate = crest_lower_bound(f, _grid_from_args(args), refine_depth=args.refine_depth)
     if args.format == "csv":
-        _emit(args, "\n".join(grid_csv_lines(certificate.grid)))
-        return None
+        return "\n".join(grid_csv_lines(certificate.grid))
     return certificate
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict | str:
     f = _load_function(args.input, args.csv_mode)
     certificate = _scan(args, f)
-    if certificate is not None:
-        payload = {
-            "input": function_to_json_dict(f),
-            "crest_count": certificate.grid[0].crest_count,
-            "certificate": certificate.to_json_dict(),
-        }
-        _emit_json(args, payload)
-    return 0
+    if isinstance(certificate, str):
+        return certificate
+    return {
+        "input": function_to_json_dict(f),
+        "crest_count": certificate.grid[0].crest_count,
+        "certificate": certificate.to_json_dict(),
+    }
 
 
-def _cmd_comb(args) -> int:
+def _cmd_comb(args) -> dict:
     f = comb_example(args.n)
     resonance = comb_resonance(args.n, args.l, f)
     zs = _parse_float_list(args.z, "--z") if args.z else []
-    payload = {
+    return {
         "input": function_to_json_dict(f),
         "crest_count": resonance.odd.crest_count,
         "requested_points": [{"z": z, "magnitude": abs(fourier(f, z))} for z in zs],
         "resonance": resonance.to_json_dict(),
     }
-    _emit_json(args, payload)
-    return 0
 
 
 def run_suite(family: str, trials: int, seed: int):
@@ -220,29 +213,23 @@ def run_suite(family: str, trials: int, seed: int):
     return verify.run_suite(family, trials, seed)
 
 
-def _cmd_verify(args) -> int:
-    result = run_suite(args.family, args.trials, args.seed)
-    _emit_json(args, result.to_json_dict())
-    return 0
+def _cmd_verify(args) -> dict:
+    return run_suite(args.family, args.trials, args.seed).to_json_dict()
 
 
-def _cmd_hardy(args) -> int:
+def _cmd_hardy(args) -> dict:
     from .hardy import hardy_chain_report  # loaded on first use: no scan needs it
 
     f, u, v = (_load_function(spec, args.csv_mode) for spec in (args.function, args.u, args.v))
-    report = hardy_chain_report(f, u, v, args.p, args.q)  # checks every input once
-    _emit_json(args, report.to_json_dict())
-    return 0
+    return hardy_chain_report(f, u, v, args.p, args.q).to_json_dict()  # checks every input once
 
 
-def _cmd_rearrange(args) -> int:
+def _cmd_rearrange(args) -> dict:
     f = _load_function(args.input, args.csv_mode)
-    star = rearrangement(f).star
-    _emit_json(args, function_to_json_dict(star))
-    return 0
+    return function_to_json_dict(rearrangement(f).star)
 
 
-def _cmd_bound_roots(args) -> int:
+def _cmd_bound_roots(args) -> dict | str:
     f = _load_function(args.input, args.csv_mode)
     if not isinstance(f, PiecewiseLinearFunction):
         raise ValidationError(
@@ -251,15 +238,14 @@ def _cmd_bound_roots(args) -> int:
             "resample with the linear CSV mode or supply a 'linear' JSON function"
         )
     certificate = _scan(args, f)
-    if certificate is None:
-        return 0
+    if isinstance(certificate, str):
+        return certificate
     fields = certificate._asdict()
     del fields["grid"]  # the report leaves the grid out: CSV format is the grid
-    payload = {"input": function_to_json_dict(f), **fields}
+    report = {"input": function_to_json_dict(f), **fields}
     if certificate.root_lower_bound == 0:
-        payload["note"] = "no nontrivial certificate (best Q never exceeded 1)"
-    _emit_json(args, payload)
-    return 0
+        report["note"] = "no nontrivial certificate (best Q never exceeded 1)"
+    return report
 
 
 def _add_io_arguments(sub, grid: bool = True):
@@ -356,7 +342,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _emit(args, args.func(args))
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -79,46 +79,18 @@ def _check_data(x_name: str, xs: Sequence[float], y_name: str, ys: Sequence[floa
         raise ValidationError(f"{y_name} must be nonnegative")
 
 
-class _Record:
-    """An immutable value: equality, hash and repr read the attributes named
-    in ``_fields``, in order, and assigning or deleting any attribute raises.
-
-    ``__init__`` sets the attributes through ``object.__setattr__``.
-    """
-
-    _fields: tuple[str, ...]  # set by each subclass
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
-class _Segments(_Record):
+class _Segments:
     """What both representations share, read off ``edges`` and ``_ys``.
 
     A subclass declares ``_fields`` (its edge and value field names),
     ``_kind`` (its JSON type tag) and ``_shift``, and its constructor applies
     its own rules and then calls ``_store``.  Segment ``i`` runs from
     ``_ys[i]`` at ``edges[i]`` to ``_ys[i + _shift]`` at ``edges[i + 1]``.
+    A function is an immutable value: equality, hash and repr read its two
+    fields, and assigning or deleting any attribute raises.
     """
 
+    _fields: tuple[str, ...]
     _kind: str
     _shift: int
     edges: tuple[float, ...]
@@ -131,6 +103,24 @@ class _Segments(_Record):
         object.__setattr__(self, ys_name, ys)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_ys", ys)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges == other.edges and self._ys == other._ys
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edges, self._ys))
+
+    def __repr__(self):
+        edge_name, ys_name = self._fields
+        return f"{type(self).__name__}({edge_name}={self.edges!r}, {ys_name}={self._ys!r})"
 
     def segments(self) -> Iterator[tuple[float, float, float, float]]:
         """Yield (left, right, left_value, right_value) for each segment."""
@@ -455,22 +445,25 @@ def _number_list(obj: dict, field: str) -> list[float]:
 
 
 def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
-    """Parse the two-column x,y sample format; a header row is optional."""
+    """Parse the two-column x,y sample format; blank rows are skipped, and the
+    first nonblank row may be a header.  Error line numbers count blank rows."""
     import csv  # loaded on first use: JSON inputs never need it
     import io
 
     xs: list[float] = []
     ys: list[float] = []
     reader = csv.reader(io.StringIO(text))
+    first = 0  # the line of the first nonblank row, the only one that may be a header
     for lineno, row in enumerate(reader, start=1):
         if not any(map(str.strip, row)):  # blank or whitespace-only
             continue
+        first = first or lineno
         if len(row) != 2:
             raise ValidationError(f"CSV line {lineno}: expected two columns, got {len(row)}")
         try:
             x, y = float(row[0]), float(row[1])
         except ValueError:
-            if lineno == 1:
+            if lineno == first:
                 continue  # header
             raise ValidationError(f"CSV line {lineno}: could not parse numbers from {row!r}")
         xs.append(x)

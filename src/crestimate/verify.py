@@ -26,6 +26,7 @@ violation or a new largest ratio.
 """
 
 import functools
+from typing import NamedTuple
 
 from .bounds import PI_SQRT_10, certified_crests
 from .crests import count_crests, decompose
@@ -135,18 +136,14 @@ class CheckResult:
         }
 
 
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """The checks of one family run, with the trials and seed that replay it."""
 
-    def __init__(self, family: str, trials: int, seed: int, checks: list[CheckResult]):
-        self.family = family
-        self.trials = trials
-        self.seed = seed
-        self.checks = checks
-
-    @property
-    def violations_total(self) -> int:
-        return sum(len(c.violations) for c in self.checks)
+    family: str
+    trials: int
+    seed: int
+    violations_total: int
+    checks: list[CheckResult]
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -155,16 +152,10 @@ class SuiteResult:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations_total": self.violations_total,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+        return {**self._asdict(), "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def _suite_step(trials: int, seed: int) -> SuiteResult:
+def _suite_step(trials: int, seed: int) -> list[CheckResult]:
     f_rng = rng_for(seed, "step/functions")
     z_rng = rng_for(seed, "step/z")
     bound_check = CheckResult("crest-count-bound", RELATIVE_SLACK, relative=True)
@@ -183,10 +174,10 @@ def _suite_step(trials: int, seed: int) -> SuiteResult:
         certificate_check.record(
             [float(certified_crests(best_q))], [float(n)], trial, [best_q], key="best_q"
         )
-    return SuiteResult("step", trials, seed, [bound_check, certificate_check])
+    return [bound_check, certificate_check]
 
 
-def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
+def _suite_decreasing(trials: int, seed: int) -> list[CheckResult]:
     from .lemmas import _halfline_sides, _window_bounds  # loaded on first use: `step` needs neither
 
     f_rng = rng_for(seed, "decreasing/functions")
@@ -209,10 +200,10 @@ def _suite_decreasing(trials: int, seed: int) -> SuiteResult:
         cosine.record(
             [abs(wb.cosine_value) for wb in reports], [wb.cosine_rhs for wb in reports], trial, zs
         )
-    return SuiteResult("decreasing", trials, seed, [halfline, positive, narrow, wide, cosine])
+    return [halfline, positive, narrow, wide, cosine]
 
 
-def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
+def _suite_one_crest(trials: int, seed: int) -> list[CheckResult]:
     from .lemmas import _one_crest_sides  # loaded on first use, as in _suite_decreasing
 
     f_rng = rng_for(seed, "one-crest/functions")
@@ -223,7 +214,7 @@ def _suite_one_crest(trials: int, seed: int) -> SuiteResult:
         b = decompose(f).crest_locations[0]
         zs = log_uniform_list(z_rng, *Z_RANGE, Z_PER_FUNCTION)
         window.record(*_one_crest_sides(f, zs, b), _Trial(f, crest_location=b), zs)
-    return SuiteResult("one-crest", trials, seed, [window])
+    return [window]
 
 
 FAMILIES = {
@@ -240,4 +231,5 @@ def run_suite(family: str, trials: int, seed: int) -> SuiteResult:
             f"unknown family {family!r} (choose from {sorted(FAMILIES)})"
         )
     require_positive_int("trials", trials)
-    return FAMILIES[family](trials, seed)
+    checks = FAMILIES[family](trials, seed)
+    return SuiteResult(family, trials, seed, sum(len(c.violations) for c in checks), checks)

@@ -11,6 +11,7 @@ criterion passes at the stated tolerances.
 
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +420,14 @@ def test_criterion_7_weighted_chain():
         f"0 violations on 200 instances; fixed instance "
         f"{report.fourier_weighted_norm:.4f} <= {HALF_PI_SQRT_10:.4f}",
     )
+
+
+# --------------------------------------------------------------------------
+# the README's library example
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Library example)", "exec"), {})  # its asserts are the checks

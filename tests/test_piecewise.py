@@ -433,6 +433,11 @@ def test_csv_parsing_errors():
         samples_from_csv_text("x,y\n")
     with pytest.raises(ValidationError, match="line 2"):
         samples_from_csv_text("0,1\nfoo,bar\n")
+    # one header at most, and the line numbers count the blank rows
+    with pytest.raises(ValidationError, match="CSV line 2: could not parse"):
+        samples_from_csv_text("x,y\nx,y\n0,1\n")
+    with pytest.raises(ValidationError, match="CSV line 4: could not parse"):
+        samples_from_csv_text("\nx,y\n \nx,y\n0,1\n")
 
 
 def test_csv_parsing_skips_blank_rows():
@@ -446,6 +451,7 @@ def test_csv_parsing_skips_blank_rows():
         "x,y\n \n0,1\n\t,\t\n1,2\n",
         "\n0,1\n , , \n1,2\n\n",  # whitespace in three cells is a blank row, not three columns
         "x , y\r\n0,1\r\n   \r\n1,2\r\n",
+        "\nx,y\n0,1\n1,2\n",  # the header is the first nonblank row, not line 1
     ],
 )
 def test_csv_parsing_skips_blank_whitespace_and_header_rows(text):
