@@ -204,9 +204,10 @@ def crest_lower_bound(
             magnitude = abs(fourier(f, z))
             tail = star.integral_up_to(1.0 / z)
             scale = PI_SQRT_10 * tail
-            if crests * scale == math.inf:  # the mass of f is beyond float range
-                raise OverflowError(f"the bound at z = {z!r} is beyond float range")
-            reports.append(QReport(z, magnitude, tail, crests * scale, magnitude / scale, crests))
+            bound = crests * scale
+            if not 0.0 < bound < math.inf:  # a mass beyond float range, or a tail underflowed
+                raise OverflowError(f"the bound at z = {z!r} is {bound!r}, not a positive float")
+            reports.append(QReport(z, magnitude, tail, bound, magnitude / scale, crests))
         return reports
 
     def best_index(reports: list[QReport]) -> int:

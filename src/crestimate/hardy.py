@@ -146,8 +146,9 @@ def _fourier_weighted_norm_with_error(
 ) -> tuple[float, float]:
     if f.is_zero:
         return 0.0, 0.0
-    # |fhat| oscillates on the z-scale pi / x_extent; start below that.
-    x_extent = max(abs(f.support_min), abs(f.support_max), 1e-9)
+    # |fhat| oscillates on the z-scale pi / x_extent, x_extent the support's
+    # width (|fhat| does not see where f sits); start below that.
+    x_extent = max(f.support_max - f.support_min, 1e-9)
 
     def integrand(z: float) -> float:
         return abs(fourier(f, z)) ** q

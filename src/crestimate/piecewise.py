@@ -446,7 +446,8 @@ def _number_list(obj: dict, field: str) -> list[float]:
 
 def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
     """Parse the two-column x,y sample format; blank rows are skipped, and the
-    first nonblank row may be a header.  Error line numbers count blank rows."""
+    first nonblank row may be a header.  An error names the line its row ends
+    on, blank lines and a quoted field's newlines counted."""
     import csv  # loaded on first use: JSON inputs never need it
     import io
 
@@ -454,7 +455,8 @@ def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
     ys: list[float] = []
     reader = csv.reader(io.StringIO(text))
     first = 0  # the line of the first nonblank row, the only one that may be a header
-    for lineno, row in enumerate(reader, start=1):
+    for row in reader:
+        lineno = reader.line_num
         if not any(map(str.strip, row)):  # blank or whitespace-only
             continue
         first = first or lineno

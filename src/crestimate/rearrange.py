@@ -1,5 +1,9 @@
 """Decreasing rearrangement, its distribution function, and weighted norms.
 
+Both representations put a point on f* only where its measure exceeds the
+last point's (:func:`_extend`): a level that adds no measure keeps the
+previous point, so f* never reads below the exact f*.
+
 The rearrangement of a step function is computed by sorting value/measure
 pairs (value descending, ties kept in left-to-right order) and concatenating
 the measures from the origin; that is exact in the sense that no arithmetic
@@ -105,6 +109,8 @@ class Rearrangement(NamedTuple):
 
 def rearrangement(f: PiecewiseFunction) -> Rearrangement:
     """Compute f*, equimeasurable with f and nonincreasing from the origin."""
+    if not any(f._ys):  # the zero function: f* is 0 on [0, 1)
+        return Rearrangement(type(f)((0.0, 1.0), (0.0,) * (1 + f._shift)))
     if isinstance(f, StepFunction):
         return Rearrangement(_step_star(f))
     return Rearrangement(_linear_star(f))
@@ -112,16 +118,20 @@ def rearrangement(f: PiecewiseFunction) -> Rearrangement:
 
 def _step_star(f: StepFunction) -> StepFunction:
     pairs = [(v, b - a) for a, b, v in f.pieces() if v > 0.0]
-    if not pairs:
-        return make_step((0.0, 1.0), (0.0,))
     _require_finite_measure([m for _, m in pairs])
     pairs.sort(key=lambda p: -p[0])  # stable: equal values keep their order
     breakpoints = [0.0]
     values = []
     for v, m in pairs:
-        values.append(v)
-        breakpoints.append(breakpoints[-1] + m)
+        _extend(breakpoints, values, breakpoints[-1] + m, v)
     return make_step(breakpoints, values)
+
+
+def _extend(xs: list[float], ys: list[float], x: float, y: float) -> None:
+    """Append (x, y) to f* where its measure x exceeds the last point's."""
+    if x > xs[-1]:
+        xs.append(x)
+        ys.append(y)
 
 
 def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
@@ -134,10 +144,11 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     crossing term of :func:`distribution`, :func:`_part_above`: inline as
     ``(hi - level) * r`` with ``r = w / (hi - lo)`` stored when the segment
     starts to cross, and by a call for the rare segment whose r overflows.
-    No term reads t0 or t1, so an exact translate has the same f*.
+    No term reads t0 or t1, so an exact translate has the same f*.  Each
+    point goes on by :func:`_extend`, so where f is positive at an end of
+    its support, |{f > lam}| stops growing below that value and f* ends
+    there with its jump to 0, as f does.
     """
-    if f.is_zero:
-        return PiecewiseLinearFunction((0.0, 1.0), (0.0, 0.0))
     segments = list(f.segments())
     plateaus: dict[float, list[float]] = {}
     for t0, t1, y0, y1 in segments:
@@ -161,17 +172,7 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
     levels = sorted({0.0, *f.node_values})
     xs = [0.0]
     ys = [levels[-1]]
-
-    def append(x: float, y: float) -> None:
-        # the measures are nondecreasing along descending levels; a band whose
-        # mass rounds away (or loses an ulp) collapses onto the previous node
-        if x <= xs[-1]:
-            ys[-1] = y
-            return
-        xs.append(x)
-        ys.append(y)
-
-    # at the top level nothing crosses, so its first node merges into (0, top)
+    # at the top level nothing lies above, so (0, top) stands for its node
     for level in reversed(levels):
         while entered < len(by_high) and highs[by_high[entered]] > level:
             i = by_high[entered]
@@ -190,11 +191,11 @@ def _linear_star(f: PiecewiseLinearFunction) -> PiecewiseLinearFunction:
         if steep:
             terms += [_part_above(level, hi, lo, w) for hi, lo, w in steep.values()]
         above = math.fsum(above_whole + terms)
-        append(above, level)
+        _extend(xs, ys, above, level)
         if level > 0.0:
             plateau = math.fsum(plateaus.get(level, ()))
             if plateau > 0.0:
-                append(above + plateau, level)
+                _extend(xs, ys, above + plateau, level)
     return PiecewiseLinearFunction(tuple(xs), tuple(ys))
 
 
@@ -250,8 +251,6 @@ def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> floa
     k = 0  # the pieces before k end at or before the current segment
     terms = []
     for t0, t1, y0, y1 in rearrangement(f).star.segments():
-        if y0 == 0.0 and y1 == 0.0:
-            continue
         while k < len(pieces) and pieces[k][1] <= t0:
             k += 1
         for j in range(k, len(pieces)):

@@ -79,6 +79,13 @@ def test_bound_report_validation():
         bound_report(make_step([0, 1], [0]), 1.0)
 
 
+def test_bound_report_where_the_tail_underflows():
+    """f* = 1e-30 on [0, 1): the tail 1e-30 / z underflows to 0 at z = 1e299,
+    so the bound is not a positive float and no Q is divided out."""
+    with pytest.raises(OverflowError, match="z = 1e[+]299 is 0.0, not a positive float"):
+        bound_report(make_step([0, 1], [1e-30]), 1e299)
+
+
 def test_decreasing_bound_box_at_pi():
     lhs, rhs = check_decreasing_bound(BOX, math.pi)
     assert math.isclose(lhs, 2.0 / math.pi, rel_tol=1e-14)

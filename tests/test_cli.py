@@ -165,6 +165,8 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
 # finite breakpoints and nodes whose support measures 2e308, beyond float range
 WIDE_STEP_JSON = '{"type":"step","breakpoints":[-1e308,1e308],"values":[1]}'
 WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1,0]}'
+# a box of height 1e-30: its tail integral underflows to 0 from z about 4e293
+FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
 
 
 @pytest.mark.parametrize(
@@ -180,6 +182,7 @@ WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1
         (("analyze", MASS_OVERFLOW_JSON), 2, "overflow error"),
         (("analyze", WIDE_STEP_JSON), 2, "overflow error: the measure of {f > 0}"),
         (("analyze", WIDE_LINEAR_JSON), 2, "overflow error: the measure of {f > 0}"),
+        (("analyze", FAINT_BOX_JSON, "--extra-z", "1e299"), 2, "is 0.0, not a positive float"),
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
         (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
@@ -197,6 +200,7 @@ WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1
         "mass-overflow",
         "measure-overflow-step",
         "measure-overflow-linear",
+        "tail-underflow",
         "phase-overflow-edges",
         "phase-overflow-lattice",
         "json-syntax",

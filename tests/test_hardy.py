@@ -151,6 +151,25 @@ def test_fourier_weighted_norm_localization():
     assert abs(value - expected) <= 0.01 * expected
 
 
+def test_fourier_weighted_norm_panels_ignore_translation(monkeypatch):
+    """|fhat| does not see where f sits, so the panels follow the support's
+    width: a unit box on [1000, 1001] takes the calls the one on [0, 1] does."""
+    u = make_step([0.5, 3], [1])
+    calls = []
+
+    def counting(g, z):
+        calls.append(z)
+        return fourier(g, z)
+
+    monkeypatch.setattr(hardy, "fourier", counting)
+    at_origin = fourier_weighted_norm(BOX, u, 2.0)
+    origin_calls = len(calls)
+    calls.clear()
+    translated = fourier_weighted_norm(make_step([1000, 1001], [1]), u, 2.0)
+    assert math.isclose(translated, at_origin, rel_tol=1e-12)
+    assert len(calls) == origin_calls
+
+
 def test_fourier_weighted_norm_validation():
     with pytest.raises(ValidationError, match="q must be positive"):
         fourier_weighted_norm(BOX, make_step([0, 1], [1]), -1.0)

@@ -438,6 +438,9 @@ def test_csv_parsing_errors():
         samples_from_csv_text("x,y\nx,y\n0,1\n")
     with pytest.raises(ValidationError, match="CSV line 4: could not parse"):
         samples_from_csv_text("\nx,y\n \nx,y\n0,1\n")
+    # a quoted field spanning a newline: the row after it is on line 4
+    with pytest.raises(ValidationError, match="CSV line 4: could not parse"):
+        samples_from_csv_text('0,1\n"1\n",2\nfoo,bar\n')
 
 
 def test_csv_parsing_skips_blank_rows():

@@ -290,6 +290,31 @@ def test_lorentz_norm_validation():
         lorentz_lambda_norm(box, TRIANGLE, 1.0)
 
 
+@pytest.mark.parametrize(
+    "star",
+    [
+        PiecewiseLinearFunction([0, 1], [1, 1]),
+        PiecewiseLinearFunction([0, 2], [2, 1]),
+        rearrangement(random_step_function(rng_for(26, "fixed point"))).star,
+    ],
+    ids=["linear-box", "linear-end-jump", "step"],
+)
+def test_a_dyadic_star_is_its_own_rearrangement(star):
+    """A nonincreasing function on [0, oo) is its own f*, a positive end
+    value included: f* keeps the jump to 0 where f has one."""
+    assert rearrangement(star).star == star
+
+
+def test_a_band_that_adds_no_measure_adds_no_breakpoint():
+    """The band of 1 on [0, 1) rounds away against the band of 2 on [1, 1e20),
+    whose width is 1e20 as a float: f* is that one band, its mass within an
+    ulp of f's."""
+    f = make_step([0, 1, 1e20], [1, 2])
+    star = rearrangement(f).star
+    assert star == make_step([0, 1e20], [2])
+    assert abs(star.total_integral - f.total_integral) <= math.ulp(f.total_integral)
+
+
 def test_zero_function_rearranges_to_zero():
     star = rearrangement(make_step([0, 1], [0])).star
     assert isinstance(star, StepFunction)
