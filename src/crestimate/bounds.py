@@ -207,6 +207,10 @@ def crest_lower_bound(
             bound = crests * scale
             if not 0.0 < bound < math.inf:  # a mass beyond float range, or a tail underflowed
                 raise OverflowError(f"the bound at z = {z!r} is {bound!r}, not a positive float")
+            if scale < sys.float_info.min:  # subnormal: rounded by up to 50%, Q reads high
+                raise OverflowError(
+                    f"Q's denominator at z = {z!r} is {scale!r}, not a normal float"
+                )
             reports.append(QReport(z, magnitude, tail, bound, magnitude / scale, crests))
         return reports
 

@@ -15,26 +15,26 @@ Exit codes: 0 success; 1 validation error (bad arguments, an unreadable,
 undecodable or malformed input, a number beyond float range, an unwritable
 ``--out``, a stdout that is closed or takes no more bytes, such as a pipe
 whose reader has gone or a full disk); 2 numerical failure (quadrature did
-not converge, or arithmetic overflowed).  Either failure prints one line to
-stderr.
+not converge, or arithmetic left the normal floats).  Either failure prints
+one line to stderr.
 
 Process exit: ``python -m crestimate`` and the ``crestimate`` script enter
 through :func:`run`, which ends the process as soon as the report is out.
-After :func:`main` returns it runs the ``atexit`` handlers and flushes
-stdout and stderr, as a normal exit would, then calls ``os._exit`` with
-main's status: module teardown and the interpreter's final collections,
-which no report needs, are skipped.  That is sound because the CLI starts
+The report leaves in one place: :func:`main` writes and flushes it, and a
+write or flush that raises ``OSError`` (``EPIPE``, ``ENOSPC``) prints
+``error: cannot write the report: ...`` and returns status 1.  stdout's
+descriptor is then pointed at ``os.devnull``, so the interpreter's last
+flush of what stdout still buffers writes nothing and prints no second
+error.  A stdout closed at startup (``sys.stdout`` is None) gets the same
+line and status.  :func:`main` never exits; :func:`run` runs the ``atexit``
+handlers and flushes stdout and stderr, as a normal exit would, then calls
+``os._exit`` with main's status, skipping module teardown and the final
+collections, which no report needs.  That is sound because the CLI starts
 no threads and leaves no file open.  The normal ``sys.exit`` is kept when
 a trace, profile or monitoring hook is set (a debugger, coverage,
 ``python -m cProfile -m crestimate``), whose report is written at the
 normal exit; when ``-i`` asks for a prompt afterwards; and when a flush
-fails.  A write or flush to stdout that raises ``OSError`` (``EPIPE``,
-``ENOSPC``), in :func:`main` or in :func:`run`'s flush, prints ``error:
-cannot write the report: ...`` and ends with status 1; stdout's descriptor
-is then pointed at ``os.devnull``, so the interpreter's last flush of what
-stdout still buffers writes nothing and prints no second error.  A stdout
-closed at startup (``sys.stdout`` is None) gets the same line and status.
-:func:`main` itself returns the status and never exits.
+of what an ``atexit`` handler wrote fails.
 """
 
 import argparse
@@ -142,7 +142,7 @@ def _grid_from_args(args) -> list[float]:
 
 def _emit(args, report: dict | str) -> None:
     """Write a command's report, a dict as compact JSON (json's C encoder
-    only runs without indent) or CSV text as it is, and end it with a newline."""
+    only runs without indent) or CSV text as it is; end it with a newline, flush."""
     text = report if isinstance(report, str) else json.dumps(report, separators=(",", ":"))
     text += "\n"
     if args.out:
@@ -155,6 +155,7 @@ def _emit(args, report: dict | str) -> None:
     else:
         try:
             sys.stdout.write(text)
+            sys.stdout.flush()
         except OSError as exc:
             raise ValidationError(_abandon_stdout(exc)) from exc
 
@@ -368,26 +369,21 @@ def run() -> NoReturn:
     """Run :func:`main` on ``sys.argv`` and end the process with its status.
 
     The process entry of ``python -m crestimate`` and the console script.
-    The atexit handlers run once and stdout and stderr are flushed, then
-    ``os._exit`` skips the interpreter's teardown.  This rests on the CLI
-    starting no threads: a thread still running would be cut off, not
-    joined.  Under a trace, profile or monitoring hook, with ``-i``, or
-    when a flush raises ``OSError``, it ends with ``sys.exit`` instead; a
-    failed flush of stdout prints one line and ends with status 1, unless
-    main had failed already.  An exception out of main propagates unchanged.
+    main has written and flushed the report; the atexit handlers run once
+    and stdout and stderr are flushed, then ``os._exit`` skips the
+    interpreter's teardown.  This rests on the CLI starting no threads: a
+    thread still running would be cut off, not joined.  Under a trace,
+    profile or monitoring hook, with ``-i``, or when a flush raises
+    ``OSError`` (only an atexit handler's output is left to flush), it
+    ends with ``sys.exit`` instead.  An exception out of main propagates.
     """
     code = main()
     if not _hooked():
         atexit._run_exitfuncs()  # clears the handlers: sys.exit below runs none twice
         try:
-            if sys.stdout is not None:  # None: the descriptor was closed at startup
-                sys.stdout.flush()
-        except OSError as exc:
-            print(f"error: {_abandon_stdout(exc)}", file=sys.stderr)
-            sys.exit(code or 1)
-        try:
-            if sys.stderr is not None:
-                sys.stderr.flush()
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None: the descriptor was closed at startup
+                    stream.flush()
         except OSError:
             pass  # the normal exit flushes again and reports the failure
         else:

@@ -136,7 +136,7 @@ class _Segments:
 
     @property
     def is_zero(self) -> bool:
-        return all(y0 == 0.0 and y1 == 0.0 for _, _, y0, y1 in self.segments())
+        return not any(self._ys)
 
     @property
     def support_min(self) -> float:

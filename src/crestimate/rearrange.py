@@ -109,7 +109,7 @@ class Rearrangement(NamedTuple):
 
 def rearrangement(f: PiecewiseFunction) -> Rearrangement:
     """Compute f*, equimeasurable with f and nonincreasing from the origin."""
-    if not any(f._ys):  # the zero function: f* is 0 on [0, 1)
+    if f.is_zero:  # the zero function: f* is 0 on [0, 1)
         return Rearrangement(type(f)((0.0, 1.0), (0.0,) * (1 + f._shift)))
     if isinstance(f, StepFunction):
         return Rearrangement(_step_star(f))

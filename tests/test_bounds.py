@@ -86,6 +86,14 @@ def test_bound_report_where_the_tail_underflows():
         bound_report(make_step([0, 1], [1e-30]), 1e299)
 
 
+def test_a_subnormal_q_denominator_is_refused():
+    """f* = 1e-30 on [0, 1): from z about 1e292 on, the tail is subnormal and
+    rounds by up to 50%, enough to lift Q above 2/(pi sqrt 10), the most any
+    box reaches."""
+    with pytest.raises(OverflowError, match="z = 1e[+]292 is 9.83e-322, not a normal float"):
+        crest_lower_bound(make_step([0, 1], [1e-30]), default_z_grid(1e292, 4e293, 201, odd_pi_multiples=False))
+
+
 def test_decreasing_bound_box_at_pi():
     lhs, rhs = check_decreasing_bound(BOX, math.pi)
     assert math.isclose(lhs, 2.0 / math.pi, rel_tol=1e-14)

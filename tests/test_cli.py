@@ -166,6 +166,7 @@ TWO_STEPS_JSON = '{"type":"step","breakpoints":[0,1,3],"values":[1,2]}'
 WIDE_STEP_JSON = '{"type":"step","breakpoints":[-1e308,1e308],"values":[1]}'
 WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1,0]}'
 # a box of height 1e-30: its tail integral underflows to 0 from z about 4e293
+# and is subnormal from about 1e292, where rounding lifts Q above any box's
 FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
 
 
@@ -183,6 +184,7 @@ FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
         (("analyze", WIDE_STEP_JSON), 2, "overflow error: the measure of {f > 0}"),
         (("analyze", WIDE_LINEAR_JSON), 2, "overflow error: the measure of {f > 0}"),
         (("analyze", FAINT_BOX_JSON, "--extra-z", "1e299"), 2, "is 0.0, not a positive float"),
+        (("analyze", FAINT_BOX_JSON, "--extra-z", "1e292"), 2, "is 9.83e-322, not a normal float"),
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
         (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
@@ -201,6 +203,7 @@ FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
         "measure-overflow-step",
         "measure-overflow-linear",
         "tail-underflow",
+        "subnormal-denominator",
         "phase-overflow-edges",
         "phase-overflow-lattice",
         "json-syntax",
@@ -823,8 +826,8 @@ def test_run_exits_through_sys_exit_when_a_flush_fails(monkeypatch):
     assert exc.value.code == 3
 
 
-# a report of one buffer fails at the flush in cli.run, one of several
-# buffers at the write in cli._emit
+# both fail inside cli._emit: a report of one buffer at its flush, one of
+# several buffers at its write
 SHORT_REPORT = ("comb", "1")
 LONG_REPORT = ("analyze", TWO_STEPS_JSON, "--format", "csv")
 
@@ -854,6 +857,14 @@ def test_a_full_disk_is_one_line_and_exit_1(argv):
         )
     assert proc.returncode == 1
     assert proc.stderr == b"error: cannot write the report: [Errno 28] No space left on device\n"
+
+
+def test_a_failed_flush_in_process_is_a_validation_error(monkeypatch, capsys):
+    # the write succeeds and the flush fails, as a pipe's does for a report
+    # that fits its buffer
+    monkeypatch.setattr(sys, "stdout", _Unflushable())
+    assert main(["comb", "1"]) == 1
+    assert capsys.readouterr().err == "error: cannot write the report: [Errno 32] Broken pipe\n"
 
 
 def test_a_failed_write_in_process_is_a_validation_error(monkeypatch, capsys):
