@@ -3,9 +3,9 @@ function, computed from pointwise estimates of its Fourier transform.
 
 The library works on exact piecewise representations (step and piecewise
 linear): crest counting and decompositions, decreasing rearrangements, exact
-closed-form transforms with independent quadrature oracles, the bound
-|fhat(z)| <= N pi sqrt(10) integral_0^{1/z} f*, its contrapositive as a
-crest/root certificate, and weighted running-integral estimates.
+closed-form transforms, the bound |fhat(z)| <= N pi sqrt(10) integral_0^{1/z}
+f*, its contrapositive as a crest/root certificate, and weighted
+running-integral estimates.
 """
 
 import importlib
@@ -47,7 +47,6 @@ _SOURCES = {
     "distribution": "rearrange",
     "evaluate": "piecewise",
     "fourier": "transform",
-    "fourier_quadrature_oracle": "quadrature",
     "fourier_weighted_norm": "hardy",
     "from_samples": "piecewise",
     "function_from_json_dict": "piecewise",

@@ -94,7 +94,7 @@ def _load_function(spec: str, csv_mode: str):
 def _function_from_json_text(text: str):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer or deep nesting
         raise ValidationError(f"malformed JSON: {exc}") from exc
     return function_from_json_dict(obj)
 

@@ -10,7 +10,8 @@ estimate of the running integral into a weighted estimate of the transform:
 
 and the right-hand integral equals, after the substitution z -> 1/z,
 ``int_0^oo ( int_0^z f )^q u(1/z) / z^2 dz`` -- the classical weighted
-inequality for the running integral.  Both forms are available and agree.
+inequality for the running integral.  The library evaluates the first form;
+the tests check it against the second.
 
 Weights are compactly supported step functions, so every integral over
 (0, oo) truncates exactly at the weight's support; that restriction is the
@@ -91,53 +92,26 @@ def _weighted_integral(u: StepFunction, integrand, panels_of) -> tuple[float, fl
     return acc, err
 
 
-def _hardy_lhs_with_error(
-    f: PiecewiseFunction, u: StepFunction, q: float, form: str
-) -> tuple[float, float]:
+def _hardy_lhs_with_error(f: PiecewiseFunction, u: StepFunction, q: float) -> tuple[float, float]:
+    # int ( int_0^{1/z} f )^q u(z) dz ; the inner integral saturates to the
+    # total mass as z -> 0, so the integrand extends continuously.
     total_mass = integrate(f, 0.0, math.inf)
-    kinks = [x for x in f.edges if x > 0.0]
-    if form == "substituted":
-        # int ( int_0^{1/z} f )^q u(z) dz ; the inner integral saturates to
-        # the total mass as z -> 0, so the integrand extends continuously.
-        def integrand(z: float) -> float:
-            saturated = total_mass if z == 0.0 else integrate(f, 0.0, 1.0 / z)
-            return saturated**q
+    inverse_kinks = [1.0 / x for x in f.edges if x > 0.0]
 
-        def panels_of(a, b):
-            return _panels(a, b, [1.0 / x for x in kinks])
+    def integrand(z: float) -> float:
+        saturated = total_mass if z == 0.0 else integrate(f, 0.0, 1.0 / z)
+        return saturated**q
 
-    elif form == "printed":
-        # int ( int_0^z f )^q u(1/z)/z^2 dz over z in [1/b, 1/a] per piece
-        if u.support_min <= 0.0:
-            raise ValidationError(
-                "the 1/z^2 form needs the weight support to stay away from 0"
-            )
-
-        def integrand(z: float) -> float:
-            return integrate(f, 0.0, z) ** q / (z * z)
-
-        def panels_of(a, b):
-            return _panels(1.0 / b, 1.0 / a, kinks)
-
-    else:
-        raise ValidationError(f"unknown form {form!r} (use 'substituted' or 'printed')")
-    acc, err = _weighted_integral(u, integrand, panels_of)
+    acc, err = _weighted_integral(u, integrand, lambda a, b: _panels(a, b, inverse_kinks))
     return acc ** (1.0 / q), err
 
 
-def hardy_lhs(
-    f: PiecewiseFunction, u: StepFunction, q: float, form: str = "substituted"
-) -> float:
-    """Weighted q-norm of the saturating running integral of f.
-
-    ``form='substituted'`` evaluates
-    ``( int ( int_0^{1/z} f )^q u(z) dz )^{1/q}``; ``form='printed'``
-    evaluates the equivalent ``( int ( int_0^z f )^q u(1/z)/z^2 dz )^{1/q}``
-    (which additionally needs the weight support to avoid the origin).
-    """
+def hardy_lhs(f: PiecewiseFunction, u: StepFunction, q: float) -> float:
+    """Weighted q-norm of the saturating running integral of f:
+    ``( int ( int_0^{1/z} f )^q u(z) dz )^{1/q}``."""
     require_nonincreasing_on_halfline(f)
     _require_weight(u, q)
-    value, _ = _hardy_lhs_with_error(f, u, q, form)
+    value, _ = _hardy_lhs_with_error(f, u, q)
     return value
 
 
@@ -220,7 +194,7 @@ def hardy_chain_report(
     if lam == 0.0:
         raise ValidationError("the weight v must not vanish wherever f* is positive")
     fn, ferr = _fourier_weighted_norm_with_error(f, u, q)
-    middle, herr = _hardy_lhs_with_error(f, u, q, "substituted")
+    middle, herr = _hardy_lhs_with_error(f, u, q)
     if fn > HALF_PI_SQRT_10 * middle * (1.0 + _CHAIN_TOLERANCE):
         raise CrestimateError(
             "internal inconsistency: the weighted transform norm exceeded "

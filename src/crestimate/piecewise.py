@@ -455,21 +455,24 @@ def samples_from_csv_text(text: str) -> tuple[list[float], list[float]]:
     ys: list[float] = []
     reader = csv.reader(io.StringIO(text))
     first = 0  # the line of the first nonblank row, the only one that may be a header
-    for row in reader:
-        lineno = reader.line_num
-        if not any(map(str.strip, row)):  # blank or whitespace-only
-            continue
-        first = first or lineno
-        if len(row) != 2:
-            raise ValidationError(f"CSV line {lineno}: expected two columns, got {len(row)}")
-        try:
-            x, y = float(row[0]), float(row[1])
-        except ValueError:
-            if lineno == first:
-                continue  # header
-            raise ValidationError(f"CSV line {lineno}: could not parse numbers from {row!r}")
-        xs.append(x)
-        ys.append(y)
+    try:
+        for row in reader:
+            lineno = reader.line_num
+            if not any(map(str.strip, row)):  # blank or whitespace-only
+                continue
+            first = first or lineno
+            if len(row) != 2:
+                raise ValidationError(f"CSV line {lineno}: expected two columns, got {len(row)}")
+            try:
+                x, y = float(row[0]), float(row[1])
+            except ValueError:
+                if lineno == first:
+                    continue  # header
+                raise ValidationError(f"CSV line {lineno}: could not parse numbers from {row!r}")
+            xs.append(x)
+            ys.append(y)
+    except csv.Error as exc:  # a field past the size limit; a NUL byte before 3.11
+        raise ValidationError(f"CSV line {reader.line_num}: {exc}") from None
     if not xs:
         raise ValidationError("CSV contained no samples")
     return xs, ys

@@ -26,7 +26,6 @@ from crestimate import (
     crest_lower_bound,
     distribution,
     fourier,
-    fourier_quadrature_oracle,
     fourier_weighted_norm,
     hardy_chain_report,
     hardy_lhs,
@@ -45,6 +44,8 @@ from crestimate.generators import (
     random_weight,
     rng_for,
 )
+
+from quadrature_oracles import fourier_quadrature_oracle
 
 SEED = 20260808
 

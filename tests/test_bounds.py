@@ -19,7 +19,6 @@ from crestimate import (
     default_z_grid,
     distribution,
     fourier,
-    fourier_quadrature_oracle,
     hardy_operator,
     make_step,
     rearrangement_integral,
@@ -28,6 +27,8 @@ from crestimate import (
 )
 from crestimate.bounds import CERTIFICATE_GUARD, certified_crests, grid_csv_lines
 from crestimate.generators import rng_for
+
+from quadrature_oracles import fourier_quadrature_oracle
 
 BOX = make_step([0, 1], [1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))

@@ -168,6 +168,9 @@ WIDE_LINEAR_JSON = '{"type":"linear","nodes":[-1e308,0,1e308],"node_values":[0,1
 # a box of height 1e-30: its tail integral underflows to 0 from z about 4e293
 # and is subnormal from about 1e292, where rounding lifts Q above any box's
 FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
+# past the decoder's recursion limit, and an integer literal past the digit limit of str -> int
+DEEP_JSON = '{"type":' + "[" * 100_000
+LONG_INT_JSON = '{"type":"step","breakpoints":[0,1],"values":[' + "1" * 5000 + "]}"
 
 
 @pytest.mark.parametrize(
@@ -188,6 +191,8 @@ FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
         (("analyze", TWO_STEPS_JSON, "--extra-z", "1e308"), 1, "too large"),
         (("comb", "1", "--z", "1e308"), 1, "too large"),
         (("analyze", '{"type": "step",'), 1, "malformed JSON: Expecting property name"),
+        (("analyze", DEEP_JSON), 1, "malformed JSON: maximum recursion depth"),
+        (("analyze", LONG_INT_JSON), 1, "malformed JSON: Exceeds the limit"),
         (("analyze", BOX_JSON, "--extra-z", "1.5,x2"), 1, "bad --extra-z value 'x2'"),
         (("comb", "1", "--z", "1.5,x2"), 1, "bad --z value 'x2'"),
     ],
@@ -207,6 +212,8 @@ FAINT_BOX_JSON = '{"type":"step","breakpoints":[0,1],"values":[1e-30]}'
         "phase-overflow-edges",
         "phase-overflow-lattice",
         "json-syntax",
+        "json-too-deep",
+        "json-int-too-long",
         "extra-z-not-a-number",
         "z-not-a-number",
     ],

@@ -3,17 +3,18 @@
 The oracles below are the earlier implementations, kept verbatim apart from
 names: the per-level rearrangement (one fsum over every segment per distinct
 level, O(n^2); its crossing term is the library's, whose exactness
-``tests/test_rearrange.py`` checks against rationals), the per-segment transform kernel (four trig calls per
-segment, phases uncentred), the step-only evaluation, integral,
-distribution, tail table, crest cuts and crest locations that the segment
-model replaced, the crest count over the collapsed value profile, the
-decomposition that rescanned every piece per cell, the separate sine and
-cosine loops, the Gauss-Kronrod engine with the Hardy loops (moved onto it
-from adaptive Simpson), the Lorentz norm that ran adaptive quadrature on
+``tests/test_rearrange.py`` checks against rationals), the per-segment
+transform kernel (four trig calls per segment, phases uncentred), the
+step-only evaluation, integral, distribution, tail table, crest cuts and crest
+locations that the segment model replaced, the crest count over the
+collapsed value profile, the decomposition that rescanned every piece per
+cell, the separate sine and cosine loops, the Gauss-Kronrod engine with the
+Hardy loops (moved onto it from adaptive Simpson; both in
+``quadrature_oracles``), the Lorentz norm that ran adaptive quadrature on
 linear input, the exact Lorentz norm that visited every weight piece per
-segment of f*, the loop over every segment that ``integrate`` ran before
-it read one table per function, and the segment loop and its rows before a
-flat segment took its own arithmetic.  The library must agree with them exactly,
+segment of f*, the loop over every segment that ``integrate`` ran before it
+read one table per function, and the segment loop and its rows before a flat
+segment took its own arithmetic.  The library must agree with them exactly,
 with no tolerance, except for the transform, which now sums each segment's
 centred midpoint phase or, on inputs whose segment lengths repeat, runs
 Horner's rule over the segments or the jumps (within a derived rounding
@@ -22,7 +23,6 @@ Lorentz norm, which is now exact (see their tests).
 """
 
 import cmath
-import heapq
 import math
 from bisect import bisect_right
 from collections import defaultdict
@@ -68,7 +68,7 @@ from crestimate.hardy import (
 )
 from crestimate import transform
 from crestimate.piecewise import _on_line, _segment_integral, _segment_mean
-from crestimate.quadrature import _GK15, gauss_kronrod_adaptive
+from crestimate.quadrature import gauss_kronrod_adaptive
 from crestimate.rearrange import _mean_power
 from crestimate.transform import (
     _TRIG_SERIES_CUTOFF,
@@ -77,6 +77,8 @@ from crestimate.transform import (
     _segment_sum,
     _tiny_segment_sum,
 )
+
+from quadrature_oracles import gauss_kronrod, hardy_lhs_with_error
 
 # --- oracle: the per-level linear rearrangement --------------------------
 
@@ -1013,94 +1015,8 @@ def test_sine_cosine_equal_separate_loops():
 
 
 # --- oracles: the adaptive engine and the Hardy loops ---------------------
-
-
-def _oracle_gk_panel(fn, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    acc_g = 0.0
-    acc_k = 0.0
-    for xi, wg, wk in _GK15:
-        fx = fn(mid + half * xi)
-        if wg != 0.0:
-            acc_g += wg * fx
-        acc_k += wk * fx
-    value = acc_k * half
-    err = abs((acc_k - acc_g) * half)
-    return value, err
-
-
-def _oracle_gauss_kronrod(fn, panels, abs_tol, max_panels=65536, rel_tol=0.0):
-    if len(panels) > max_panels:
-        raise ConvergenceError("initial panel count exceeds the budget")
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for a, b in panels:
-        val, err = _oracle_gk_panel(fn, a, b)
-        heapq.heappush(heap, (-err, counter, a, b, val, err))
-        counter += 1
-        total += val
-        total_err += err
-    while total_err > abs_tol + rel_tol * abs(total):
-        if len(heap) >= max_panels:
-            raise ConvergenceError("panel budget exhausted")
-        neg_err, _, a, b, val, err = heapq.heappop(heap)
-        total -= val
-        total_err -= err
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            v, e = _oracle_gk_panel(fn, lo, hi)
-            heapq.heappush(heap, (-e, counter, lo, hi, v, e))
-            counter += 1
-            total += v
-            total_err += e
-    return total, total_err
-
-
-def _oracle_panels(lo, hi, candidates):
-    pts = [lo, *sorted({x for x in candidates if lo < x < hi}), hi]
-    return [(p0, p1) for p0, p1 in zip(pts, pts[1:]) if p1 > p0]
-
-
-def _oracle_hardy_lhs(f, u, q, form):
-    total_mass = integrate(f, 0.0, math.inf)
-    kinks = [x for x in f.edges if x > 0.0]
-    acc = 0.0
-    err = 0.0
-    if form == "substituted":
-
-        def inner(z):
-            saturated = total_mass if z == 0.0 else integrate(f, 0.0, 1.0 / z)
-            return saturated**q
-
-        for a, b, uv in u.pieces():
-            if uv == 0.0:
-                continue
-            part, perr = _oracle_gauss_kronrod(
-                inner,
-                _oracle_panels(a, b, [1.0 / x for x in kinks]),
-                0.0,
-                2**20,
-                rel_tol=QUADRATURE_REL_TOL,
-            )
-            acc += uv * part
-            err += uv * perr
-    else:
-
-        def outer(z):
-            return integrate(f, 0.0, z) ** q / (z * z)
-
-        for a, b, uv in u.pieces():
-            if uv == 0.0:
-                continue
-            part, perr = _oracle_gauss_kronrod(
-                outer, _oracle_panels(1.0 / b, 1.0 / a, kinks), 0.0, 2**20, rel_tol=QUADRATURE_REL_TOL
-            )
-            acc += uv * part
-            err += uv * perr
-    return acc ** (1.0 / q), err
+# The engine and the Hardy integral's loop are in quadrature_oracles, beside
+# the printed form and the transform oracle that other tests use.
 
 
 def _oracle_fourier_weighted_norm(f, u, q):
@@ -1113,7 +1029,7 @@ def _oracle_fourier_weighted_norm(f, u, q):
         splits = min(max(1, math.ceil((b - a) * x_extent / (0.5 * math.pi))), 4096)
         edges = [a + (b - a) * i / splits for i in range(splits + 1)]
         edges[-1] = b
-        part, perr = _oracle_gauss_kronrod(
+        part, perr = gauss_kronrod(
             lambda z: abs(fourier(f, z)) ** q,
             list(zip(edges, edges[1:])),
             0.0,
@@ -1136,11 +1052,11 @@ def _kinked(x):
 def test_refinement_loop_equals_old_engines():
     panels = [(k / 8, (k + 1) / 8) for k in range(-8, 24)]
     for tol in (1e-6, 1e-10):
-        assert gauss_kronrod_adaptive(_oscillatory, panels, tol) == _oracle_gauss_kronrod(
-            _oscillatory, panels, tol
+        assert gauss_kronrod_adaptive(_oscillatory, panels, tol) == gauss_kronrod(
+            _oscillatory, panels, 0.0, rel_tol=tol
         )
-        assert gauss_kronrod_adaptive(_kinked, [(0.0, 2.0)], tol) == _oracle_gauss_kronrod(
-            _kinked, [(0.0, 2.0)], tol
+        assert gauss_kronrod_adaptive(_kinked, [(0.0, 2.0)], tol) == gauss_kronrod(
+            _kinked, [(0.0, 2.0)], 0.0, rel_tol=tol
         )
 
 
@@ -1157,8 +1073,7 @@ def _hardy_instances():
 
 def test_hardy_integrals_equal_old_loops():
     for f, u, q in _hardy_instances():
-        for form in ("substituted", "printed"):
-            assert _hardy_lhs_with_error(f, u, q, form) == _oracle_hardy_lhs(f, u, q, form)
+        assert _hardy_lhs_with_error(f, u, q) == hardy_lhs_with_error(f, u, q, "substituted")
         assert _fourier_weighted_norm_with_error(f, u, q) == _oracle_fourier_weighted_norm(
             f, u, q
         )
@@ -1202,7 +1117,7 @@ def _oracle_lorentz(f, v, p):
             continue
         cuts = [lo] + [x for x in cut_candidates if lo < x < hi] + [hi]
         for s0, s1 in zip(cuts, cuts[1:]):
-            part, _ = _oracle_gauss_kronrod(
+            part, _ = gauss_kronrod(
                 lambda x: _oracle_value_on_line(star, x) ** p, [(s0, s1)], 0.0, rel_tol=1e-9
             )
             total += wv * part

@@ -1,3 +1,4 @@
+import csv
 import math
 import statistics
 from fractions import Fraction
@@ -441,6 +442,12 @@ def test_csv_parsing_errors():
     # a quoted field spanning a newline: the row after it is on line 4
     with pytest.raises(ValidationError, match="CSV line 4: could not parse"):
         samples_from_csv_text('0,1\n"1\n",2\nfoo,bar\n')
+    # the reader's own errors name the line it stopped on: a field past its
+    # size limit, and a NUL byte, which the reader refuses before Python 3.11
+    with pytest.raises(ValidationError, match="CSV line 2: field larger than field limit"):
+        samples_from_csv_text("0,1\n1," + "2" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValidationError, match="CSV line 2: "):
+        samples_from_csv_text("0,1\n\x00,2\n")
 
 
 def test_csv_parsing_skips_blank_rows():
