@@ -34,7 +34,6 @@ _SOURCES = {
     "WindowBoundReport": "lemmas",
     "ZeroFunctionError": "errors",
     "bound_report": "bounds",
-    "brute_force_crests": "crests",
     "check_decreasing_bound": "lemmas",
     "check_one_crest_bound": "lemmas",
     "comb_example": "bounds",
@@ -53,12 +52,10 @@ _SOURCES = {
     "function_to_json_dict": "piecewise",
     "hardy_chain_report": "hardy",
     "hardy_lhs": "hardy",
-    "hardy_operator": "hardy",
     "integrate": "piecewise",
     "lorentz_lambda_norm": "rearrange",
     "make_step": "piecewise",
     "rearrangement": "rearrange",
-    "rearrangement_integral": "rearrange",
     "run_suite": "verify",
     "sine_transform": "lemmas",
     "window_bounds": "lemmas",

@@ -12,25 +12,19 @@ both ends; a valley is a run lower than both its neighbors, and the count is
 one plus the number of valleys.  A step piece, whose two end values agree,
 is one run, and a node shared by two linear segments counts once.  Plateaus
 never create or terminate a valley.  :func:`decompose` cuts once per valley,
-so its summands are exactly as many as the count.  The independent
-:func:`brute_force_crests` oracle minimizes over every contiguous-cell
-partition at piece boundaries; for step functions cells at piece boundaries
-suffice, because a once-cresting summand has an interval of positivity and a
-cell edge inside a constant piece can always be slid to the piece boundary
-without breaking unimodality of either neighbor.
+so its summands are exactly as many as the count.  The tests check the count
+against an independent brute-force minimum over contiguous-cell partitions.
 """
 
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .errors import ValidationError
-from .piecewise import PiecewiseFunction, StepFunction, require_nonzero
+from .piecewise import PiecewiseFunction, require_nonzero
 
 __all__ = [
     "CrestReport",
     "count_crests",
     "decompose",
-    "brute_force_crests",
 ]
 
 
@@ -122,47 +116,3 @@ def _leftmost_max(p: PiecewiseFunction) -> float:
     points = list(_end_points(p))
     best = max(y for _, y in points)
     return next(x for x, y in points if y == best)
-
-
-def _is_unimodal(values) -> bool:
-    # nondecreasing then nonincreasing, as a function (zero outside the cell)
-    falling = False
-    prev = 0.0
-    for v in [*values, 0.0]:
-        if v > prev:
-            if falling:
-                return False
-        elif v < prev:
-            falling = True
-        prev = v
-    return True
-
-
-def brute_force_crests(f: StepFunction, max_pieces: int = 10) -> int:
-    """Exhaustive minimum over contiguous-cell partitions at piece boundaries.
-
-    Ground truth for :func:`count_crests` on small step functions; the
-    combinatorial budget rejects inputs with more than ``max_pieces``
-    canonical pieces.
-    """
-    if not isinstance(f, StepFunction):
-        raise ValidationError("the brute-force oracle handles step functions only")
-    require_nonzero(f)
-    vals = f.values
-    n = len(vals)
-    if n > max_pieces:
-        raise ValidationError(
-            f"too many pieces for the brute-force oracle ({n} > {max_pieces})"
-        )
-    best = n  # each piece alone is unimodal, so n cells always work
-    for mask in range(1 << (n - 1)):
-        cells = []
-        start = 0
-        for j in range(n - 1):
-            if mask >> j & 1:
-                cells.append(vals[start : j + 1])
-                start = j + 1
-        cells.append(vals[start:])
-        if len(cells) < best and all(_is_unimodal(c) for c in cells):
-            best = len(cells)
-    return best

@@ -29,7 +29,6 @@ from .piecewise import (
     PiecewiseFunction,
     StepFunction,
     integrate,
-    require_halfline_support,
     require_nonincreasing_on_halfline,
     require_weight,
 )
@@ -39,7 +38,6 @@ from .transform import fourier
 
 __all__ = [
     "HardyReport",
-    "hardy_operator",
     "hardy_lhs",
     "fourier_weighted_norm",
     "hardy_chain_report",
@@ -50,13 +48,6 @@ _MAX_PANELS = 2**20
 # weights must keep clear of z = 0 when q < 1 (the substituted 1/z^2 form
 # is not certifiable arbitrarily close to the origin there)
 _ORIGIN_MARGIN = 1e-6
-
-
-def hardy_operator(f: PiecewiseFunction, z: float) -> float:
-    """The running integral int_0^z f, exact, for z > 0 (z = inf gives the mass)."""
-    require_positive("z", z, inf_ok=True)
-    require_halfline_support(f)
-    return integrate(f, 0.0, z)
 
 
 def _require_weight(u: StepFunction, q: float) -> None:

@@ -58,7 +58,6 @@ __all__ = [
     "Rearrangement",
     "distribution",
     "rearrangement",
-    "rearrangement_integral",
     "lorentz_lambda_norm",
 ]
 
@@ -228,12 +227,6 @@ def _exact_add(partials: list[float], x: float) -> None:
             i += 1
         x = hi
     partials[i:] = [x]
-
-
-def rearrangement_integral(f: PiecewiseFunction, t: float) -> float:
-    """Exact integral of f* over [0, t] for t > 0 (t = inf gives the mass)."""
-    require_positive("t", t, inf_ok=True)
-    return rearrangement(f).integral_up_to(t)
 
 
 def lorentz_lambda_norm(f: PiecewiseFunction, v: StepFunction, p: float) -> float:

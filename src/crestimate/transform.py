@@ -64,20 +64,27 @@ with at least 8 edges and at most half as many distinct lengths, f is taken
 as ``sum_k y_k B_k`` over the values y_k of ``_ys``, B_k the B-spline of
 order ``_shift`` with knots at edges ``k - _shift`` to ``k + 1`` (de Boor,
 1978): a box for a step function, a hat for a piecewise-linear one.  fhat
-is a sum of terms ``c_k``, one per nonzero y_k at the left end of B_k, from
-the leftmost, a, by Horner's rule:
+is a sum of terms ``c_k``, one per nonzero y_k at a point of B_k, the
+midpoint of a box and the left end of a hat, from the leftmost, a, by
+Horner's rule:
 
     fhat(z) = exp(-iaz) S_0,   S_k = S_(k+1) exp(-i g_k z) + c_k,
 
 ``g_k`` the gap to the next term.  Each distinct length L costs one
-``exp(-iLz)``, one cos and one sin, and the factors of a width,
-``L phi(u) = (sin u - i (1 - cos u)) / z``, ``u = L z``, and
-``L psi(u) = L (c1 - i s1)``, are read off them as in ``_piece``: no trig
-call per term.  A box of width w has ``c_k = y_k w phi(wz)``.  A hat is the
-tent that is 1 at its node x_k and 0 at the other nodes, one-sided at an
-end node (where f jumps to 0).  With ``a_k``, ``b_k`` its gaps to the nodes
-on the left and right (0 if absent), and as ``1 - t/b`` on [0, b] and ``1 +
-t/a`` on [-a, 0] are ``1 - s`` and ``s`` on [0, 1] scaled,
+``cmath.rect(1, -Lz + 0.0)``, the cos and sin that ``cmath.exp(-iLz)``
+takes without its complex product (the ``+ 0.0`` gives a product that
+underflows to zero the sign it has in exp's argument, so the two agree to
+the bit), and every factor is read off these: no trig call per term.  A box of
+half-width h has the real ``c_k = y_k 2 sin(hz) / z``, ``2 (-Im
+exp(-ihz)) / z``, and below ``|hz| = 1e-2`` ``2h c0(hz)`` of ``_piece``, so
+its row costs one complex product, one float product and one add.  A hat
+has the factors of its sides, ``L phi(u) = (sin u - i (1 - cos u)) / z``,
+``u = L z``, and ``L psi(u) = L (c1 - i s1)``, read off as in ``_piece``.
+A hat is the tent that is 1 at its node x_k and 0 at the other nodes,
+one-sided at an end node (where f jumps to 0).  With ``a_k``, ``b_k`` its
+gaps to the nodes on the left and right (0 if absent), and as ``1 - t/b``
+on [0, b] and ``1 + t/a`` on [-a, 0] are ``1 - s`` and ``s`` on [0, 1]
+scaled,
 
     integral hat_k(x) exp(-ixz) dx = exp(-i x_k z) H(a_k, b_k; z),
     H(a, b; z) = b (phi(bz) - psi(bz)) + exp(iaz) a psi(az),
@@ -93,28 +100,37 @@ typical), hence the rule and the segment loop below 8 edges
 (``_LATTICE_MIN_ROWS``).  Per call, with tables built by ``_fourier_table``
 under ``_LATTICE_MIN_ROWS`` 1 and 10**9 and the kernels timed in process
 over the same 50 log-uniform z in [1e-3, 1e3] (best of 40 interleaved
-repeats of 100 passes; Python 3.11.7, 2-vCPU Xeon VM), a box takes 1.6 us
+repeats of 100 passes; Python 3.11.7, 2-vCPU Xeon VM), a box takes 1.4 us
 by the lattice sum and 0.7 us by the segment loop, 6 equal steps (7 edges)
-2.1 and 1.7 us, 7 equal steps (8 edges) 2.2 and 1.8 us, a 7-segment sampled
-trace (8 edges) 3.1 and 3.1 us, and a 10-box comb (20 edges) 2.9 and 2.4
+1.9 and 1.7 us, 7 equal steps (8 edges) 2.0 and 1.9 us, a 7-segment sampled
+trace (8 edges) 3.1 and 3.7 us, and a 10-box comb (20 edges) 2.5 and 2.4
 us.  So on step inputs this small the segment loop is the faster kernel
 even at 8 edges and more; the threshold stays at 8, as moving it changes
 which rounding such inputs get.
 
 The lattice sum's error, with u = 2^-53, n nonzero segments,
-``M = sum w (|y0| + |y1 - y0| / 2)`` over them and W the span from a to the
-right end of the last one:
+``M = sum w (|y0| + |y1 - y0| / 2)`` over them, a the leftmost edge and W
+the span from a to the right end of the last one:
 
 * a length and its product with z round by at most ``2u |L z|``, and a
   term's phase is the sum of the gaps left of it (and, in a hat, a_k), so
-  these move the result by at most ``2u |z| W M``, and ``a z`` by u|a z|M;
+  these move the result by at most ``2u |z| W M``, and the anchor's phase
+  by ``u |a z| M`` (a box's anchor lies h_0 right of a, its gaps span h_0
+  less);
+* a box's midpoint m and half-width are the sum and the difference of its
+  halved edges, each rounded once (halving is exact above 2^-1021).  A
+  rounded half-width is in its factor's bound below, and a rounded m moves
+  its term by ``u |m z|`` of it: nothing where every ``t0 + t1`` is a
+  float, as on a dyadic lattice, and at most ``u |z| (|a| + W) M`` in all;
 * each Horner step multiplies a partial sum, of size at most M, by a phase
   step within ``sqrt(2) u`` of its value (cos and sin within an ulp), with
   a complex product within ``sqrt(5) u``, and adds a term, rounding by u:
   below ``5u M`` per step, one step per term with the anchor factor;
 * the bounds of ``_piece`` put ``L phi`` within ``10u L`` and ``L psi``
-  within ``18u L``, so with the products a box term is within
-  ``12u w |y0|`` and a hat term within ``u |y_k| (31 b_k + 19 a_k)``.
+  within ``18u L``, and a box's factor is within ``8u w`` (the half-width,
+  its product with z, the sine or c0 and the division round once each, c0
+  within 6u), so with the products a box term is within ``9u w |y0|`` and
+  a hat term within ``u |y_k| (31 b_k + 19 a_k)``.
 
 A box term is at most ``w |y0|``.  A hat term is at most ``|y_k| (a_k +
 b_k) / 2``, the integral of its hat, so every partial sum is at most
@@ -124,7 +140,8 @@ each segment is a side of the hats at its ends and ``|y1| <= |y0| +
 the left end of a nonzero segment), and the factor errors sum to
 ``u sum w (31 |y0| + 19 |y1|) <= 50u M``, whether each row takes its factor
 or one factor takes the sum (then one more product, ``sqrt(5) u M'``).  So
-the computed value is within ``(5n + 2 |z| W + |a z| + 64) u M`` of fhat.
+the computed value is within ``(5n + 2 |z| W + |a z| + 64) u M`` of fhat,
+and within ``(5n + 3 |z| W + 2 |a z| + 64) u M`` where a midpoint rounds.
 
 A step function's lattice table also holds its jumps, and wherever that
 bound is the larger one the sum runs over them instead.  By parts,
@@ -140,7 +157,8 @@ and the anchor factor, below ``6u V / |z|`` together, put it within
 ``(5 n_e + 2 |z| W + |a z| + 8) u V / |z|`` of fhat.  With ``A = 5n + 64``,
 ``B = 5 n_e + 8`` and ``X = 2 |z| W + |a z|`` that is no larger than the box
 sum's bound when ``(B + X) V / |z| <= (A + X) M``, for every ``X >= 0``
-exactly when ``V / |z| <= M min(1, A / B)``:
+exactly when ``V / |z| <= M min(1, A / B)`` (a rounded midpoint only raises
+the box sum's bound, so then too):
 
     |z| >= switch = (V / M) max(1, B / A),   inf on a piecewise-linear f.
 
@@ -155,9 +173,10 @@ exact.  On ``bench`` step-scan seed 1 (1,024 pieces, 1,025 edges) V/M is
 The phase roundings are those of short lengths times z, not of
 ``(x - c) z``, and they add along the sum like a random walk: on that step
 function the worst relative error of ``|fhat|`` over the default grid
-against 40 digits is 9.1e-12 (1.4e-11 by boxes at every z), where the
-segment loop's is 2.1e-10 (seed 2: 5.9e-11 and 4.4e-11, both at z = 681.8,
-against 4.9e-10), and on a 1,601-sample trace (linear-roots seed 1)
+against 40 digits is 9.0e-12 (5.8e-12 by boxes at every z, 1.2e-14 on the
+179 points below the switch), where the segment loop's is 2.1e-10 (seed 2:
+5.9e-11 at z = 681.8, 3.7e-11 at z = 955.9 and 1.9e-14, against 4.9e-10),
+and on a 1,601-sample trace (linear-roots seed 1)
 5.9e-14 by hats (6.4e-14 by segments) against 3.9e-12.  The exception is
 small z on long runs of one gap, where the same rounded phase step
 multiplies the sum again and again, so its rounding adds up in step:
@@ -260,42 +279,46 @@ def _horner(rows: tuple, step: list) -> complex:
 
 
 def _lattice_sum(table: tuple, z: float) -> complex:
-    """fhat(z) by Horner's rule from the right, anchored at the leftmost edge,
-    over the jumps from ``|z| = switch`` on, else over the boxes or hats."""
-    anchor, lengths, widths, shapes, rows, switch, gaps, jumps = table
-    mz = complex(0.0, -z)
+    """fhat(z) by Horner's rule from the right, over the jumps from ``|z| =
+    switch`` on, anchored at the leftmost edge, else over the boxes or hats."""
+    anchor, lengths, widths, shapes, rows, switch, edge, gaps, jumps = table
+    rect = cmath.rect  # rect(1, t + 0.0) is exp(it) to the bit, zero signs included
+    mz = -z
     if abs(z) >= switch:
-        acc = _horner(jumps, [cmath.exp(gap * mz) for gap in gaps])
+        acc = _horner(jumps, [rect(1.0, gap * mz + 0.0) for gap in gaps])
         # fhat = acc / (iz) times the anchor's phase
-        return complex(acc.imag / z, -acc.real / z) * cmath.exp(anchor * mz)
+        return complex(acc.imag / z, -acc.real / z) * rect(1.0, edge * mz + 0.0)
     cutoff = _TRIG_SERIES_CUTOFF
-    hats = len(shapes[0]) == 2
-    # the argument's real part is a zero, so exp is (cos u, -sin u) to the bit
-    step = [cmath.exp(length * mz) for length in lengths]
-    phi, psi = [], []  # L phi(u) and, for hats, L psi(u) per width
-    for k in range(widths):
-        length = lengths[k]
-        u = length * z
-        if -cutoff < u < cutoff:
-            c0, s0, c1, s1 = _piece(u)
-            phi.append(complex(length * c0, -length * s0))
-        else:
-            c, s = step[k].real, -step[k].imag
-            om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
-            phi.append(complex(s / z, -om / z))
-            if hats:
+    step = [rect(1.0, length * mz + 0.0) for length in lengths]
+    if len(shapes[0]) == 1:  # a box's factor is the real 2 sin(hz) / z, h its half-width
+        factor = []
+        for k in range(widths):
+            u = lengths[k] * z
+            if -cutoff < u < cutoff:
+                factor.append(2.0 * (lengths[k] * _piece(u)[0]))
+            else:
+                factor.append(2.0 * (-step[k].imag / z))
+    else:  # a hat's is H(a, b) times the phase from its left end to its node
+        phi, psi = [], []  # L phi(u) and L psi(u) per side length L
+        for k in range(widths):
+            length = lengths[k]
+            u = length * z
+            if -cutoff < u < cutoff:
+                c0, s0, c1, s1 = _piece(u)
+                phi.append(complex(length * c0, -length * s0))
+            else:
+                c, s = step[k].real, -step[k].imag
+                om = s * s / (1.0 + c) if c > 0.0 else 1.0 - c  # 1 - cos u
+                phi.append(complex(s / z, -om / z))
                 c1, s1 = _ramp(u, c, s, om)
-        if hats:
             psi.append(complex(length * c1, -length * s1))
-    factor = phi  # a box's factor is its width's L phi: box shape k is (k,)
-    if hats:  # a hat's is H(a, b) times the phase from its left end to its node
         factor = [step[a] * (phi[b] - psi[b]) + psi[a] for a, b in shapes]
     if len(rows[0]) == 2:  # one shape: its factor multiplies the sum
-        return _horner(rows, step) * factor[0] * cmath.exp(anchor * mz)
+        return _horner(rows, step) * factor[0] * rect(1.0, anchor * mz + 0.0)
     acc = 0j
     for gap, shape, y in rows:
         acc = acc * step[gap] + factor[shape] * y
-    return acc * cmath.exp(anchor * mz)
+    return acc * rect(1.0, anchor * mz + 0.0)
 
 
 _LATTICE_MIN_ROWS = 8  # fewer edges take the segment loop (see the module docstring)
@@ -310,8 +333,8 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
     most half as many distinct lengths (the widths of the nonzero segments
     and the gaps between consecutive left edges) the kernel is
     ``_lattice_sum`` and the table that of ``_basis_rows`` for either
-    representation.  ``reach`` is then the largest of ``|anchor|`` and the
-    lengths, which bound the gaps between edges too.
+    representation.  ``reach`` is then the largest of ``|anchor|``,
+    ``|edge|``, the lengths and the gaps between edges.
 
     Otherwise the kernel is ``_segment_sum`` and the table ``(c, floor,
     rows)``: c the middle entry of ``edges``, one row ``(d, h, y, r)`` per
@@ -328,7 +351,7 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
         lengths = set(map(operator.sub, ends, starts)).union(map(operator.sub, starts[1:], starts))
         if 2 * len(lengths) <= count:
             table = _basis_rows(f, segments)
-            return _lattice_sum, max(abs(table[0]), *table[1]), table
+            return _lattice_sum, max(abs(table[0]), abs(table[6]), *table[1], *table[7]), table
     edges = f.edges
     centre = edges[len(edges) // 2]
     rows = []
@@ -344,20 +367,29 @@ def _fourier_table(f: PiecewiseFunction) -> tuple:
 
 def _basis_rows(f: PiecewiseFunction, segments: list) -> tuple:
     """f's lattice table ``(anchor, lengths, widths, shapes, rows, switch,
-    gaps, jumps)``, ``segments`` its nonzero segments.  Value k of ``_ys``
-    multiplies the box or hat with knots at edges ``k - _shift`` to ``k +
-    1``; its shape is the tuple of gaps between them (an absent one 0.0) as
-    indices into ``lengths``, whose first ``widths`` are the side lengths,
-    so a box's shape k is ``(k,)``.  One row per nonzero value, right to
-    left, at its left end (the leftmost is ``anchor``): ``(gap, y)`` with
-    one shape whose y sum to a float, else ``(gap, shape, y)``.  One-sided
-    shapes take the jump rows of ``_jump_rows``."""
-    xs = f.edges[:1] * f._shift + f.edges + f.edges[-1:] * f._shift  # absent knots repeat the end
-    steps = list(map(operator.sub, xs[1:], xs))
-    terms = zip(xs, zip(*[steps[j:] for j in range(f._shift + 1)]), f._ys)
-    # per nonzero term, its left end, side lengths and value
-    lefts, sides, ys = zip(*[term for term in terms if term[2]])
-    gaps = list(map(operator.sub, lefts[1:], lefts))
+    edge, gaps, jumps)``, ``segments`` its nonzero segments.  Value k of
+    ``_ys`` multiplies the box or hat with knots at edges ``k - _shift`` to
+    ``k + 1``.  A hat's row sits at its left end, its sides the gaps between
+    its knots (an absent one 0.0); a box's at its midpoint, its one side its
+    half-width, both from the halved edges, so neither overflows.  A shape
+    is the tuple of sides as indices into ``lengths``, whose first
+    ``widths`` are the side lengths, so a box's shape k is ``(k,)``.  One row
+    per nonzero value, right to left (the leftmost sits at ``anchor``):
+    ``(gap, y)`` with one shape whose y sum to a float, else ``(gap, shape,
+    y)``.  One-sided shapes take the jump rows of ``_jump_rows``; two-sided
+    ones have none, and their ``edge`` is ``anchor``."""
+    xs = f.edges
+    if f._shift:  # absent knots repeat the end
+        xs = xs[:1] + xs + xs[-1:]
+        steps = list(map(operator.sub, xs[1:], xs))
+        terms = zip(xs, zip(steps, steps[1:]), f._ys)
+    else:
+        halves = [x * 0.5 for x in xs]
+        sides = zip(map(operator.sub, halves[1:], halves))
+        terms = zip(map(operator.add, halves, halves[1:]), sides, f._ys)
+    # per nonzero term, where its row sits, its side lengths and its value
+    places, sides, ys = zip(*[term for term in terms if term[2]])
+    gaps = list(map(operator.sub, places[1:], places))
     shape = {side: k for k, side in enumerate(dict.fromkeys(sides[::-1]))}
     widths = dict.fromkeys(length for side in shape for length in side)  # shape by shape
     lengths = (*widths, *(set(gaps) - widths.keys()))
@@ -366,16 +398,17 @@ def _basis_rows(f: PiecewiseFunction, segments: list) -> tuple:
     if len(shape) > 1 or sum(ys) == math.inf:  # one factor needs the sum of the y to be a float
         columns.insert(1, list(map(shape.__getitem__, sides[::-1])))
     shapes = tuple(tuple(map(index.__getitem__, side)) for side in shape)
-    jumps = _jump_rows(segments) if len(sides[0]) == 1 else (math.inf, (), ())
-    return lefts[0], lengths, len(widths), shapes, tuple(zip(*columns)), *jumps
+    jumps = _jump_rows(segments) if len(sides[0]) == 1 else (math.inf, places[0], (), ())
+    return places[0], lengths, len(widths), shapes, tuple(zip(*columns)), *jumps
 
 
 def _jump_rows(segments: list) -> tuple:
-    """``(switch, gaps, jumps)`` of a step function's lattice table: the
-    ``|z|`` from which the sum over its jumps has the smaller error bound,
-    the distinct gaps between consecutive edges, and one row ``(gap, jump)``
-    per edge, right to left, ``gap`` the index of the distance to the next
-    edge on the right (0 on the rightmost)."""
+    """``(switch, edge, gaps, jumps)`` of a step function's lattice table:
+    the ``|z|`` from which the sum over its jumps has the smaller error
+    bound, the leftmost edge, where that sum is anchored, the distinct gaps
+    between consecutive edges, and one row ``(gap, jump)`` per edge, right
+    to left, ``gap`` the index of the distance to the next edge on the
+    right (0 on the rightmost)."""
     xs, rises = [], []  # the edges of the nonzero segments and f's rise across each
     for t0, t1, y0, _ in segments:
         if xs and xs[-1] == t0:
@@ -392,9 +425,10 @@ def _jump_rows(segments: list) -> tuple:
     mass = math.fsum([(t1 - t0) * abs(y0) for t0, t1, y0, _ in segments])
     try:  # (V / M) max(1, B / A) of the module docstring
         ratio = math.fsum(map(abs, rises)) / mass
-        return ratio * max(1.0, (5 * len(xs) + 8) / (5 * len(segments) + 64)), gaps, jumps
+        switch = ratio * max(1.0, (5 * len(xs) + 8) / (5 * len(segments) + 64))
     except (OverflowError, ZeroDivisionError):  # V overflows, or every w |y| underflowed:
-        return math.inf, gaps, jumps  # the box sum's bound is the smaller
+        switch = math.inf  # the box sum's bound is the smaller
+    return switch, xs[0], gaps, jumps
 
 
 def _nonzero_segments(f: PiecewiseFunction) -> list:

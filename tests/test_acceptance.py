@@ -19,7 +19,6 @@ from crestimate import (
     PI_SQRT_10,
     HALF_PI_SQRT_10,
     PiecewiseLinearFunction,
-    brute_force_crests,
     comb_example,
     comb_resonance,
     count_crests,
@@ -45,6 +44,7 @@ from crestimate.generators import (
     rng_for,
 )
 
+from oracles import brute_force_crests
 from quadrature_oracles import fourier_quadrature_oracle
 
 SEED = 20260808

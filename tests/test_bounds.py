@@ -19,15 +19,14 @@ from crestimate import (
     default_z_grid,
     distribution,
     fourier,
-    hardy_operator,
     make_step,
-    rearrangement_integral,
     sine_transform,
     window_bounds,
 )
 from crestimate.bounds import CERTIFICATE_GUARD, certified_crests, grid_csv_lines
 from crestimate.generators import rng_for
 
+from oracles import hardy_operator, rearrangement_integral
 from quadrature_oracles import fourier_quadrature_oracle
 
 BOX = make_step([0, 1], [1])

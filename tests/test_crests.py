@@ -6,7 +6,6 @@ from crestimate import (
     PiecewiseLinearFunction,
     ValidationError,
     ZeroFunctionError,
-    brute_force_crests,
     comb_example,
     count_crests,
     decompose,
@@ -14,6 +13,8 @@ from crestimate import (
     make_step,
 )
 from crestimate.generators import random_step_function, rng_for
+
+from oracles import brute_force_crests
 
 TWO_BOXES = make_step([0, 1, 2, 3], [1, 0, 1])
 TRIANGLE = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))

@@ -12,7 +12,6 @@ from crestimate import (
     fourier_weighted_norm,
     hardy_chain_report,
     hardy_lhs,
-    hardy_operator,
     lorentz_lambda_norm,
     make_step,
 )
@@ -20,6 +19,7 @@ from crestimate import hardy
 from crestimate.generators import random_decreasing_step, random_weight, rng_for
 from crestimate.quadrature import gauss_kronrod_adaptive
 
+from oracles import hardy_operator
 from quadrature_oracles import hardy_lhs_with_error
 
 BOX = make_step([0, 1], [1])

@@ -9,8 +9,8 @@ same holds for scaling the values by 2^k.
 Translation: the transform sums phases centred at an edge c of the input,
 and for a dyadic offset every centred edge x - c, so every centred midpoint,
 has the same bits, so only the final factor e^(-icz) differs (see the bound below); on a lattice input
-the Horner sum reads only widths, gaps and jumps, which keep their bits, and
-only its anchor factor differs.  The rearrangement reads only widths and values,
+the Horner sum reads only side lengths (a box's half-width), gaps and jumps,
+which keep their bits, and only its anchor factor differs.  The rearrangement reads only widths and values,
 so it does not change at all.  The crest count does not see a piece split
 in two.
 
@@ -178,6 +178,62 @@ def test_comb_q_is_invariant_under_a_2_to_40_translation():
     q_f, q_g = bound_report(f, z).q_value, bound_report(g, z).q_value
     assert abs(q_g - q_f) <= _Q_TRANSLATE_ULPS * 2.0**-53 * q_f
     assert math.isclose(q_f, 2.013168484, rel_tol=1e-9)
+
+
+@st.composite
+def box_lattices(draw):
+    """A step function of 16 to 48 pieces, each 1 to 4 cells of 1/32 wide or
+    all one width, about a quarter of them zero, and a z below its switch,
+    where ``fourier`` sums its boxes at their midpoints."""
+    width = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 4) | st.just(width), min_size=16, max_size=48))
+    if draw(st.booleans()):
+        widths = [width] * len(widths)
+    edges = [draw(st.integers(-1024, 1024)) / 32]
+    for w in widths:
+        edges.append(edges[-1] + w / 32)
+    levels = draw(st.lists(st.integers(0, 4096), min_size=len(widths), max_size=len(widths)))
+    # neighbours differ in parity, so no two pieces merge; level 0 on an even piece is a zero
+    values = [(2 * m + k % 2) / 1024 for k, m in enumerate(levels)]
+    f = make_step(edges, values)
+    kernel, _, table = f.fourier_table
+    assert kernel is _lattice_sum and len(table[3][0]) == 1 and table[5] < math.inf
+    return f, table[5] * draw(st.floats(1e-4, 0.999))
+
+
+@_settings
+@given(case=box_lattices(), n=st.integers(-64, 64), e=st.integers(-5, 40))
+def test_box_rows_keep_their_bits_under_a_dyadic_translation(case, n, e):
+    """Midpoints on 1/64 and |offset| <= 2^46: every half-width, gap, row
+    and jump keeps its bits, so g's value is f's table summed with g's
+    anchor, and the two magnitudes differ by the anchor's phase alone."""
+    f, z = case
+    g = _translate(f, math.ldexp(n, e))
+    table_f, table_g = f.fourier_table[2], g.fourier_table[2]
+    assert table_g[1:6] == table_f[1:6] and table_g[7:] == table_f[7:]
+    assert fourier(g, z) == _lattice_sum((table_g[0], *table_f[1:]), z)
+    m_f, m_g = abs(fourier(f, z)), abs(fourier(g, z))
+    assert abs(m_g - m_f) <= _FHAT_TRANSLATE_ULPS * 2.0**-53 * m_f
+
+
+@_settings
+@given(case=box_lattices())
+def test_box_rows_keep_conjugate_symmetry(case):
+    f, z = case
+    assert fourier(f, -z) == fourier(f, z).conjugate()
+
+
+@_settings
+@given(case=box_lattices(), k=st.integers(-12, 12))
+def test_box_rows_keep_dyadic_dilation_to_the_bit(case, k):
+    """g(x) = f(2^k x): its midpoints, half-widths and gaps are f's over 2^k
+    and its switch f's times 2^k, so at 2^k z every phase and factor is f's
+    at z, its value f's over 2^k, and its Q f's."""
+    f, z = case
+    lam = math.ldexp(1.0, k)
+    g = _dilate(f, lam)
+    assert fourier(g, z * lam) == fourier(f, z) / lam
+    assert bound_report(g, z * lam).q_value == bound_report(f, z).q_value
 
 
 @st.composite

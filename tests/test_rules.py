@@ -10,7 +10,6 @@ from crestimate import (
     ValidationError,
     ZeroFunctionError,
     bound_report,
-    brute_force_crests,
     check_decreasing_bound,
     check_one_crest_bound,
     comb_example,
@@ -25,18 +24,18 @@ from crestimate import (
     fourier,
     hardy_chain_report,
     hardy_lhs,
-    hardy_operator,
     integrate,
     lorentz_lambda_norm,
     make_step,
     rearrangement,
-    rearrangement_integral,
     run_suite,
     sine_transform,
     window_bounds,
 )
 from crestimate import hardy, piecewise, rearrange
 from crestimate.cli import main
+
+from oracles import brute_force_crests, hardy_operator, rearrangement_integral
 
 BOX = make_step([0, 1], [1])
 HAT = PiecewiseLinearFunction((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))

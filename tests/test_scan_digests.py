@@ -6,7 +6,8 @@ nonincreasing step function on the same lattices, and a 1,601-sample train
 of 25 sin^2 bumps.  Every number is a dyadic rational, so the JSON and CSV
 texts carry them exactly.  Each digest is the sha256 of a command's stdout,
 taken before the step and piecewise-linear lattice tables became one basis
-table, each ``verify`` digest before the lemmas with the constant
+table (the ``analyze`` digest since a box's lattice row sits at its
+midpoint), each ``verify`` digest before the lemmas with the constant
 (pi/2) sqrt(10) moved into one module, and each ``hardy`` digest (the
 packaging smoke test's instance and the 200-piece input) before
 ``integrate`` read a per-function table in place of its loop over every
@@ -23,7 +24,7 @@ import pytest
 from crestimate.cli import main
 
 DIGESTS = {
-    "analyze": "487cbfe1bdf15c1ad8837394e5a6e628763dd7d58b70875203a46f33ad9162e3",
+    "analyze": "cdf00350abfe4f399b02330806d853f2436db600010c7d38d92e9ddc2afb6c66",
     "bound-roots": "9cd0337a5f5595cadb9608528aaed649aaa07f30548659818611bd1fe47e5b59",
     "bound-roots-csv": "4bee8d2bda28e0da9d57d4704a57000b386ba933e2c2db950c010aaf2ef8eee5",
     "comb": "169c4ac06e7973444667ae1dd89595ac82e755293d9d4a132535a0786fcb18af",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -85,9 +86,11 @@ def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
     """Its one table is the lattice table: one row per nonzero value, right
     to left, ``(gap, y)`` when every term has the same shape and ``(gap,
     shape, y)`` otherwise.  A step function's shapes are one-sided, ``(k,)``
-    for its k-th width, and it has one ``(gap, jump)`` row per edge of a
-    nonzero segment; a piecewise-linear function's are two-sided and it has
-    no jump rows.  No z, 0 included, takes the segment loop."""
+    for its k-th half-width, its rows sit at the midpoints of its boxes, and
+    it has one ``(gap, jump)`` row per edge of a nonzero segment, anchored at
+    the leftmost; a piecewise-linear function's are two-sided, its rows sit
+    at the left ends of its hats, and it has no jump rows.  No z, 0
+    included, takes the segment loop."""
 
     def no_segment_loop(table, z):
         raise AssertionError("the segment loop ran")
@@ -95,10 +98,10 @@ def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
     monkeypatch.setattr(transform, "_segment_sum", no_segment_loop)  # before any table is built
     kinds = set()
     for f in _lattice_inputs(rng_for(34, "lattice/no-edge-rows")) + _hat_inputs():
-        kernel, _, (anchor, lengths, widths, shapes, rows, switch, gaps, jumps) = f.fourier_table
-        assert kernel is _lattice_sum
+        anchor, lengths, widths, shapes, rows, switch, edge, gaps, jumps = f.fourier_table[2]
+        assert f.fourier_table[0] is _lattice_sum
         segments = [seg for seg in f.segments() if seg[2] != 0.0 or seg[3] != 0.0]
-        assert anchor == segments[0][0]
+        assert edge == segments[0][0]
         assert [row[-1] for row in rows] == [y for y in f._ys if y][::-1]
         assert all(len(row) == (2 if len(shapes) == 1 else 3) for row in rows)
         sides = {len(shape) for shape in shapes}
@@ -106,10 +109,12 @@ def test_a_lattice_function_builds_no_segment_rows(monkeypatch):
         if sides == {1}:
             assert len(rows) == len(segments)
             assert shapes == tuple((k,) for k in range(widths))
+            assert anchor == (segments[0][0] + segments[0][1]) / 2
+            assert set(lengths[:widths]) == {(t1 - t0) / 2 for t0, t1, _, _ in segments}
             edges = {x for t0, t1, _, _ in segments for x in (t0, t1)}
             assert len(jumps) == len(edges) and all(len(row) == 2 for row in jumps)
         else:
-            assert (switch, gaps, jumps) == (math.inf, (), ())
+            assert anchor == edge and (switch, gaps, jumps) == (math.inf, (), ())
         assert fourier(f, 0.0) == complex(f.total_integral)
         for z in (1e-3, 1.3, -27.0):
             fourier(f, z)
@@ -531,16 +536,20 @@ def test_each_kernel_keeps_its_trig_budget(monkeypatch):
     """Per call at z != 0 the segment loop takes one cos and one sin for the
     centre's phase, then per nonzero segment a cos and a sin for its phase
     and sin v, v = h z, and on a sloped one from ``|v| = 1e-2`` on one more
-    cos; the lattice sum takes no cos or sin at all and one ``cmath.exp``
-    per distinct length (per distinct gap on the sum over the jumps) and one
-    for its anchor, however many rows it has."""
+    cos; the lattice sum takes no cos, sin or ``cmath.exp`` at all and one
+    ``cmath.rect`` per distinct length (per distinct gap on the sum over the
+    jumps) and one for its anchor, however many rows it has."""
     trig = []
+    rects = []
     exps = []
-    for module, name, calls in ((math, "cos", trig), (math, "sin", trig), (cmath, "exp", exps)):
+    patched = (
+        (math, "cos", trig), (math, "sin", trig), (cmath, "rect", rects), (cmath, "exp", exps)
+    )
+    for module, name, calls in patched:
 
-        def counted(x, real=getattr(module, name), calls=calls):
-            calls.append(x)
-            return real(x)
+        def counted(*args, real=getattr(module, name), calls=calls):
+            calls.append(args)
+            return real(*args)
 
         monkeypatch.setattr(module, name, counted)
     loop = [f for f, _ in _segment_inputs()] + [BOX, TRIANGLE]
@@ -555,19 +564,52 @@ def test_each_kernel_keeps_its_trig_budget(monkeypatch):
                 for t0, t1, y0, y1 in segments
                 if y0 != y1
             ]
-            del trig[:], exps[:]
+            del trig[:], rects[:], exps[:]
             fourier(f, z)
-            assert (len(trig), len(exps)) == (2 + 3 * len(segments) + sum(sloped), 0)
+            assert (len(trig), len(rects), len(exps)) == (
+                2 + 3 * len(segments) + sum(sloped), 0, 0
+            )
         for f in lattice:
-            _, _, (_, lengths, _, _, _, switch, gaps, _) = f.fourier_table
-            del trig[:], exps[:]
+            _, _, (_, lengths, _, _, _, switch, _, gaps, _) = f.fourier_table
+            del trig[:], rects[:], exps[:]
             fourier(f, z)
-            assert not trig
-            assert len(exps) == 1 + len(gaps if abs(z) >= switch else lengths)
-    del trig[:], exps[:]
+            assert not trig and not exps
+            assert len(rects) == 1 + len(gaps if abs(z) >= switch else lengths)
+    del trig[:], rects[:], exps[:]
     for f in loop + lattice:
         fourier(f, 0.0)
-    assert not trig and not exps
+    assert not trig and not rects and not exps
+
+
+def test_rect_phase_tables_equal_the_exp_ones_to_the_bit():
+    """The lattice sum's phases, ``cmath.rect(1.0, L * -z + 0.0)``, are
+    ``cmath.exp(L * complex(0.0, -z))`` in both parts, zero signs included:
+    on lattice lengths (multiples of 2^-10 and of 0.1) and anchors of both
+    signs, an absent side 0.0, products that are subnormal or underflow to
+    zero, products near the largest float, and z of both signs."""
+    rng = random.Random("rect-phase-tables")
+
+    def sign(z):
+        return z if rng.random() < 0.5 else -z
+
+    cases = []
+    for _ in range(20000):
+        length = rng.randint(1, 4096) * (2.0**-10 if rng.random() < 0.5 else 0.1)
+        cases.append((sign(length), sign(log_uniform(rng, 1e-3, 1e3))))
+    for _ in range(10000):  # products from 2^-1100 to 2^-1000: zero, subnormal, the smallest normals
+        e = rng.randint(-1100, -1000)
+        length = math.ldexp(rng.uniform(0.5, 1.0), e // 2)
+        cases.append((sign(length), sign(math.ldexp(rng.uniform(0.5, 1.0), e - e // 2))))
+    for _ in range(10000):  # products up to 2^1022
+        length = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(0, 511))
+        cases.append((sign(length), sign(math.ldexp(rng.uniform(0.5, 1.0), 511))))
+    cases += [(0.0, sign(log_uniform(rng, 1e-3, 1e3))) for _ in range(100)]
+    cases += [(sign(1.0), sign(5e-324)), (sign(2.0**-60), sign(2.0**-1000))]
+    for length, z in cases:
+        assert math.isfinite(length * z)
+        got, want = cmath.rect(1.0, length * -z + 0.0), cmath.exp(length * complex(0.0, -z))
+        for a, b in ((got.real, want.real), (got.imag, want.imag)):
+            assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b), (length, z)
 
 
 def _mp_piece(u):
